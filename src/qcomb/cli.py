@@ -18,19 +18,11 @@ from . import structures
 from .families import FAMILIES, bell_q, hsu_shiue, lah_q, stirling1_q, \
     stirling2_q, table_rows
 from .identities import REGISTRY, check, identity_names, serialize_value
-from .oracles import oracle_table
+from .oracles import ORACLE_FOR_ENGINE, oracle_table
 from .polyring import MPoly, QPoly
 from .structures import CellCapError
 
 DIFF_FAMILIES = ("stirling2_q", "stirling1_q", "lah_q", "bell_q", "ext_lah")
-
-_ORACLE_FOR_DIFF = {
-    "stirling2_q": "partitions",
-    "stirling1_q": "perms",
-    "lah_q": "lah",
-    "bell_q": "partitions",
-    "ext_lah": "ext_lah",
-}
 
 
 def parse_range(text: str) -> tuple[int, int]:
@@ -136,8 +128,9 @@ def _diff_cells(args) -> list[tuple[int, int]]:
 
 
 def _diff_one(family: str, n: int, r: int, k_range) -> list[dict]:
-    oracle_family = _ORACLE_FOR_DIFF[family]
-    table = oracle_table(oracle_family, n, r)
+    # oracle-diff names the hsu_shiue engine by its oracle family
+    engine_family = "hsu_shiue" if family == "ext_lah" else family
+    table = oracle_table(ORACLE_FOR_ENGINE[engine_family], n, r)
     mism = []
     if family == "bell_q":
         got = QPoly()
@@ -209,12 +202,12 @@ def build_parser() -> argparse.ArgumentParser:
     cap_help = ("max structures per enumeration cell "
                 f"(overrides ${structures.CELL_CAP_ENV}; "
                 f"default {structures.DEFAULT_CELL_CAP})")
-    parser.add_argument("--cell-cap", type=int, default=None, help=cap_help)
+    parser.add_argument("--cell-cap", default=None, help=cap_help)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_table = sub.add_parser("table", help="emit one family table")
     # accepted after the subcommand too; SUPPRESS keeps the global value
-    p_table.add_argument("--cell-cap", type=int, default=argparse.SUPPRESS,
+    p_table.add_argument("--cell-cap", default=argparse.SUPPRESS,
                          help=cap_help)
     p_table.add_argument("--family", required=True,
                          help=f"one of {', '.join(FAMILIES)}")
@@ -228,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default="text")
 
     p_verify = sub.add_parser("verify", help="run identity checks")
-    p_verify.add_argument("--cell-cap", type=int, default=argparse.SUPPRESS,
+    p_verify.add_argument("--cell-cap", default=argparse.SUPPRESS,
                           help=cap_help)
     p_verify.add_argument("--identity", default=None,
                           help="registered identity name")
@@ -243,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_diff = sub.add_parser("oracle-diff",
                             help="compare an engine against its enumeration oracle")
-    p_diff.add_argument("--cell-cap", type=int, default=argparse.SUPPRESS,
+    p_diff.add_argument("--cell-cap", default=argparse.SUPPRESS,
                         help=cap_help)
     p_diff.add_argument("--family", required=True,
                         help=f"one of {', '.join(DIFF_FAMILIES)}")
@@ -258,9 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.cell_cap is not None:
-        structures.set_default_cap(args.cell_cap)
     try:
+        if args.cell_cap is not None:
+            structures.set_default_cap(
+                structures.parse_cap(args.cell_cap, "--cell-cap"))
         if args.command == "table":
             return _emit_table(args)
         if args.command == "verify":

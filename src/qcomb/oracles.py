@@ -1,33 +1,33 @@
 """Brute-force statistic-sum oracles.
 
-Each oracle walks the full enumeration stream of one structure family and
-sums q to the power of the statistic (or the weight monomial, for extended
-Lah distributions).  Nothing here touches the closed forms or recurrences in
-families.py, so an oracle/engine match is a genuine two-route check.
+Each oracle visits every structure of one family's insertion tree and sums
+q to the power of the statistic (the weight monomial, for extended Lah
+distributions).  The statistic is folded in as each element is inserted:
+a leaf adds one to its coefficient count, and only extended Lah
+distributions are built, to be validated.  stats.py computes the same
+statistics directly, and the tests compare the two.  Nothing here touches
+the closed forms or recurrences in families.py, so an oracle/engine match
+is a genuine two-route check.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 
 from .polyring import MPoly, QPoly
-from .stats import ext_stats, stat_inv_c, stat_inv_rho, stat_w
-from .structures import (enum_cycle_perms, enum_extended_lah, enum_lah,
-                         enum_partitions)
+from .structures import (_SLOTS, _cell, _insertion_tree,
+                         enum_extended_lah_tracked)
 
 ORACLE_FAMILIES = ("partitions", "perms", "lah", "ext_lah")
 
-# oracle family -> engine family it certifies
-ENGINE_FOR_ORACLE = {
-    "partitions": "stirling2_q",
-    "perms": "stirling1_q",
-    "lah": "lah_q",
-    "ext_lah": "hsu_shiue",
-}
+# engine family -> oracle family that certifies it
+ORACLE_FOR_ENGINE = {"stirling2_q": "partitions", "stirling1_q": "perms",
+                     "lah_q": "lah", "bell_q": "partitions",
+                     "hsu_shiue": "ext_lah"}
 
-
-def _counts_to_qpoly(counts: list[int]) -> QPoly:
-    return QPoly(counts)
+# oracle family -> the first engine family it certifies
+ENGINE_FOR_ORACLE = {oracle_family: engine for engine, oracle_family
+                     in reversed(ORACLE_FOR_ENGINE.items())}
 
 
 def oracle(family: str, n: int, k: int, r: int = 0,
@@ -47,37 +47,25 @@ def oracle_table(family: str, n: int, r: int = 0, cap: int | None = None,
     if family == "ext_lah":
         if r != 0:
             raise ValueError("ext_lah oracle requires r = 0")
-        buckets: dict[int, Counter] = {}
-        for lam in enum_extended_lah(n, only_k, cap=cap):
-            st = ext_stats(lam)
-            kk = lam.true_block_count()
-            buckets.setdefault(kk, Counter())[(st.nrec, st.rec_star, st.circ, 0)] += 1
+        buckets: defaultdict[int, Counter] = defaultdict(Counter)
+        for lam, stats in enum_extended_lah_tracked(n, only_k, cap=cap):
+            buckets[lam.true_block_count()][(*stats, 0)] += 1
         return {kk: MPoly(dict(c)) for kk, c in buckets.items()}
 
-    if family == "partitions":
-        stream = enum_partitions(n, only_k, r, cap=cap)
-        # the restricted elements 1..r always occupy blocks 1..r and so add a
-        # fixed r-choose-2 to the block-position statistic; the restricted
-        # family's polynomials count the free elements only, so the constant
-        # is dropped here (it vanishes for r <= 1)
-        offset = r * (r - 1) // 2
-        stat = lambda s: stat_w(s) - offset
-        group_count = lambda s: len(s.blocks)
-    elif family == "perms":
-        stream = enum_cycle_perms(n, only_k, r, cap=cap)
-        stat = stat_inv_c
-        group_count = lambda s: len(s.cycles)
-    else:
-        stream = enum_lah(n, only_k, r, cap=cap)
-        stat = stat_inv_rho
-        group_count = lambda s: len(s.blocks)
-
-    counts: dict[int, list[int]] = {}
-    for s in stream:
-        v = stat(s)
-        kk = group_count(s) - r
-        bucket = counts.setdefault(kk, [])
-        if len(bucket) <= v:
-            bucket.extend([0] * (v + 1 - len(bucket)))
-        bucket[v] += 1
-    return {kk: _counts_to_qpoly(c) for kk, c in counts.items()}
+    if not _cell(family, n, only_k, r, cap):
+        return {}
+    if n + r == 0:
+        return {0: QPoly([1])}
+    # 1..r always open the first r blocks, a fixed r-choose-2 of the
+    # block-position statistic; the restricted family's polynomials count
+    # the free elements only, so that constant is dropped
+    offset = r * (r - 1) // 2 if family == "partitions" else 0
+    counts: defaultdict[int, Counter] = defaultdict(Counter)
+    groups: list[list[int]] = []
+    for stat, key, last in _insertion_tree(n + r, only_k, r, _SLOTS[family], groups):
+        g = len(groups)
+        stay, grow = counts[key], counts[key + 1]
+        for i, _pos, _label, inc in last:
+            (grow if i == g else stay)[stat + inc] += 1
+    return {kk: QPoly([c[v] for v in range(offset, max(c) + 1)])
+            for kk, c in counts.items() if c}

@@ -1,14 +1,15 @@
-"""Canonical combinatorial structures and exhaustive enumerators.
+"""Canonical combinatorial structures and their one insertion tree.
 
 Four families: set partitions, permutations in standard cycle form, Lah
 distributions (ordered blocks), and extended Lah distributions (Lah
 distributions with circled special elements).  Blocks and cycles are always
 stored ordered by increasing minimum; each cycle starts with its minimum.
 
-Enumerators are insertion-based: element t is added to every legal position
-of each structure on [t-1], so each structure is produced exactly once, in a
-deterministic order.  The r-restricted variants force elements 1..r into
-distinct blocks/cycles by making each of them open a new block or cycle.
+Every family grows on one insertion tree: element t goes into each legal
+slot of each structure on [t-1], so each structure is one leaf, reached in a
+deterministic order.  Each slot also says what t adds to the family's
+statistic; the enumerators build the leaves, the oracles only count them.
+The r-restricted variants make each of 1..r open its own block or cycle.
 """
 
 from __future__ import annotations
@@ -46,6 +47,13 @@ def set_default_cap(cap: int | None) -> None:
     _cap_override = cap
 
 
+def parse_cap(text: str, source: str) -> int:
+    """A cap read from ``source`` (a flag or a variable): an integer >= 0."""
+    if not text.strip().isdecimal():
+        raise ValueError(f"{source} must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def effective_cap(cap: int | None = None) -> int:
     """Resolve the enumeration cap: explicit value, then the installed
     override, then the environment, then the built-in default."""
@@ -55,7 +63,7 @@ def effective_cap(cap: int | None = None) -> int:
         return _cap_override
     env = os.environ.get(CELL_CAP_ENV)
     if env is not None:
-        return int(env)
+        return parse_cap(env, CELL_CAP_ENV)
     return DEFAULT_CELL_CAP
 
 
@@ -196,6 +204,155 @@ def special_elements(delta: LahDist) -> frozenset[int]:
 
 
 # ---------------------------------------------------------------------------
+# the insertion tree
+# ---------------------------------------------------------------------------
+# A structure on [t] is a structure on [t-1] with t placed in one slot, so
+# each structure is the leaf of exactly one insertion path.  A slot policy
+# lists the slots of t on the current groups (blocks or cycles, as lists of
+# labels) in output order, as (i, pos, label, inc): label goes to position
+# pos of group i, where i == len(groups) opens a new group, and the family's
+# statistic grows by inc.  The label is t, or -t for a circled t.
+
+def _partition_slots(t: int, groups: list[list[int]]) -> list[tuple]:
+    # stat_w: t in block i (counted from 0) adds i
+    g = len(groups)
+    return [(i, len(b), t, i) for i, b in enumerate(groups)] + [(g, 0, t, g)]
+
+
+def _cycle_slots(t: int, groups: list[list[int]]) -> list[tuple]:
+    # stat_inv_c: t, the running maximum, placed before p letters of the
+    # joined word adds p
+    slots = []
+    rest = t - 1                         # letters from cycle i on
+    for i, c in enumerate(groups):
+        slots += [(i, pos, t, rest - pos) for pos in range(1, len(c) + 1)]
+        rest -= len(c)
+    return slots + [(len(groups), 0, t, 0)]
+
+
+def _lah_slots(t: int, groups: list[list[int]]) -> list[tuple]:
+    # stat_inv_rho: the same rule on the word of the blocks in reverse order
+    # with 0 separators, where a new block comes first
+    slots = []
+    behind = 0                           # letters of the word after block i
+    for i, b in enumerate(groups):
+        slots += [(i, pos, t, behind + len(b) - pos) for pos in range(len(b) + 1)]
+        behind += len(b) + 1
+    return slots + [(len(groups), 0, t, behind)]
+
+
+def _ext_lah_slots(base: int):
+    """Slot policy of extended Lah distributions; the statistic packs
+    nrec + base * rec_star + base**2 * circ."""
+    def slots(t: int, groups: list[list[int]]) -> list[tuple]:
+        out = [(len(groups), 0, t, 0)]                       # a new true block
+        for i, b in enumerate(groups):                       # right after an element
+            out += [(i, pos, t, 1) for pos in range(1, len(b) + 1)]
+        out += [(i, 0, t, base) for i, b in enumerate(groups)
+                if b[0] != -1]                               # in front of a true block
+        if t == 1:                                           # circled 1 opens a block
+            out.append((0, 0, -1, base * base))              # that is not true
+        elif groups:                                         # circled, at the very end
+            out.append((len(groups) - 1, len(groups[-1]), -t, base * base))
+        return out
+    return slots
+
+
+_SLOTS = {"partitions": _partition_slots, "perms": _cycle_slots,
+          "lah": _lah_slots}
+
+# family -> (its enumerator, the classical size of one (n, k, r) cell)
+_CELLS = {
+    "partitions": ("enum_partitions", classical.stirling2_r),
+    "perms": ("enum_cycle_perms", classical.stirling1_r),
+    "lah": ("enum_lah", classical.lah_r),
+    "ext_lah": ("enum_extended_lah", lambda n, k, r: classical.ext_lah_count(n, k)),
+}
+
+
+def _cell(family: str, n: int, k: int | None, r: int, cap: int | None) -> bool:
+    """Check one cell's arguments and size; False when k is out of range."""
+    name, count = _CELLS[family]
+    if n < 0 or r < 0:
+        raise ValueError(f"{name} requires n, r >= 0, got ({n}, {r})")
+    if k is not None and not 0 <= k <= n:
+        return False
+    ks = range(n + 1) if k is None else (k,)
+    _check_cap((family, n, k, None if family == "ext_lah" else r),
+               sum(count(n, kk, r) for kk in ks), cap)
+    return True
+
+
+def _place(groups: list[list[int]], i: int, pos: int, label: int) -> None:
+    if i == len(groups):
+        groups.append([label])
+    else:
+        groups[i].insert(pos, label)
+
+
+def _unplace(groups: list[list[int]], i: int, pos: int) -> None:
+    if len(groups[i]) == 1:              # the label opened group i
+        groups.pop()
+    else:
+        del groups[i][pos]
+
+
+def _insertion_tree(size: int, k: int | None, r: int, slots,
+                    groups: list[list[int]]) -> Iterator[tuple[int, int, list]]:
+    """Walk the insertion tree of one cell of [size], size >= 1, depth first.
+
+    ``groups`` starts empty and holds the current prefix.  At each node with
+    1..size-1 placed, yields (stat, key, last): the statistic so far, the
+    number of groups k counts (all but those of 1..r, which each open their
+    own, and a block opened by a circled 1), and the slots of element size
+    that end in the cell, one leaf each.
+    """
+    def node_slots(t: int, key: int) -> list[tuple]:
+        out = slots(t, groups)
+        g = len(groups)
+        if t <= r:
+            out = [s for s in out if s[0] == g]
+        if k is not None:
+            # t and each later element open at most one counted group
+            out = [s for s in out
+                   if 0 <= k - key - (s[0] == g and s[2] > 0) <= size - t]
+        return out
+
+    def rec(t: int, key: int, stat: int) -> Iterator[tuple[int, int, list]]:
+        g = len(groups)
+        for i, pos, label, inc in node_slots(t, key):
+            _place(groups, i, pos, label)
+            grown = key + (i == g and label > 0)
+            if t + 1 == size:
+                yield stat + inc, grown, node_slots(size, grown)
+            else:
+                yield from rec(t + 1, grown, stat + inc)
+            _unplace(groups, i, pos)
+
+    if size == 1:
+        yield 0, -r, node_slots(1, -r)
+    else:
+        yield from rec(1, -r, 0)
+
+
+def _leaves(family: str, n: int, k: int | None, r: int, cap: int | None,
+            slots) -> Iterator[tuple[list[list[int]], int]]:
+    """Check one cell, then yield (groups, stat) for each structure in it:
+    its blocks or cycles, valid until the next leaf, and its statistic."""
+    if not _cell(family, n, k, r, cap):
+        return
+    groups: list[list[int]] = []
+    if n + r == 0:
+        yield groups, 0
+        return
+    for stat, _key, last in _insertion_tree(n + r, k, r, slots, groups):
+        for i, pos, label, inc in last:
+            _place(groups, i, pos, label)
+            yield groups, stat + inc
+            _unplace(groups, i, pos)
+
+
+# ---------------------------------------------------------------------------
 # enumerators
 # ---------------------------------------------------------------------------
 
@@ -206,182 +363,37 @@ def enum_partitions(n: int, k: int | None, r: int = 0,
     k=None streams all block counts.  The stream is empty for impossible
     (n, k, r) combinations.
     """
-    if n < 0 or r < 0:
-        raise ValueError(f"enum_partitions requires n, r >= 0, got ({n}, {r})")
-    if k is not None and not 0 <= k <= n:
-        return
-    ks = range(n + 1) if k is None else (k,)
-    estimate = sum(classical.stirling2_r(n, kk, r) for kk in ks)
-    _check_cap(("partitions", n, k, r), estimate, cap)
-    size = n + r
-
-    def feasible(groups: int, placed: int) -> bool:
-        # groups can only grow, by at most one per remaining element
-        return k is None or groups <= k + r <= groups + (size - placed)
-
-    def rec(t: int, blocks: list[list[int]]) -> Iterator[SetPartition]:
-        if t > size:
-            if k is None or len(blocks) == k + r:
-                yield SetPartition(size, tuple(tuple(b) for b in blocks))
-            return
-        if t > r and feasible(len(blocks), t):
-            for b in blocks:
-                b.append(t)
-                yield from rec(t + 1, blocks)
-                b.pop()
-        if feasible(len(blocks) + 1, t):
-            blocks.append([t])
-            yield from rec(t + 1, blocks)
-            blocks.pop()
-
-    yield from rec(1, [])
+    for groups, _ in _leaves("partitions", n, k, r, cap, _partition_slots):
+        yield SetPartition(n + r, tuple(map(tuple, groups)))
 
 
 def enum_cycle_perms(n: int, k: int | None, r: int = 0,
                      cap: int | None = None) -> Iterator[CyclePerm]:
     """Permutations of [n+r] with k+r cycles, 1..r in distinct cycles."""
-    if n < 0 or r < 0:
-        raise ValueError(f"enum_cycle_perms requires n, r >= 0, got ({n}, {r})")
-    if k is not None and not 0 <= k <= n:
-        return
-    ks = range(n + 1) if k is None else (k,)
-    estimate = sum(classical.stirling1_r(n, kk, r) for kk in ks)
-    _check_cap(("perms", n, k, r), estimate, cap)
-    size = n + r
-
-    def feasible(groups: int, placed: int) -> bool:
-        return k is None or groups <= k + r <= groups + (size - placed)
-
-    def rec(t: int, cycles: list[list[int]]) -> Iterator[CyclePerm]:
-        if t > size:
-            if k is None or len(cycles) == k + r:
-                yield CyclePerm(size, tuple(tuple(c) for c in cycles))
-            return
-        if t > r and feasible(len(cycles), t):
-            for c in cycles:
-                for pos in range(1, len(c) + 1):
-                    c.insert(pos, t)
-                    yield from rec(t + 1, cycles)
-                    c.pop(pos)
-        if feasible(len(cycles) + 1, t):
-            cycles.append([t])
-            yield from rec(t + 1, cycles)
-            cycles.pop()
-
-    yield from rec(1, [])
+    for groups, _ in _leaves("perms", n, k, r, cap, _cycle_slots):
+        yield CyclePerm(n + r, tuple(map(tuple, groups)))
 
 
 def enum_lah(n: int, k: int | None, r: int = 0,
              cap: int | None = None) -> Iterator[LahDist]:
     """Lah distributions of [n+r] into k+r ordered blocks, 1..r distinct."""
-    if n < 0 or r < 0:
-        raise ValueError(f"enum_lah requires n, r >= 0, got ({n}, {r})")
-    if k is not None and not 0 <= k <= n:
-        return
-    ks = range(n + 1) if k is None else (k,)
-    estimate = sum(classical.lah_r(n, kk, r) for kk in ks)
-    _check_cap(("lah", n, k, r), estimate, cap)
-    size = n + r
-
-    def feasible(groups: int, placed: int) -> bool:
-        return k is None or groups <= k + r <= groups + (size - placed)
-
-    def rec(t: int, blocks: list[list[int]]) -> Iterator[LahDist]:
-        if t > size:
-            if k is None or len(blocks) == k + r:
-                yield LahDist(size, tuple(tuple(b) for b in blocks))
-            return
-        if t > r and feasible(len(blocks), t):
-            for b in blocks:
-                for pos in range(len(b) + 1):
-                    b.insert(pos, t)
-                    yield from rec(t + 1, blocks)
-                    b.pop(pos)
-        if feasible(len(blocks) + 1, t):
-            blocks.append([t])
-            yield from rec(t + 1, blocks)
-            blocks.pop()
-
-    yield from rec(1, [])
+    for groups, _ in _leaves("lah", n, k, r, cap, _lah_slots):
+        yield LahDist(n + r, tuple(map(tuple, groups)))
 
 
 def enum_extended_lah_tracked(
         n: int, k: int | None,
         cap: int | None = None) -> Iterator[tuple[ExtLahDist, tuple[int, int, int]]]:
-    """Extended Lah distributions with incrementally tracked statistics.
-
-    Yields (structure, (nrec, rec_star, circ)).  Element t is inserted as a
-    new true block, directly after an existing element, at the front of a
-    true block, or circled at the end of the right-most block (circled 1
-    instead opens its own non-true block).  Every yielded structure is
-    re-validated against the circling rules.
-    """
-    if n < 0:
-        raise ValueError(f"enum_extended_lah requires n >= 0, got {n}")
-    if k is not None and not 0 <= k <= n:
-        return
-    ks = range(n + 1) if k is None else (k,)
-    estimate = sum(classical.ext_lah_count(n, kk) for kk in ks)
-    _check_cap(("ext_lah", n, k, None), estimate, cap)
-
-    def emit(blocks: list[list[int]], circled: set[int],
-             stats: tuple[int, int, int]) -> Iterator[tuple[ExtLahDist, tuple[int, int, int]]]:
-        lam = ExtLahDist(LahDist(n, tuple(tuple(b) for b in blocks)),
-                         frozenset(circled))
-        lam.validate()
-        yield lam, stats
-
-    def feasible(true_blocks: int, placed: int) -> bool:
-        return k is None or true_blocks <= k <= true_blocks + (n - placed)
-
-    def rec(t: int, blocks: list[list[int]], circled: set[int],
-            true_count: int, nrec: int, rec_star: int,
-            circ: int) -> Iterator[tuple[ExtLahDist, tuple[int, int, int]]]:
-        if t > n:
-            if k is None or true_count == k:
-                yield from emit(blocks, circled, (nrec, rec_star, circ))
-            return
-        one_circled = 1 in circled
-        # new true block at the end (t is the running maximum)
-        if feasible(true_count + 1, t):
-            blocks.append([t])
-            yield from rec(t + 1, blocks, circled, true_count + 1,
-                           nrec, rec_star, circ)
-            blocks.pop()
-        if feasible(true_count, t):
-            # directly after any existing element
-            for b in blocks:
-                for pos in range(1, len(b) + 1):
-                    b.insert(pos, t)
-                    yield from rec(t + 1, blocks, circled, true_count,
-                                   nrec + 1, rec_star, circ)
-                    b.pop(pos)
-            # at the front of any true block
-            for b in blocks:
-                if one_circled and b[0] == 1:
-                    continue
-                b.insert(0, t)
-                yield from rec(t + 1, blocks, circled, true_count,
-                               nrec, rec_star + 1, circ)
-                b.pop(0)
-            # circled: last element of the right-most block (t >= 2),
-            # or a new non-true block when t = 1
-            if t == 1:
-                blocks.append([1])
-                circled.add(1)
-                yield from rec(2, blocks, circled, true_count,
-                               nrec, rec_star, circ + 1)
-                circled.discard(1)
-                blocks.pop()
-            elif blocks:
-                blocks[-1].append(t)
-                circled.add(t)
-                yield from rec(t + 1, blocks, circled, true_count,
-                               nrec, rec_star, circ + 1)
-                circled.discard(t)
-                blocks[-1].pop()
-
-    yield from rec(1, [], set(), 0, 0, 0, 0)
+    """Extended Lah distributions with incrementally tracked statistics:
+    yields (structure, (nrec, rec_star, circ)), each structure validated
+    against the circling rules."""
+    base = n + 1
+    for groups, stat in _leaves("ext_lah", n, k, 0, cap, _ext_lah_slots(base)):
+        circ, rest = divmod(stat, base * base)
+        rec_star, nrec = divmod(rest, base)
+        lam = ExtLahDist(LahDist(n, tuple(tuple(map(abs, b)) for b in groups)),
+                         frozenset(-e for b in groups for e in b if e < 0))
+        yield lam.validate(), (nrec, rec_star, circ)
 
 
 def enum_extended_lah(n: int, k: int | None,

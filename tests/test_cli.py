@@ -197,3 +197,26 @@ class TestCellCap:
         code, _, _ = run_cli(capsys, "oracle-diff", "--cell-cap", "1000000",
                              "--family", "stirling2_q", "--n", "0..6")
         assert code == 0
+
+    @pytest.mark.parametrize("value", ["-1", "abc", "2.5"])
+    def test_bad_flag_value(self, capsys, value):
+        code, out, err = run_cli(capsys, f"--cell-cap={value}", "oracle-diff",
+                                 "--family", "stirling2_q", "--n", "0..3")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "--cell-cap" in err
+
+    @pytest.mark.parametrize("value", ["-5", "abc"])
+    def test_bad_env_value(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("QCOMB_MAX_ENUM", value)
+        code, out, err = run_cli(capsys, "oracle-diff", "--family", "lah_q",
+                                 "--n", "0..3")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "QCOMB_MAX_ENUM" in err
+
+    def test_zero_cap_is_a_cap(self, capsys):
+        code, _, err = run_cli(capsys, "--cell-cap", "0", "oracle-diff",
+                               "--family", "lah_q", "--n", "0")
+        assert code == 2
+        assert "above the cap 0" in err

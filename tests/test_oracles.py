@@ -1,9 +1,15 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcomb import classical
-from qcomb.oracles import ENGINE_FOR_ORACLE, oracle, oracle_table
+from qcomb.oracles import (ENGINE_FOR_ORACLE, ORACLE_FOR_ENGINE, oracle,
+                           oracle_table)
 from qcomb.polyring import MPoly, QPoly, poly_eval_int
-from qcomb.structures import CellCapError
+from qcomb.stats import ext_stats, stat_inv_c, stat_inv_rho, stat_w
+from qcomb.structures import (CellCapError, enum_cycle_perms,
+                              enum_extended_lah, enum_lah, enum_partitions)
 
 
 class TestOracleExamples:
@@ -47,3 +53,67 @@ class TestOracleTables:
         assert ENGINE_FOR_ORACLE["partitions"] == "stirling2_q"
         assert set(ENGINE_FOR_ORACLE) == {"partitions", "perms", "lah",
                                           "ext_lah"}
+
+    def test_one_mapping_both_ways(self):
+        assert ORACLE_FOR_ENGINE["bell_q"] == "partitions"
+        assert set(ORACLE_FOR_ENGINE.values()) == set(ENGINE_FOR_ORACLE)
+        for oracle_family, engine in ENGINE_FOR_ORACLE.items():
+            assert ORACLE_FOR_ENGINE[engine] == oracle_family
+
+
+def reference_table(family, n, r=0, only_k=None):
+    """The slow path the fold replaced: build every structure and apply the
+    direct statistic from qcomb.stats."""
+    buckets = {}
+    if family == "ext_lah":
+        for lam in enum_extended_lah(n, only_k):
+            st_ = ext_stats(lam)
+            buckets.setdefault(lam.true_block_count(), Counter())[
+                (st_.nrec, st_.rec_star, st_.circ, 0)] += 1
+        return {kk: MPoly(dict(c)) for kk, c in buckets.items()}
+    offset = r * (r - 1) // 2
+    enum, stat = {
+        "partitions": (enum_partitions, lambda s: stat_w(s) - offset),
+        "perms": (enum_cycle_perms, stat_inv_c),
+        "lah": (enum_lah, stat_inv_rho),
+    }[family]
+    for s in enum(n, only_k, r):
+        groups = s.cycles if family == "perms" else s.blocks
+        buckets.setdefault(len(groups) - r, Counter())[stat(s)] += 1
+    return {kk: QPoly([c[v] for v in range(max(c) + 1)])
+            for kk, c in buckets.items()}
+
+
+CLASSICAL = {"partitions": classical.stirling2_r, "perms": classical.stirling1_r,
+             "lah": classical.lah_r,
+             "ext_lah": lambda n, k, r: classical.ext_lah_count(n, k)}
+
+
+def leaf_total(value):
+    if isinstance(value, QPoly):
+        return poly_eval_int(value, 1)
+    return sum(value.terms.values())
+
+
+class TestFoldAgainstDirectStatistics:
+    @pytest.mark.parametrize("family", ["partitions", "perms", "lah", "ext_lah"])
+    def test_every_small_cell(self, family):
+        for r in range(1 if family == "ext_lah" else 3):
+            for n in range(8 - r):
+                table = oracle_table(family, n, r)
+                assert table == reference_table(family, n, r), (family, n, r)
+                for k in range(n + 1):
+                    assert leaf_total(table.get(k, QPoly())) == \
+                        CLASSICAL[family](n, k, r), (family, n, k, r)
+                for k in range(-1, n + 2) if n + r <= 5 else ():
+                    assert oracle_table(family, n, r, only_k=k) == \
+                        reference_table(family, n, r, only_k=k), (family, n, k, r)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["partitions", "perms", "lah", "ext_lah"]),
+           st.integers(0, 7), st.integers(-1, 8), st.integers(0, 2))
+    def test_random_cell(self, family, n, k, r):
+        if family == "ext_lah":
+            r = 0
+        assert oracle_table(family, n, r, only_k=k) == \
+            reference_table(family, n, r, only_k=k)

@@ -5,8 +5,9 @@ from hypothesis import given, strategies as st
 from qcomb.polyring import MPoly
 from qcomb.stats import (ExtStats, ext_stats, inversions, stat_inv_c,
                          stat_inv_rho, stat_w, weight)
-from qcomb.structures import (CyclePerm, ExtLahDist, LahDist, SetPartition,
-                              enum_extended_lah_tracked, enum_lah)
+from qcomb.structures import (_SLOTS, CyclePerm, ExtLahDist, LahDist,
+                              SetPartition, _leaves, enum_extended_lah_tracked,
+                              enum_lah)
 
 LAM15 = ExtLahDist(
     LahDist(15, ((1, 3, 2), (4, 5, 7), (13, 6, 8, 9), (12, 11, 10, 14, 15))),
@@ -113,6 +114,20 @@ class TestIncrementalAgainstDirect:
         for n in range(8):
             for lam, inc in enum_extended_lah_tracked(n, None):
                 assert ExtStats(*inc) == ext_stats(lam), lam.text()
+
+    def test_slot_increments_match_direct_statistics(self):
+        # the oracles see only each cell's distribution of the statistic;
+        # this pins the statistic the insertion tree folds at every leaf
+        direct = {"partitions": (SetPartition, stat_w),
+                  "perms": (CyclePerm, stat_inv_c),
+                  "lah": (LahDist, stat_inv_rho)}
+        for family, (cls, stat) in direct.items():
+            for r in range(3):
+                for n in range(7 - r):
+                    for groups, folded in _leaves(family, n, None, r, None,
+                                                  _SLOTS[family]):
+                        s = cls(n + r, tuple(map(tuple, groups)))
+                        assert folded == stat(s), (family, r, s.text())
 
 
 class TestRecordLowIndependence:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import combinations
 
@@ -209,3 +210,60 @@ class TestCellCap:
 
     def test_under_cap_enumerates(self):
         assert sum(1 for _ in enum_partitions(4, None, 0, cap=15)) == 15
+
+    def test_cap_raised_before_any_structure(self):
+        cells = [(enum_partitions(8, None, 0, cap=100), ("partitions", 8, None, 0)),
+                 (enum_cycle_perms(5, 2, 1, cap=100), ("perms", 5, 2, 1)),
+                 (enum_lah(5, None, 2, cap=100), ("lah", 5, None, 2)),
+                 (enum_extended_lah(5, 2, cap=100), ("ext_lah", 5, 2, None))]
+        for stream, cell in cells:
+            with pytest.raises(CellCapError) as exc:
+                next(stream)
+            assert exc.value.cell == cell
+
+    def test_negative_arguments_rejected(self):
+        for enum in (enum_partitions, enum_cycle_perms, enum_lah):
+            with pytest.raises(ValueError):
+                next(enum(-1, None, 0))
+            with pytest.raises(ValueError):
+                next(enum(2, None, -1))
+        with pytest.raises(ValueError):
+            next(enum_extended_lah(-1, None))
+
+    @pytest.mark.parametrize("value", ["-5", "abc", "1.5", ""])
+    def test_bad_env_cap_names_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv("QCOMB_MAX_ENUM", value)
+        with pytest.raises(ValueError, match="QCOMB_MAX_ENUM"):
+            effective_cap()
+
+
+def _stream_digest(cells):
+    h = hashlib.sha256()
+    for label, stream in cells:
+        h.update(f"{label}:".encode())
+        for s in stream:
+            h.update(s.text().encode() + b"\n")
+    return h.hexdigest()
+
+
+class TestOutputOrder:
+    """sha256 of the text() streams, pinned from the four separate
+    recursions that the insertion tree replaced: same structures, same
+    order."""
+
+    PINNED = {
+        "enum_partitions": "9a014588cf3fd52d88904f1e14f1f95b1d4178c492beee445c2c2dc0bc0c0153",
+        "enum_cycle_perms": "9f04f339c04c4989c9ab51a635e32057dd6bfd357522c7c0b4fa490994a1acca",
+        "enum_lah": "d907f0edf92dfe1d5372f66792fb91152103433e83c76101b6fe4837b6ef97d0",
+        "enum_extended_lah": "805e3cd4be1497f2619e6ed8fdba4e2aac72c25326f572401115130bc825f310",
+    }
+
+    @pytest.mark.parametrize("enum", [enum_partitions, enum_cycle_perms, enum_lah])
+    def test_restricted_families(self, enum):
+        cells = [(f"{n},{r}", enum(n, None, r))
+                 for r in range(3) for n in range(7 - r)]
+        assert _stream_digest(cells) == self.PINNED[enum.__name__]
+
+    def test_extended_lah(self):
+        cells = [(f"{n}", enum_extended_lah(n, None)) for n in range(7)]
+        assert _stream_digest(cells) == self.PINNED["enum_extended_lah"]
