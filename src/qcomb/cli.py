@@ -12,17 +12,19 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import structures
-from .families import FAMILIES, bell_q, hsu_shiue, lah_q, stirling1_q, \
-    stirling2_q, table_rows
-from .identities import REGISTRY, check, identity_names, serialize_value
-from .oracles import ORACLE_FOR_ENGINE, oracle_table
+from .families import FAMILIES, table_rows
+from .identities import (REGISTRY, check, identity_names, oracle_diff,
+                         serialize_value)
 from .polyring import MPoly, QPoly
 from .structures import CellCapError
 
 DIFF_FAMILIES = ("stirling2_q", "stirling1_q", "lah_q", "bell_q", "ext_lah")
+
+# range flags a family has no parameter for (hsu_shiue's r is a
+# polynomial variable)
+_UNUSED_FLAGS = {"bell_q": ("k",), "gen_bell": ("k", "r"), "hsu_shiue": ("r",)}
 
 
 def parse_range(text: str) -> tuple[int, int]:
@@ -37,14 +39,16 @@ def parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _value_text(v: QPoly | MPoly) -> str:
-    return str(v)
-
-
 def _value_csv(v: QPoly | MPoly) -> str:
     if isinstance(v, QPoly):
         return ";".join(v.to_json())
     return str(v)
+
+
+def _reject_unused_flags(args) -> None:
+    for name in _UNUSED_FLAGS.get(args.family, ()):
+        if getattr(args, name) is not None:
+            raise ValueError(f"{args.family} takes no --{name}")
 
 
 def _emit_table(args) -> int:
@@ -52,6 +56,7 @@ def _emit_table(args) -> int:
         print(f"error: unknown family {args.family!r}; choose from {FAMILIES}",
               file=sys.stderr)
         return 2
+    _reject_unused_flags(args)
     n_range = range(args.n[0], args.n[1] + 1)
     k_range = range(args.k[0], args.k[1] + 1) if args.k else None
     r_range = range(args.r[0], args.r[1] + 1) if args.r else None
@@ -79,7 +84,7 @@ def _emit_table(args) -> int:
                 params.append(f"k={row.k}")
             if row.r is not None:
                 params.append(f"r={row.r}")
-            print(f"{row.family}({', '.join(params)}) = {_value_text(row.value)}")
+            print(f"{row.family}({', '.join(params)}) = {row.value}")
     return 0
 
 
@@ -110,7 +115,7 @@ def _run_verify(args) -> int:
 
     reports = []
     for name in names:
-        reports.append(check(name, overrides or None, jobs=args.jobs))
+        reports.append(check(name, overrides or None))
     if args.format == "json":
         json.dump([r.to_json_obj() for r in reports], sys.stdout,
                   indent=2, sort_keys=True)
@@ -127,35 +132,6 @@ def _diff_cells(args) -> list[tuple[int, int]]:
     return [(n, r) for n in range(n_lo, n_hi + 1) for r in range(r_lo, r_hi + 1)]
 
 
-def _diff_one(family: str, n: int, r: int, k_range) -> list[dict]:
-    # oracle-diff names the hsu_shiue engine by its oracle family
-    engine_family = "hsu_shiue" if family == "ext_lah" else family
-    table = oracle_table(ORACLE_FOR_ENGINE[engine_family], n, r)
-    mism = []
-    if family == "bell_q":
-        got = QPoly()
-        for v in table.values():
-            got = got + v
-        want = bell_q(n, r)
-        if got != want:
-            mism.append({"params": {"n": n, "r": r},
-                         "engine": serialize_value(want),
-                         "oracle": serialize_value(got)})
-        return mism
-    engine = {"stirling2_q": stirling2_q, "stirling1_q": stirling1_q,
-              "lah_q": lah_q, "ext_lah": hsu_shiue}[family]
-    zero = MPoly() if family == "ext_lah" else QPoly()
-    ks = range(n + 1) if k_range is None else range(k_range[0], k_range[1] + 1)
-    for k in ks:
-        want = engine(n, k, r) if family != "ext_lah" else engine(n, k)
-        got = table.get(k, zero)
-        if got != want:
-            mism.append({"params": {"n": n, "k": k, "r": r},
-                         "engine": serialize_value(want),
-                         "oracle": serialize_value(got)})
-    return mism
-
-
 def _run_oracle_diff(args) -> int:
     if args.family not in DIFF_FAMILIES:
         print(f"error: unknown family {args.family!r}; choose from {DIFF_FAMILIES}",
@@ -164,18 +140,12 @@ def _run_oracle_diff(args) -> int:
     if args.family == "ext_lah" and args.r and args.r != (0, 0):
         print("error: ext_lah oracle requires r = 0", file=sys.stderr)
         return 2
+    _reject_unused_flags(args)
+    # oracle-diff names the hsu_shiue engine by its oracle family
+    engine_family = "hsu_shiue" if args.family == "ext_lah" else args.family
     cells = _diff_cells(args)
-
-    def work(cell):
-        n, r = cell
-        return _diff_one(args.family, n, r, args.k)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = list(pool.map(work, cells))
-    else:
-        chunks = [work(c) for c in cells]
-    mismatches = [m for chunk in chunks for m in chunk]
+    mismatches = [m for n, r in cells
+                  for m in oracle_diff(engine_family, n, r, args.k)]
     if args.format == "json":
         json.dump(mismatches, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
@@ -231,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="use the registered default grids")
     for name in ("m", "n", "k", "r"):
         p_verify.add_argument(f"--{name}", type=_range_arg, default=None)
-    p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--format", choices=("json", "text"), default="text")
 
     p_diff = sub.add_parser("oracle-diff",
@@ -243,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff.add_argument("--n", type=_range_arg, required=True)
     p_diff.add_argument("--k", type=_range_arg, default=None)
     p_diff.add_argument("--r", type=_range_arg, default=None)
-    p_diff.add_argument("--jobs", type=int, default=1)
     p_diff.add_argument("--format", choices=("json", "text"), default="text")
     return parser
 

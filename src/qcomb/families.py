@@ -13,7 +13,7 @@ argument error.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .polyring import (ALPHA, BETA, M_ZERO, MPoly, Q_ONE, Q_ZERO, QPoly, R, X,
                        binom, binom_gen, q_binomial, q_integer, q_rising)
@@ -83,8 +83,8 @@ def _lah_q_recurrence(n: int, k: int) -> QPoly:
             + q_integer(n + k - 1) * _lah_q_recurrence(n - 1, k))
 
 
-def _lah_q_closed_form(n: int, k: int) -> QPoly:
-    # q^(k(k-1)) * (n_q!/k_q!) * qbinom(n-1, k-1), valid for 1 <= k <= n
+def lah_q_closed_form(n: int, k: int) -> QPoly:
+    """q^(k(k-1)) * (n_q!/k_q!) * qbinom(n-1, k-1), valid for 1 <= k <= n."""
     ratio = Q_ONE
     for i in range(k + 1, n + 1):
         ratio = ratio * q_integer(i)
@@ -104,7 +104,7 @@ def lah_q(n: int, k: int, r: int = 0) -> QPoly:
     if r == 0:
         rec = _lah_q_recurrence(n, k)
         if 1 <= k <= n:
-            cf = _lah_q_closed_form(n, k)
+            cf = lah_q_closed_form(n, k)
             if cf != rec:
                 raise AssertionError(
                     f"lah_q closed form and recurrence disagree at ({n}, {k})")
@@ -210,25 +210,30 @@ MPOLY_FAMILIES = ("hsu_shiue", "gen_bell")
 FAMILIES = QPOLY_FAMILIES + MPOLY_FAMILIES
 
 
+def engine(family: str) -> Callable:
+    """The engine function of a family, looked up by name on each call, so
+    that a rebinding of the module attribute is seen."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    return globals()[family]
+
+
 def table_rows(family: str, n_range: range, k_range: range | None = None,
                r_range: range | None = None) -> Iterator[TableRow]:
     """Rows of one family table over inclusive parameter ranges."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+    fn = engine(family)
     rs = r_range if r_range is not None else range(0, 1)
     for n in n_range:
         ks = k_range if k_range is not None else range(0, n + 1)
         if family == "bell_q":
             for r in rs:
-                yield TableRow(family, n, None, r, bell_q(n, r), "recurrence")
+                yield TableRow(family, n, None, r, fn(n, r), "recurrence")
         elif family == "gen_bell":
-            yield TableRow(family, n, None, None, gen_bell(n), "recurrence")
+            yield TableRow(family, n, None, None, fn(n), "recurrence")
         elif family == "hsu_shiue":
             for k in ks:
-                yield TableRow(family, n, k, None, hsu_shiue(n, k), "recurrence")
+                yield TableRow(family, n, k, None, fn(n, k), "recurrence")
         else:
-            fn = {"stirling2_q": stirling2_q, "stirling1_q": stirling1_q,
-                  "lah_q": lah_q}[family]
             for k in ks:
                 for r in rs:
                     prov = ("closed-form" if family == "lah_q" and r == 0

@@ -18,9 +18,10 @@ from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
 from . import classical as cl
-from .families import (bell_q, gen_bell, hsu_shiue, lah_q, stirling1_q,
-                       stirling2_q, stirling_neg1)
-from .oracles import oracle_table
+from .families import (bell_q, engine, gen_bell, hsu_shiue, lah_q,
+                       lah_q_closed_form, stirling1_q, stirling2_q,
+                       stirling_neg1)
+from .oracles import ORACLE_FOR_ENGINE, oracle_table
 from .polyring import (ALPHA, BETA, M_ONE, M_ZERO, MPoly, Q_ONE, Q_ZERO,
                        QPoly, R, X, binom, binom_gen, elementary_symmetric,
                        poly_eval_int, q_binomial, q_integer, q_rising,
@@ -138,8 +139,7 @@ def _first_tracked_mismatch(n: int, k: int):
     return None
 
 
-def check(identity: str, overrides: Ranges | None = None,
-          jobs: int = 1) -> IdentityReport:
+def check(identity: str, overrides: Ranges | None = None) -> IdentityReport:
     """Run one registered identity over its grid and report the outcome."""
     if identity not in REGISTRY:
         raise KeyError(f"unknown identity {identity!r}")
@@ -155,23 +155,8 @@ def check(identity: str, overrides: Ranges | None = None,
     cells = list(entry.cells(ranges))
     if not cells:
         return IdentityReport(identity, grid, 0, "skipped", notes=entry.notes)
-
-    def run_cell(cell: dict):
+    for checked, cell in enumerate(cells, 1):
         lhs, rhs = entry.evaluate(cell)
-        return cell, lhs, rhs
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = pool.map(run_cell, cells)
-            return _collect(entry, grid, results)
-    return _collect(entry, grid, map(run_cell, cells))
-
-
-def _collect(entry: IdentityDef, grid: dict[str, str], results) -> IdentityReport:
-    checked = 0
-    for cell, lhs, rhs in results:
-        checked += 1
         if lhs != rhs:
             counter = {
                 "params": dict(sorted(cell.items())),
@@ -187,9 +172,32 @@ def _collect(entry: IdentityDef, grid: dict[str, str], results) -> IdentityRepor
     return IdentityReport(entry.name, grid, checked, "pass", notes=entry.notes)
 
 
-def check_all(overrides: Ranges | None = None, jobs: int = 1,
+def check_all(overrides: Ranges | None = None,
               names: list[str] | None = None) -> list[IdentityReport]:
-    return [check(name, overrides, jobs=jobs) for name in (names or identity_names())]
+    return [check(name, overrides) for name in (names or identity_names())]
+
+
+def oracle_diff(family: str, n: int, r: int = 0,
+                k_range: tuple[int, int] | None = None) -> list[dict]:
+    """Engine-versus-oracle mismatches of one (family, n, r) cell, in k order.
+
+    ``family`` is an engine family with an oracle (``ORACLE_FOR_ENGINE``);
+    ``k_range`` is inclusive and defaults to 0..n (bell_q has no k).  Each
+    mismatch is ``{"params", "engine", "oracle"}`` with serialized values.
+    """
+    table = oracle_table(ORACLE_FOR_ENGINE[family], n, r)
+    fn = engine(family)
+    if family == "bell_q":
+        cells = [({"n": n, "r": r}, fn(n, r), sum(table.values(), Q_ZERO))]
+    else:
+        zero = M_ZERO if family == "hsu_shiue" else Q_ZERO
+        lo, hi = (0, n) if k_range is None else k_range
+        cells = [({"n": n, "k": k, "r": r},
+                  fn(n, k) if family == "hsu_shiue" else fn(n, k, r),
+                  table.get(k, zero)) for k in range(lo, hi + 1)]
+    return [{"params": params, "engine": serialize_value(want),
+             "oracle": serialize_value(got)}
+            for params, want, got in cells if want != got]
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +290,7 @@ _register(
 
 def _pe1(cell):
     n, k, r = cell["n"], cell["k"], cell["r"]
-    lhs = _ocell("partitions", n, k, r)
-    rq = q_integer(r)
-    rhs = Q_ZERO
-    for i in range(n + 1):
-        term = stirling2_q(i, k, 0) * binom(n, i) * rq ** (n - i)
-        rhs = rhs + term.shift(i * r)
-    return lhs, rhs
+    return _ocell("partitions", n, k, r), stirling2_q(n, k, r)
 
 
 _register(
@@ -475,11 +477,7 @@ _register("I-BIN-9", "closed form for restricted partition weights at q = -1",
 
 def _lah_cf(cell):
     n, k = cell["n"], cell["k"]
-    ratio = Q_ONE
-    for i in range(k + 1, n + 1):
-        ratio = ratio * q_integer(i)
-    lhs = (ratio * q_binomial(n - 1, k - 1)).shift(k * (k - 1))
-    return lhs, lah_q(n, k, 0)
+    return lah_q_closed_form(n, k), lah_q(n, k, 0)
 
 
 _register("I-LAH-CF", "product closed form versus the two-term recurrence",

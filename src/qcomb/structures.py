@@ -41,10 +41,17 @@ class CellCapError(RuntimeError):
 _cap_override: int | None = None
 
 
+def _checked_cap(cap: int | None) -> int | None:
+    if cap is not None and not (isinstance(cap, int) and cap >= 0):
+        raise ValueError(f"cap must be a non-negative integer or None, got {cap!r}")
+    return cap
+
+
 def set_default_cap(cap: int | None) -> None:
-    """Install a process-wide cap, taking precedence over the environment."""
+    """Install a process-wide cap, taking precedence over the environment;
+    None removes it."""
     global _cap_override
-    _cap_override = cap
+    _cap_override = _checked_cap(cap)
 
 
 def parse_cap(text: str, source: str) -> int:
@@ -58,7 +65,7 @@ def effective_cap(cap: int | None = None) -> int:
     """Resolve the enumeration cap: explicit value, then the installed
     override, then the environment, then the built-in default."""
     if cap is not None:
-        return cap
+        return _checked_cap(cap)
     if _cap_override is not None:
         return _cap_override
     env = os.environ.get(CELL_CAP_ENV)

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from qcomb import families
 from qcomb.cli import main, parse_range
+from qcomb.identities import serialize_value
 from qcomb.polyring import MPoly, QPoly
 
 
@@ -73,6 +75,21 @@ class TestTable:
         assert code == 2
         assert "unknown family" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("table", "--family", "hsu_shiue", "--n", "2", "--r", "1"),
+        ("table", "--family", "hsu_shiue", "--n", "2", "--r", "0"),
+        ("table", "--family", "gen_bell", "--n", "2", "--r", "1"),
+        ("table", "--family", "gen_bell", "--n", "2", "--k", "1"),
+        ("table", "--family", "bell_q", "--n", "2", "--k", "0..1"),
+        ("oracle-diff", "--family", "bell_q", "--n", "2", "--k", "1"),
+    ])
+    def test_flag_the_family_does_not_take(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        flag = argv[-2]
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {argv[2]} takes no {flag}\n"
+
 
 class TestVerify:
     def test_single_identity(self, capsys):
@@ -122,8 +139,17 @@ class TestVerify:
 
     def test_several_small(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--identity", "I-CQ-SYM",
-                               "--n", "0..6", "--jobs", "2")
+                               "--n", "0..6")
         assert code == 0
+
+    @pytest.mark.parametrize("command", [
+        ("verify", "--identity", "I-CQ-SYM"),
+        ("oracle-diff", "--family", "lah_q", "--n", "0..2"),
+    ])
+    def test_jobs_is_not_an_option(self, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--jobs", "2"])
+        assert exc.value.code == 2
 
     def test_counterexample_exit_code(self, capsys):
         from qcomb.identities import REGISTRY, IdentityDef, _cells_nk
@@ -171,6 +197,33 @@ class TestOracleDiff:
         code, _, err = run_cli(capsys, "oracle-diff", "--family", "wat",
                                "--n", "0..3")
         assert code == 2
+
+    @pytest.mark.parametrize("family, engine, planted, params, extra", [
+        ("lah_q", "lah_q", (3, 2, 0), {"n": 3, "k": 2, "r": 0}, ()),
+        ("bell_q", "bell_q", (3, 1), {"n": 3, "r": 1}, ("--r", "0..1")),
+        ("ext_lah", "hsu_shiue", (3, 2), {"n": 3, "k": 2, "r": 0}, ()),
+    ])
+    def test_planted_mismatch(self, capsys, monkeypatch, family, engine,
+                              planted, params, extra):
+        # n stays <= 3 so that no memoized engine value above the planted
+        # cell is computed from the wrong one
+        real = getattr(families, engine)
+        monkeypatch.setattr(
+            families, engine,
+            lambda *a: real(*a) * 2 if a == planted else real(*a))
+        want = {"params": params, "engine": serialize_value(real(*planted) * 2),
+                "oracle": serialize_value(real(*planted))}
+        argv = ("oracle-diff", "--family", family, "--n", "0..3") + extra
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1
+        lines = [line for line in out.splitlines() if "MISMATCH" in line]
+        assert lines == [f"MISMATCH {family} {params}: "
+                         f"engine={want['engine']} oracle={want['oracle']}"]
+        assert out.endswith("1 mismatching cell(s) over "
+                            f"{4 * (len(extra) or 1)} (n, r) cell(s) of {family}\n")
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 1
+        assert json.loads(out) == [want]
 
 
 class TestCellCap:

@@ -73,11 +73,6 @@ class TestCheckDriver:
         b = check("I-CQ-SUM", {"n": (0, 4), "r": (0, 1)})
         assert a.to_json() == b.to_json()
 
-    def test_jobs_do_not_change_report(self):
-        a = check("I-BIN-1", {"m": (1, 5), "n": (1, 5)})
-        b = check("I-BIN-1", {"m": (1, 5), "n": (1, 5)}, jobs=2)
-        assert a.to_json() == b.to_json()
-
     def test_failure_serializes_counterexample(self):
         from qcomb.identities import IdentityDef, _cells_nk
         broken = IdentityDef(

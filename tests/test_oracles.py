@@ -1,8 +1,11 @@
+import ast
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qcomb
 from qcomb import classical
 from qcomb.oracles import (ENGINE_FOR_ORACLE, ORACLE_FOR_ENGINE, oracle,
                            oracle_table)
@@ -117,3 +120,23 @@ class TestFoldAgainstDirectStatistics:
             r = 0
         assert oracle_table(family, n, r, only_k=k) == \
             reference_table(family, n, r, only_k=k)
+
+
+ORACLE_SIDE = ("structures", "stats", "oracles", "classical")
+
+
+@pytest.mark.parametrize("module", ORACLE_SIDE)
+def test_oracle_side_imports_no_engine_code(module):
+    """Engines and oracles share no computation code: the oracle side never
+    imports families or identities."""
+    path = Path(qcomb.__file__).parent / f"{module}.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            imported.add(base)
+            imported.update(f"{base}.{alias.name}" for alias in node.names)
+    leaves = {name.rsplit(".", 1)[-1] for name in imported}
+    assert not leaves & {"families", "identities"}, (module, sorted(imported))

@@ -230,6 +230,15 @@ class TestCellCap:
         with pytest.raises(ValueError):
             next(enum_extended_lah(-1, None))
 
+    def test_negative_cap_rejected_before_any_structure(self, monkeypatch):
+        monkeypatch.setenv("QCOMB_MAX_ENUM", "123")
+        with pytest.raises(ValueError, match="cap must be"):
+            next(enum_partitions(1, None, cap=-1))
+        with pytest.raises(ValueError, match="cap must be"):
+            set_default_cap(-3)
+        assert effective_cap() == 123       # nothing was installed
+        assert effective_cap(None) == 123
+
     @pytest.mark.parametrize("value", ["-5", "abc", "1.5", ""])
     def test_bad_env_cap_names_the_variable(self, monkeypatch, value):
         monkeypatch.setenv("QCOMB_MAX_ENUM", value)
