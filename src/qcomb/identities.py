@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Callable, Iterator, NamedTuple
 
 from . import classical as cl
@@ -182,19 +183,27 @@ def oracle_diff(family: str, n: int, r: int = 0,
     """Engine-versus-oracle mismatches of one (family, n, r) cell, in k order.
 
     ``family`` is an engine family with an oracle (``ORACLE_FOR_ENGINE``);
-    ``k_range`` is inclusive and defaults to 0..n (bell_q has no k).  Each
-    mismatch is ``{"params", "engine", "oracle"}`` with serialized values.
+    ``k_range`` is inclusive and defaults to 0..n (bell_q has no k).  A range
+    that covers 0..n is enumerated in one pass; otherwise each requested k
+    is enumerated, and held to the cap, on its own.  Each mismatch is
+    ``{"params", "engine", "oracle"}`` with serialized values.
     """
-    table = oracle_table(ORACLE_FOR_ENGINE[family], n, r)
-    fn = engine(family)
+    oracle_family, fn = ORACLE_FOR_ENGINE[family], engine(family)
     if family == "bell_q":
+        table = oracle_table(oracle_family, n, r)
         cells = [({"n": n, "r": r}, fn(n, r), sum(table.values(), Q_ZERO))]
     else:
         zero = M_ZERO if family == "hsu_shiue" else Q_ZERO
         lo, hi = (0, n) if k_range is None else k_range
+        ks = range(lo, hi + 1)
+        if lo == 0 and hi >= n:
+            table = oracle_table(oracle_family, n, r)
+        else:
+            table = {kk: v for k in ks for kk, v
+                     in oracle_table(oracle_family, n, r, only_k=k).items()}
         cells = [({"n": n, "k": k, "r": r},
                   fn(n, k) if family == "hsu_shiue" else fn(n, k, r),
-                  table.get(k, zero)) for k in range(lo, hi + 1)]
+                  table.get(k, zero)) for k in ks]
     return [{"params": params, "engine": serialize_value(want),
              "oracle": serialize_value(got)}
             for params, want, got in cells if want != got]
@@ -204,41 +213,24 @@ def oracle_diff(family: str, n: int, r: int = 0,
 # grid generators
 # ---------------------------------------------------------------------------
 
-def _cells_mn(ranges: Ranges, with_r: bool = False,
-              with_k: str | None = None) -> Iterator[dict]:
-    """Product of m and n ranges, clipped by the m+n window, optionally
-    crossed with r and with k running over 0..<size expression>."""
-    lo_s, hi_s = ranges.get("m+n", (0, 10 ** 9))
-    for m in _span(ranges, "m"):
-        for n in _span(ranges, "n"):
-            if not lo_s <= m + n <= hi_s:
-                continue
-            base = {"m": m, "n": n}
-            rs = _span(ranges, "r") if with_r else (None,)
-            for r in rs:
-                cell = dict(base)
-                if r is not None:
-                    cell["r"] = r
-                if with_k is None:
-                    yield cell
-                else:
-                    hi_k = {"m+n": m + n, "n": n}[with_k]
-                    for k in range(hi_k + 1):
-                        yield {**cell, "k": k}
-
-
-def _cells_nk(ranges: Ranges, with_r: bool = False,
-              n_min: int = 0, k_min: int = 0) -> Iterator[dict]:
-    for n in _span(ranges, "n"):
-        if n < n_min:
+def _grid(ranges: Ranges, k: str | None = None, k_min: int = 0,
+          n_min: int = 0, routes: tuple[str, ...] = ()) -> Iterator[dict]:
+    """Product of the ranged parameters in their declared order, clipped by
+    the m+n window and by n_min; k ("n" or "m+n") then runs over k_min..k
+    and the routes run innermost."""
+    names = [name for name in ranges if name != "m+n"]
+    window = ranges.get("m+n")
+    for values in product(*(_span(ranges, name) for name in names)):
+        cell = dict(zip(names, values))
+        if window and not window[0] <= cell["m"] + cell["n"] <= window[1]:
             continue
-        rs = _span(ranges, "r") if with_r else (None,)
-        for r in rs:
-            for k in range(k_min, n + 1):
-                cell = {"n": n, "k": k}
-                if r is not None:
-                    cell["r"] = r
-                yield cell
+        if cell["n"] < n_min:
+            continue
+        cells = [cell] if k is None else [
+            {**cell, "k": j}
+            for j in range(k_min, sum(cell[name] for name in k.split("+")) + 1)]
+        for c in cells:
+            yield from [{**c, "route": route} for route in routes] or [c]
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +248,7 @@ def _spivey(cell):
 _register(
     "I-SPIVEY", "classical Bell number double sum",
     {"m": (0, 10), "n": (0, 10), "m+n": (0, 10)},
-    lambda rng: _cells_mn(rng), _spivey)
+    _grid, _spivey)
 
 
 def _mezo1(cell):
@@ -270,7 +262,7 @@ def _mezo1(cell):
 _register(
     "I-MEZO-1", "restricted Bell number double sum",
     {"m": (0, 10), "n": (0, 10), "m+n": (0, 10), "r": (0, 3)},
-    lambda rng: _cells_mn(rng, with_r=True), _mezo1)
+    _grid, _mezo1)
 
 
 def _mezo2(cell):
@@ -285,7 +277,7 @@ def _mezo2(cell):
 _register(
     "I-MEZO-2", "rising factorial double sum over restricted cycle counts",
     {"m": (0, 10), "n": (0, 10), "m+n": (0, 10), "r": (0, 3)},
-    lambda rng: _cells_mn(rng, with_r=True), _mezo2)
+    _grid, _mezo2)
 
 
 def _pe1(cell):
@@ -296,7 +288,7 @@ def _pe1(cell):
 _register(
     "I-PE1", "restriction shift for partition weights, against enumeration",
     {"n": (0, 8), "r": (0, 2)},
-    lambda rng: _cells_nk(rng, with_r=True), _pe1)
+    lambda rng: _grid(rng, k="n"), _pe1)
 
 
 def _p1e1(cell):
@@ -314,7 +306,7 @@ def _p1e1(cell):
 _register(
     "I-P1E1", "two-part product formula for restricted partition weights",
     {"m": (0, 8), "n": (0, 8), "m+n": (0, 8), "r": (0, 2)},
-    lambda rng: _cells_mn(rng, with_r=True, with_k="m+n"), _p1e1)
+    lambda rng: _grid(rng, k="m+n"), _p1e1)
 
 
 def _p1e2(cell):
@@ -332,14 +324,7 @@ def _p1e2(cell):
 _register(
     "I-P1E2", "two-part product formula for restricted Bell weights",
     {"m": (0, 8), "n": (0, 8), "m+n": (0, 8), "r": (0, 2)},
-    lambda rng: _cells_mn(rng, with_r=True), _p1e2)
-
-
-def _bin_cells(ranges: Ranges) -> Iterator[dict]:
-    for m in _span(ranges, "m"):
-        for n in _span(ranges, "n"):
-            for k in range(1, m + n + 1):
-                yield {"m": m, "n": n, "k": k}
+    _grid, _p1e2)
 
 
 def _bin1(cell):
@@ -403,7 +388,8 @@ for _nm, _fn, _sm in [
         ("I-BIN-2", _bin2, "companion binomial identity, odd target index"),
         ("I-BIN-3", _bin3, "binomial identity from the odd-restriction evaluation"),
         ("I-BIN-4", _bin4, "companion binomial identity, odd target index")]:
-    _register(_nm, _sm, {"m": (1, 10), "n": (1, 10)}, _bin_cells, _fn,
+    _register(_nm, _sm, {"m": (1, 10), "n": (1, 10)},
+              lambda rng: _grid(rng, k="m+n", k_min=1), _fn,
               notes=_BIN_NOTE)
 
 
@@ -423,7 +409,7 @@ def _bin5(cell):
 _register(
     "I-BIN-5", "q = -1 specialization of the two-part partition formula",
     {"m": (0, 10), "n": (0, 10), "m+n": (0, 10)},
-    lambda rng: _cells_mn(rng, with_k="m+n"), _bin5)
+    lambda rng: _grid(rng, k="m+n"), _bin5)
 
 
 def _bin6(cell):
@@ -432,7 +418,7 @@ def _bin6(cell):
 
 
 _register("I-BIN-6", "closed form for partition weights at q = -1",
-          {"n": (0, 20)}, _cells_nk, _bin6)
+          {"n": (0, 20)}, lambda rng: _grid(rng, k="n"), _bin6)
 
 
 def _bin7(cell):
@@ -447,7 +433,7 @@ def _bin7(cell):
 _register(
     "I-BIN-7", "q = -1 specialization with one restricted element",
     {"m": (0, 10), "n": (0, 10), "m+n": (0, 10)},
-    lambda rng: _cells_mn(rng, with_k="m+n"), _bin7,
+    lambda rng: _grid(rng, k="m+n"), _bin7,
     notes=("includes the binomial factor over the free elements, which the "
            "usual statement drops; without it the identity fails already "
            "at m=0, n=2, k=1",))
@@ -463,7 +449,7 @@ def _bin8(cell):
 
 
 _register("I-BIN-8", "alternating-sum form of the restricted q = -1 values",
-          {"n": (0, 12)}, _cells_nk, _bin8)
+          {"n": (0, 12)}, lambda rng: _grid(rng, k="n"), _bin8)
 
 
 def _bin9(cell):
@@ -472,7 +458,7 @@ def _bin9(cell):
 
 
 _register("I-BIN-9", "closed form for restricted partition weights at q = -1",
-          {"n": (0, 20)}, _cells_nk, _bin9)
+          {"n": (0, 20)}, lambda rng: _grid(rng, k="n"), _bin9)
 
 
 def _lah_cf(cell):
@@ -482,7 +468,7 @@ def _lah_cf(cell):
 
 _register("I-LAH-CF", "product closed form versus the two-term recurrence",
           {"n": (1, 20)},
-          lambda rng: _cells_nk(rng, n_min=1, k_min=1), _lah_cf)
+          lambda rng: _grid(rng, k="n", k_min=1, n_min=1), _lah_cf)
 
 
 def _lah_r(cell):
@@ -495,7 +481,7 @@ def _lah_r(cell):
 
 _register("I-LAH-R", "restriction shift for ordered-block counts at q = 1",
           {"n": (0, 8), "r": (0, 3)},
-          lambda rng: _cells_nk(rng, with_r=True), _lah_r)
+          lambda rng: _grid(rng, k="n"), _lah_r)
 
 
 def _p2_factor(i: int, j: int, m: int, r: int, n: int) -> QPoly:
@@ -517,7 +503,7 @@ def _p2e1(cell):
 _register(
     "I-P2E1", "two-part product formula for restricted ordered-block weights",
     {"m": (0, 7), "n": (0, 7), "m+n": (0, 7), "r": (0, 2)},
-    lambda rng: _cells_mn(rng, with_r=True, with_k="m+n"), _p2e1)
+    lambda rng: _grid(rng, k="m+n"), _p2e1)
 
 
 def _lah_q_total(n: int, r: int) -> QPoly:
@@ -539,16 +525,10 @@ def _p2e2(cell):
     return lhs, rhs
 
 
-def _p2e2_cells(ranges: Ranges) -> Iterator[dict]:
-    for cell in _cells_mn(ranges, with_r=True):
-        yield {**cell, "route": "bound=m"}
-        yield {**cell, "route": "bound=m+n"}
-
-
 _register(
     "I-P2E2", "summed form of the ordered-block product formula",
     {"m": (0, 7), "n": (0, 7), "m+n": (0, 7), "r": (0, 2)},
-    _p2e2_cells, _p2e2,
+    lambda rng: _grid(rng, routes=("bound=m", "bound=m+n")), _p2e2,
     notes=("the inner summation bound is read as m (terms beyond m vanish "
            "since the restricted values are zero there) and the aggregate "
            "value at size i as the sum over all block counts; the check "
@@ -572,16 +552,9 @@ def _qbin_corollary(cell):
     return lhs, rhs
 
 
-def _qbin_cells(ranges: Ranges) -> Iterator[dict]:
-    for m in _span(ranges, "m"):
-        for n in _span(ranges, "n"):
-            for k in _span(ranges, "k"):
-                yield {"m": m, "n": n, "k": k}
-
-
 _register(
     "I-QBIN", "Gaussian binomial identity from the ordered-block formula",
-    {"m": (0, 6), "n": (0, 6), "k": (0, 6)}, _qbin_cells, _qbin_corollary,
+    {"m": (0, 6), "n": (0, 6), "k": (0, 6)}, _grid, _qbin_corollary,
     notes=("individual terms carry negative powers of q; both sides are "
            "lifted by a common power before comparing",))
 
@@ -594,7 +567,7 @@ def _cq_rec(cell):
 
 
 _register("I-CQ-REC", "cycle-weight recurrence, against enumeration",
-          {"n": (1, 7)}, lambda rng: _cells_nk(rng, n_min=1), _cq_rec)
+          {"n": (1, 7)}, lambda rng: _grid(rng, k="n", n_min=1), _cq_rec)
 
 
 def _t3e1(cell):
@@ -611,7 +584,7 @@ def _t3e1(cell):
 _register(
     "I-T3E1", "two-part product formula for restricted cycle weights",
     {"m": (0, 7), "n": (0, 7), "m+n": (0, 7), "r": (0, 2)},
-    lambda rng: _cells_mn(rng, with_r=True, with_k="m+n"), _t3e1)
+    lambda rng: _grid(rng, k="m+n"), _t3e1)
 
 
 def _one_plus_qints(lo: int, count: int) -> QPoly:
@@ -634,7 +607,7 @@ def _t3e2(cell):
 _register(
     "I-T3E2", "summed form of the cycle product formula",
     {"m": (0, 7), "n": (0, 7), "m+n": (0, 7), "r": (0, 2)},
-    lambda rng: _cells_mn(rng, with_r=True), _t3e2)
+    _grid, _t3e2)
 
 
 def _cq_sum(cell):
@@ -645,14 +618,8 @@ def _cq_sum(cell):
     return lhs, _one_plus_qints(r, n)
 
 
-def _cq_sum_cells(ranges: Ranges) -> Iterator[dict]:
-    for n in _span(ranges, "n"):
-        for r in _span(ranges, "r"):
-            yield {"n": n, "r": r}
-
-
 _register("I-CQ-SUM", "total cycle weight as a product",
-          {"n": (0, 8), "r": (0, 3)}, _cq_sum_cells, _cq_sum)
+          {"n": (0, 8), "r": (0, 3)}, _grid, _cq_sum)
 
 
 def _cq_sym(cell):
@@ -663,7 +630,7 @@ def _cq_sym(cell):
 
 
 _register("I-CQ-SYM", "cycle weights as elementary symmetric polynomials",
-          {"n": (0, 10)}, _cells_nk, _cq_sym)
+          {"n": (0, 10)}, lambda rng: _grid(rng, k="n"), _cq_sym)
 
 
 def _t4e1(cell):
@@ -714,7 +681,7 @@ for _nm, _fn, _sm, _nt in [
          ())]:
     _register(_nm, _sm,
               {"m": (0, 7), "n": (0, 7), "m+n": (0, 7), "r": (0, 2)},
-              lambda rng: _cells_mn(rng, with_r=True, with_k="n"), _fn,
+              lambda rng: _grid(rng, k="n"), _fn,
               notes=_nt)
 
 
@@ -733,7 +700,7 @@ def _t4c1(cell):
 _register(
     "I-T4C1", "summed form of the cycle restriction-composition shift",
     {"m": (0, 7), "n": (0, 7), "m+n": (0, 7), "r": (0, 2)},
-    lambda rng: _cells_mn(rng, with_r=True), _t4c1)
+    _grid, _t4c1)
 
 
 def _genrec(cell):
@@ -745,13 +712,8 @@ def _genrec(cell):
     return lhs, rhs
 
 
-def _genrec_cells(ranges: Ranges) -> Iterator[dict]:
-    for n in _span(ranges, "n"):
-        yield {"n": n}
-
-
 _register("I-GENREC", "connection constants between shifted factorial bases",
-          {"n": (0, 8)}, _genrec_cells, _genrec)
+          {"n": (0, 8)}, _grid, _genrec)
 
 
 def _genl1(cell):
@@ -760,7 +722,7 @@ def _genl1(cell):
 
 
 _register("I-GENL1", "generalized Stirling numbers as weighted sums",
-          {"n": (0, 7)}, _cells_nk, _genl1)
+          {"n": (0, 7)}, lambda rng: _grid(rng, k="n"), _genl1)
 
 
 def _genl1_rec(cell):
@@ -772,7 +734,7 @@ def _genl1_rec(cell):
 
 
 _register("I-GENL1-REC", "weighted-sum recurrence, against enumeration",
-          {"n": (1, 6)}, lambda rng: _cells_nk(rng, n_min=1), _genl1_rec)
+          {"n": (1, 6)}, lambda rng: _grid(rng, k="n", n_min=1), _genl1_rec)
 
 
 def _t5_factor(m: int, j: int, count: int) -> MPoly:
@@ -799,7 +761,7 @@ def _t5e1(cell):
 _register(
     "I-T5E1", "two-part product formula for generalized Stirling numbers",
     {"m": (0, 7), "n": (0, 7), "m+n": (0, 7)},
-    lambda rng: _cells_mn(rng, with_k="m+n"), _t5e1)
+    lambda rng: _grid(rng, k="m+n"), _t5e1)
 
 
 def _t5e2(cell):
@@ -818,15 +780,9 @@ def _t5e2(cell):
     return lhs, rhs
 
 
-def _t5e2_cells(ranges: Ranges) -> Iterator[dict]:
-    for cell in _cells_mn(ranges):
-        yield {**cell, "route": "direct"}
-        yield {**cell, "route": "sum-over-k"}
-
-
 _register(
     "I-T5E2", "generalized Bell polynomial product formula",
     {"m": (0, 7), "n": (0, 7), "m+n": (0, 7)},
-    _t5e2_cells, _t5e2,
+    lambda rng: _grid(rng, routes=("direct", "sum-over-k")), _t5e2,
     notes=("verified twice: directly with the block-count marker and by "
            "summing the refined formula over all block counts",))

@@ -75,6 +75,13 @@ class TestTable:
         assert code == 2
         assert "unknown family" in err
 
+    def test_large_n(self, capsys):
+        code, out, err = run_cli(capsys, "table", "--family", "stirling2_q",
+                                 "--n", "1500", "--k", "2")
+        assert code == 0
+        assert out.startswith("stirling2_q(n=1500, k=2, r=0) = ")
+        assert out.count("\n") == 1 and err == ""
+
     @pytest.mark.parametrize("argv", [
         ("table", "--family", "hsu_shiue", "--n", "2", "--r", "1"),
         ("table", "--family", "hsu_shiue", "--n", "2", "--r", "0"),
@@ -152,10 +159,10 @@ class TestVerify:
         assert exc.value.code == 2
 
     def test_counterexample_exit_code(self, capsys):
-        from qcomb.identities import REGISTRY, IdentityDef, _cells_nk
+        from qcomb.identities import REGISTRY, IdentityDef, _grid
         REGISTRY["I-BROKEN"] = IdentityDef(
             "I-BROKEN", "deliberately wrong", {"n": (0, 2)},
-            _cells_nk, lambda cell: (0, 1))
+            lambda rng: _grid(rng, k="n"), lambda cell: (0, 1))
         try:
             code, out, _ = run_cli(capsys, "verify", "--identity", "I-BROKEN")
             assert code == 1
@@ -197,6 +204,37 @@ class TestOracleDiff:
         code, _, err = run_cli(capsys, "oracle-diff", "--family", "wat",
                                "--n", "0..3")
         assert code == 2
+
+    def test_k_enumerates_only_that_k(self, capsys):
+        # the whole cell holds 824073141 structures, k = 11 holds one
+        code, out, err = run_cli(capsys, "oracle-diff", "--family", "lah_q",
+                                 "--n", "11", "--k", "11")
+        assert code == 0
+        assert out == "0 mismatching cell(s) over 1 (n, r) cell(s) of lah_q\n"
+        assert err == ""
+
+    @pytest.mark.parametrize("k", ["2", "1..3", "0..3", "0..5"])
+    def test_k_range_planted_mismatch(self, capsys, monkeypatch, k):
+        # one pass for a range covering 0..n, one pass per k otherwise
+        real = families.lah_q
+        monkeypatch.setattr(families, "lah_q", lambda *a: real(*a) * 2
+                            if a == (3, 2, 0) else real(*a))
+        code, out, _ = run_cli(capsys, "oracle-diff", "--family", "lah_q",
+                               "--n", "3", "--k", k, "--format", "json")
+        assert code == 1
+        assert json.loads(out) == [{
+            "params": {"n": 3, "k": 2, "r": 0},
+            "engine": serialize_value(real(3, 2, 0) * 2),
+            "oracle": serialize_value(real(3, 2, 0))}]
+
+    def test_large_k_cell_is_a_cap_error(self, capsys):
+        code, out, err = run_cli(capsys, "oracle-diff", "--family",
+                                 "stirling2_q", "--n", "1500", "--k", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: enumeration cell ('partitions', 1500, 2, 0)")
+        assert err.endswith("above the cap 10000000\n")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("family, engine, planted, params, extra", [
         ("lah_q", "lah_q", (3, 2, 0), {"n": 3, "k": 2, "r": 0}, ()),

@@ -140,3 +140,16 @@ def test_oracle_side_imports_no_engine_code(module):
             imported.update(f"{base}.{alias.name}" for alias in node.names)
     leaves = {name.rsplit(".", 1)[-1] for name in imported}
     assert not leaves & {"families", "identities"}, (module, sorted(imported))
+
+
+@pytest.mark.parametrize("module", ["families", "classical"])
+def test_triangles_do_not_recurse(module):
+    """The triangles are filled iteratively: no function calls itself by
+    name, so no cell size can overflow the stack."""
+    path = Path(qcomb.__file__).parent / f"{module}.py"
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            called = {node.func.id for node in ast.walk(fn)
+                      if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name)}
+            assert fn.name not in called, (module, fn.name)
