@@ -1,8 +1,8 @@
 """Command-line front end: family tables, identity verification, oracle diffs.
 
-Exit codes: 0 success / all checks pass, 1 a verification found a
-counterexample, 2 usage or capacity error.  All results go to stdout,
-diagnostics to stderr.
+Exit codes: 0 success / no check failed (a skipped identity is no failure),
+1 a verification found a counterexample, 2 usage or capacity error, which
+``main`` alone reports.  All results go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -53,9 +53,7 @@ def _reject_unused_flags(args) -> None:
 
 def _emit_table(args) -> int:
     if args.family not in FAMILIES:
-        print(f"error: unknown family {args.family!r}; choose from {FAMILIES}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown family {args.family!r}; choose from {FAMILIES}")
     _reject_unused_flags(args)
     n_range = range(args.n[0], args.n[1] + 1)
     k_range = range(args.k[0], args.k[1] + 1) if args.k else None
@@ -95,22 +93,16 @@ def _run_verify(args) -> int:
         if rng is not None:
             overrides[name] = tuple(rng)
     if args.default_grids and overrides:
-        print("error: --default-grids cannot be combined with explicit ranges",
-              file=sys.stderr)
-        return 2
+        raise ValueError("--default-grids cannot be combined with explicit ranges")
     if args.all:
         names = identity_names()
         if overrides:
-            print("error: range overrides apply to a single --identity",
-                  file=sys.stderr)
-            return 2
+            raise ValueError("range overrides apply to a single --identity")
     else:
         if not args.identity:
-            print("error: provide --identity NAME or --all", file=sys.stderr)
-            return 2
+            raise ValueError("provide --identity NAME or --all")
         if args.identity not in REGISTRY:
-            print(f"error: unknown identity {args.identity!r}", file=sys.stderr)
-            return 2
+            raise ValueError(f"unknown identity {args.identity!r}")
         names = [args.identity]
 
     reports = []
@@ -123,7 +115,7 @@ def _run_verify(args) -> int:
     else:
         for r in reports:
             print(r.summary_line())
-    return 0 if all(r.status == "pass" for r in reports) else 1
+    return 1 if any(r.status == "fail" for r in reports) else 0
 
 
 def _diff_cells(args) -> list[tuple[int, int]]:
@@ -134,12 +126,10 @@ def _diff_cells(args) -> list[tuple[int, int]]:
 
 def _run_oracle_diff(args) -> int:
     if args.family not in DIFF_FAMILIES:
-        print(f"error: unknown family {args.family!r}; choose from {DIFF_FAMILIES}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(
+            f"unknown family {args.family!r}; choose from {DIFF_FAMILIES}")
     if args.family == "ext_lah" and args.r and args.r != (0, 0):
-        print("error: ext_lah oracle requires r = 0", file=sys.stderr)
-        return 2
+        raise ValueError("ext_lah oracle requires r = 0")
     _reject_unused_flags(args)
     # oracle-diff names the hsu_shiue engine by its oracle family
     engine_family = "hsu_shiue" if args.family == "ext_lah" else args.family
@@ -228,10 +218,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return _run_verify(args)
         return _run_oracle_diff(args)
-    except CellCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CellCapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -2,9 +2,14 @@
 
 Every entry pins one identity between number families as an exact equality
 of integers, QPoly or MPoly values and checks it cell by cell over an
-inclusive parameter grid.  Where an engine computes one side by definition
-(the restricted-variant shift formulas, the weighted-sum interpretation),
-the other side comes from the enumeration oracles, so no check is vacuous.
+inclusive parameter grid.  Not every cell is an independent check: the
+engines compute stirling2_q(n, k, m), lah_q(n, k, m) and stirling1_q(n, k, m)
+by the shift sums that I-T4E1, I-T4E2 and I-T4E3 state, so their r = 0 cells
+(120 of the 360 default cells of each) restate the engine term for term, and
+their cells with m = 0 and r > 0 (72 more) reduce to X = X.  Checks whose
+other side no engine computes certify the shift formulas: I-PE1 against the
+partition oracle, I-LAH-R against the classical Lah counts, and oracle-diff
+(acceptance criterion 1) against every enumeration oracle.
 
 Reports are deterministic: cells are generated in a fixed order and the
 first mismatching cell is serialized in full.
@@ -23,8 +28,8 @@ from .families import (bell_q, engine, gen_bell, hsu_shiue, lah_q,
                        lah_q_closed_form, stirling1_q, stirling2_q,
                        stirling_neg1)
 from .oracles import ORACLE_FOR_ENGINE, oracle_table
-from .polyring import (ALPHA, BETA, M_ONE, M_ZERO, MPoly, Q_ONE, Q_ZERO,
-                       QPoly, R, X, binom, binom_gen, elementary_symmetric,
+from .polyring import (ALPHA, BETA, M_ZERO, MPoly, Q_ONE, Q_ZERO, QPoly, R,
+                       X, binom, binom_gen, elementary_symmetric,
                        poly_eval_int, q_binomial, q_integer, q_rising,
                        rising_int, shifted_factorial)
 from .stats import ext_stats
@@ -737,19 +742,12 @@ _register("I-GENL1-REC", "weighted-sum recurrence, against enumeration",
           {"n": (1, 6)}, lambda rng: _grid(rng, k="n", n_min=1), _genl1_rec)
 
 
-def _t5_factor(m: int, j: int, count: int) -> MPoly:
-    p = M_ONE
-    for ell in range(count):
-        p = p * (ALPHA * (m + ell) + BETA * j)
-    return p
-
-
 def _t5e1_rhs(m: int, n: int, k: int) -> MPoly:
     rhs = M_ZERO
     for i in range(n + 1):
         for j in range(m + 1):
             rhs = rhs + (binom(n, i) * hsu_shiue(m, j) * hsu_shiue(i, k - j)
-                         * _t5_factor(m, j, n - i))
+                         * shifted_factorial(n - i, ALPHA * m + BETA * j, -ALPHA))
     return rhs
 
 
@@ -772,7 +770,8 @@ def _t5e2(cell):
         for i in range(n + 1):
             for j in range(m + 1):
                 rhs = rhs + (binom(n, i) * X ** j * hsu_shiue(m, j)
-                             * gen_bell(i) * _t5_factor(m, j, n - i))
+                             * gen_bell(i)
+                             * shifted_factorial(n - i, ALPHA * m + BETA * j, -ALPHA))
     else:  # sum the refined formula over the block-count marker
         rhs = M_ZERO
         for k in range(m + n + 1):

@@ -25,11 +25,66 @@ class ExactDivisionError(ArithmeticError):
     """Raised when a division that must be exact leaves a remainder."""
 
 
+class _Poly:
+    """Ring plumbing shared by QPoly and MPoly.
+
+    A subclass defines the hot operators (+, *, unary -, is_zero) itself and
+    supplies ``ONE``, ``_coerce`` (its value of an int) and ``_data()`` (the
+    canonical contents that decide equality).
+    """
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other: int):
+        return self._coerce(other) + (-self)
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
+        result = self.ONE
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, int):
+            other = self._coerce(other)
+        elif not isinstance(other, type(self)):
+            return NotImplemented
+        return self._data() == other._data()
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+
+def _signed_sum(terms: Iterable[tuple[int, str]]) -> str:
+    """Join (coefficient, monomial) pairs, the constant's monomial being "",
+    as 'c*m + m - m - c', and the empty sum as '0'."""
+    parts = []
+    for c, mono in terms:
+        if not mono:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(mono)
+        elif c == -1:
+            parts.append(f"-{mono}")
+        else:
+            parts.append(f"{c}*{mono}")
+    return " + ".join(parts).replace("+ -", "- ") or "0"
+
+
 # ---------------------------------------------------------------------------
 # univariate polynomials in q
 # ---------------------------------------------------------------------------
 
-class QPoly:
+class QPoly(_Poly):
     """Polynomial in q, stored as an ascending coefficient tuple.
 
     The zero polynomial is the empty tuple; otherwise the trailing
@@ -62,8 +117,15 @@ class QPoly:
 
     # -- ring operations ----------------------------------------------------
 
+    @staticmethod
+    def _coerce(value: "QPoly | int") -> "QPoly":
+        return value if isinstance(value, QPoly) else QPoly((value,))
+
+    def _data(self) -> tuple[int, ...]:
+        return self.coeffs
+
     def __add__(self, other: "QPoly | int") -> "QPoly":
-        other = _as_qpoly(other)
+        other = self._coerce(other)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -76,12 +138,6 @@ class QPoly:
 
     def __neg__(self) -> "QPoly":
         return QPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "QPoly | int") -> "QPoly":
-        return self + (-_as_qpoly(other))
-
-    def __rsub__(self, other: int) -> "QPoly":
-        return _as_qpoly(other) + (-self)
 
     def __mul__(self, other: "QPoly | int") -> "QPoly":
         if isinstance(other, int):
@@ -99,18 +155,6 @@ class QPoly:
         return QPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "QPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Q_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def shift(self, k: int) -> "QPoly":
         """Multiply by q**k."""
@@ -165,50 +209,19 @@ class QPoly:
 
     # -- dunder plumbing ------------------------------------------------------
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = _as_qpoly(other)
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
     def __hash__(self) -> int:
         return hash(self.coeffs)
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
 
     def __repr__(self) -> str:
         return f"QPoly({list(self.coeffs)})"
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                var = "q" if i == 1 else f"q^{i}"
-                if c == 1:
-                    parts.append(var)
-                elif c == -1:
-                    parts.append(f"-{var}")
-                else:
-                    parts.append(f"{c}*{var}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-
-def _as_qpoly(value: "QPoly | int") -> QPoly:
-    if isinstance(value, QPoly):
-        return value
-    return QPoly((value,))
+        return _signed_sum((c, "" if i == 0 else "q" if i == 1 else f"q^{i}")
+                           for i, c in enumerate(self.coeffs) if c)
 
 
 Q_ZERO = QPoly()
-Q_ONE = QPoly((1,))
+Q_ONE = QPoly.ONE = QPoly((1,))
 Q = QPoly((0, 1))
 
 
@@ -227,10 +240,7 @@ def q_factorial(n: int) -> QPoly:
     """Product of the q-integers 1..n; one for n = 0."""
     if n < 0:
         raise ValueError(f"q_factorial requires n >= 0, got {n}")
-    p = Q_ONE
-    for i in range(1, n + 1):
-        p = p * q_integer(i)
-    return p
+    return q_rising(1, n)
 
 
 def q_binomial(n: int, k: int) -> QPoly:
@@ -319,7 +329,7 @@ VAR_NAMES = ("alpha", "beta", "r", "x")
 _EXP0 = (0, 0, 0, 0)
 
 
-class MPoly:
+class MPoly(_Poly):
     """Sparse polynomial in (alpha, beta, r, x) over the integers.
 
     Terms map exponent 4-tuples to nonzero coefficients; two values are
@@ -352,8 +362,15 @@ class MPoly:
 
     # -- ring operations ----------------------------------------------------
 
+    @staticmethod
+    def _coerce(value: "MPoly | int") -> "MPoly":
+        return value if isinstance(value, MPoly) else MPoly.from_int(value)
+
+    def _data(self) -> dict[tuple[int, int, int, int], int]:
+        return self.terms
+
     def __add__(self, other: "MPoly | int") -> "MPoly":
-        other = _as_mpoly(other)
+        other = self._coerce(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
@@ -363,12 +380,6 @@ class MPoly:
 
     def __neg__(self) -> "MPoly":
         return MPoly({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "MPoly | int") -> "MPoly":
-        return self + (-_as_mpoly(other))
-
-    def __rsub__(self, other: int) -> "MPoly":
-        return _as_mpoly(other) + (-self)
 
     def __mul__(self, other: "MPoly | int") -> "MPoly":
         if isinstance(other, int):
@@ -381,18 +392,6 @@ class MPoly:
         return MPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "MPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = M_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     # -- substitution ---------------------------------------------------------
 
@@ -463,52 +462,21 @@ class MPoly:
 
     # -- dunder plumbing ------------------------------------------------------
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = _as_mpoly(other)
-        if not isinstance(other, MPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
 
     def __repr__(self) -> str:
         return f"MPoly({self.terms!r})"
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for exps, c in self.sorted_terms():
-            factors = []
-            for name, e in zip(VAR_NAMES, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            elif c == -1:
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append(f"{c}*" + "*".join(factors))
-        return " + ".join(parts).replace("+ -", "- ")
-
-
-def _as_mpoly(value: "MPoly | int") -> MPoly:
-    if isinstance(value, MPoly):
-        return value
-    return MPoly({_EXP0: value})
+        return _signed_sum(
+            (c, "*".join(name if e == 1 else f"{name}^{e}"
+                         for name, e in zip(VAR_NAMES, exps) if e > 0))
+            for exps, c in self.sorted_terms())
 
 
 M_ZERO = MPoly()
-M_ONE = MPoly({_EXP0: 1})
+M_ONE = MPoly.ONE = MPoly({_EXP0: 1})
 ALPHA = MPoly.from_monomial(e_alpha=1)
 BETA = MPoly.from_monomial(e_beta=1)
 R = MPoly.from_monomial(e_r=1)

@@ -306,7 +306,8 @@ def _unplace(groups: list[list[int]], i: int, pos: int) -> None:
 
 def _insertion_tree(size: int, k: int | None, r: int, slots,
                     groups: list[list[int]]) -> Iterator[tuple[int, int, list]]:
-    """Walk the insertion tree of one cell of [size], size >= 1, depth first.
+    """Walk the insertion tree of one cell of [size], size >= 1, depth first
+    on an explicit stack, so no cell size can overflow the Python stack.
 
     ``groups`` starts empty and holds the current prefix.  At each node with
     1..size-1 placed, yields (stat, key, last): the statistic so far, the
@@ -325,21 +326,29 @@ def _insertion_tree(size: int, k: int | None, r: int, slots,
                    if 0 <= k - key - (s[0] == g and s[2] > 0) <= size - t]
         return out
 
-    def rec(t: int, key: int, stat: int) -> Iterator[tuple[int, int, list]]:
-        g = len(groups)
-        for i, pos, label, inc in node_slots(t, key):
-            _place(groups, i, pos, label)
-            grown = key + (i == g and label > 0)
-            if t + 1 == size:
-                yield stat + inc, grown, node_slots(size, grown)
-            else:
-                yield from rec(t + 1, grown, stat + inc)
-            _unplace(groups, i, pos)
-
     if size == 1:
         yield 0, -r, node_slots(1, -r)
-    else:
-        yield from rec(1, -r, 0)
+        return
+    # frames[t-1] places element t: the slots it has left, the key and
+    # statistic before it, and the slot it occupies (None before the first)
+    frames = [[iter(node_slots(1, -r)), -r, 0, None]]
+    while frames:
+        frame = frames[-1]
+        slots_left, key, stat, taken = frame
+        if taken is not None:
+            _unplace(groups, taken[0], taken[1])
+        slot = frame[3] = next(slots_left, None)
+        if slot is None:
+            frames.pop()
+            continue
+        i, pos, label, inc = slot
+        grown = key + (i == len(groups) and label > 0)
+        _place(groups, i, pos, label)
+        if len(frames) + 1 == size:
+            yield stat + inc, grown, node_slots(size, grown)
+        else:
+            frames.append([iter(node_slots(len(frames) + 1, grown)), grown,
+                           stat + inc, None])
 
 
 def _leaves(family: str, n: int, k: int | None, r: int, cap: int | None,

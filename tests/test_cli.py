@@ -1,10 +1,12 @@
+import ast
 import csv
+import inspect
 import io
 import json
 
 import pytest
 
-from qcomb import families
+from qcomb import cli, families
 from qcomb.cli import main, parse_range
 from qcomb.identities import serialize_value
 from qcomb.polyring import MPoly, QPoly
@@ -109,6 +111,14 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--identity", "NO-SUCH")
         assert code == 2
         assert "unknown identity" in err
+
+    def test_skipped_identity_exits_0(self, capsys):
+        # an empty grid checks no cell, so nothing failed
+        code, out, err = run_cli(capsys, "verify", "--identity", "I-LAH-CF",
+                                 "--n", "0")
+        assert code == 0
+        assert out == "SKIPPED I-LAH-CF     cells=0 n=0..0\n"
+        assert err == ""
 
     def test_missing_selector(self, capsys):
         code, _, err = run_cli(capsys, "verify")
@@ -227,6 +237,15 @@ class TestOracleDiff:
             "engine": serialize_value(real(3, 2, 0) * 2),
             "oracle": serialize_value(real(3, 2, 0))}]
 
+    def test_deep_cell_is_a_result(self, capsys):
+        # one structure, 1100 elements deep in the insertion tree
+        code, out, err = run_cli(capsys, "oracle-diff", "--family",
+                                 "stirling2_q", "--n", "1100", "--k", "1")
+        assert code == 0
+        assert out == ("0 mismatching cell(s) over 1 (n, r) cell(s) "
+                       "of stirling2_q\n")
+        assert err == ""
+
     def test_large_k_cell_is_a_cap_error(self, capsys):
         code, out, err = run_cli(capsys, "oracle-diff", "--family",
                                  "stirling2_q", "--n", "1500", "--k", "2")
@@ -311,3 +330,16 @@ class TestCellCap:
                                "--family", "lah_q", "--n", "0")
         assert code == 2
         assert "above the cap 0" in err
+
+
+def test_main_is_the_only_error_exit():
+    """Every other function raises; main alone writes the one error line to
+    stderr and returns 2."""
+    for fn in ast.walk(ast.parse(inspect.getsource(cli))):
+        if isinstance(fn, ast.FunctionDef) and fn.name != "main":
+            for node in ast.walk(fn):
+                assert not (isinstance(node, ast.Attribute)
+                            and node.attr == "stderr"), fn.name
+                assert not (isinstance(node, ast.Return)
+                            and isinstance(node.value, ast.Constant)
+                            and node.value.value == 2), fn.name

@@ -142,7 +142,7 @@ def test_oracle_side_imports_no_engine_code(module):
     assert not leaves & {"families", "identities"}, (module, sorted(imported))
 
 
-@pytest.mark.parametrize("module", ["families", "classical"])
+@pytest.mark.parametrize("module", ["families", "classical", "structures"])
 def test_triangles_do_not_recurse(module):
     """The triangles are filled iteratively: no function calls itself by
     name, so no cell size can overflow the stack."""

@@ -265,3 +265,98 @@ class TestRingAxioms:
         q = QPoly([2, -1, 3])
         assert poly_eval_int(p * q, t) == poly_eval_int(p, t) * poly_eval_int(q, t)
         assert poly_eval_int(p + q, t) == poly_eval_int(p, t) + poly_eval_int(q, t)
+
+
+def _raw(p):
+    """The stored contents of a value, compared without its own __eq__."""
+    return p.coeffs if isinstance(p, QPoly) else p.terms
+
+
+# carrier strategy, its constant of an int, and an equal value built another
+# way (MPoly: the same terms in reverse insertion order)
+CARRIERS = [
+    pytest.param(qpolys, lambda c: QPoly([c]),
+                 lambda p: QPoly(list(p.coeffs) + [0, 0]), id="QPoly"),
+    pytest.param(mpolys, MPoly.from_int,
+                 lambda p: MPoly(dict(reversed(p.terms.items()))), id="MPoly"),
+]
+
+
+@pytest.mark.parametrize("polys, const, rebuild", CARRIERS)
+class TestSharedRingPlumbing:
+    """Subtraction, powers, equality, truth and hashing are written once for
+    both carriers; each is checked against the carrier's own +, *, unary -
+    and is_zero, the reference they are built on."""
+
+    @given(data=st.data())
+    def test_subtraction(self, polys, const, rebuild, data):
+        a, b = data.draw(polys), data.draw(polys)
+        c = data.draw(st.integers(-5, 5))
+        assert _raw(a - b) == _raw(a + (-1) * b)
+        assert _raw(a - c) == _raw(a + const(-c))
+        assert _raw(c - a) == _raw(const(c) + (-1) * a)
+        assert type(a - b) is type(a - c) is type(c - a) is type(a)
+
+    @given(data=st.data())
+    def test_power_is_repeated_product(self, polys, const, rebuild, data):
+        a = data.draw(polys)
+        product = const(1)
+        for e in range(7):
+            assert _raw(a ** e) == _raw(product)
+            product = product * a
+        with pytest.raises(ValueError):
+            a ** -1
+
+    @given(data=st.data())
+    def test_equality_with_int(self, polys, const, rebuild, data):
+        a = data.draw(st.one_of(polys, st.integers(-3, 3).map(const)))
+        c = data.draw(st.integers(-3, 3))
+        is_c = _raw(a) == _raw(const(c))
+        assert (a == c) is is_c
+        assert (c == a) is is_c
+        assert (a != c) is (not is_c)
+
+    @given(data=st.data())
+    def test_truth_is_nonzero(self, polys, const, rebuild, data):
+        a = data.draw(polys)
+        assert bool(a) == (not a.is_zero())
+
+    @given(data=st.data())
+    def test_equal_values_hash_equal(self, polys, const, rebuild, data):
+        a = data.draw(polys)
+        for b in (rebuild(a), type(a).from_json(a.to_json()), a + 0, a * 1):
+            assert a == b
+            assert hash(a) == hash(b)
+
+
+@given(qpolys, mpolys)
+def test_qpoly_never_equals_mpoly(a, m):
+    assert a != m and m != a
+    assert not (a == m or m == a)
+
+
+def test_constants_of_the_two_carriers_differ():
+    for c in (0, 1, -2):
+        assert QPoly([c]) != MPoly.from_int(c)
+
+
+# str() of each carrier, pinned before the two methods shared one helper
+STR_PIN = [
+    (QPoly(), "0"), (QPoly([0, 0]), "0"), (QPoly([7]), "7"),
+    (QPoly([-7]), "-7"), (QPoly([0, 1]), "q"), (QPoly([0, -1]), "-q"),
+    (QPoly([1, 1, 1]), "1 + q + q^2"), (QPoly([-1, 0, -1]), "-1 - q^2"),
+    (QPoly([0, 2, 0, -3]), "2*q - 3*q^3"),
+    (QPoly([5, -1, 1, -12, 0, 1]), "5 - q + q^2 - 12*q^3 + q^5"),
+    (MPoly(), "0"), (MPoly({(0, 0, 0, 0): 0}), "0"),
+    (MPoly({(0, 0, 0, 0): 3}), "3"), (MPoly({(0, 0, 0, 0): -3}), "-3"),
+    (ALPHA, "alpha"), (-BETA, "-beta"), (ALPHA * BETA * R * X, "alpha*beta*r*x"),
+    (X - 1, "-1 + x"), (1 - X, "1 - x"),
+    (2 * R * X - 3 * ALPHA ** 2 + ALPHA - BETA ** 3 * X,
+     "alpha - 3*alpha^2 + 2*r*x - beta^3*x"),
+    ((ALPHA + BETA - R) ** 2 - 4,
+     "-4 + alpha^2 + 2*alpha*beta - 2*alpha*r + beta^2 - 2*beta*r + r^2"),
+]
+
+
+def test_str_pinned():
+    assert [str(v) for v, _ in STR_PIN] == [s for _, s in STR_PIN]

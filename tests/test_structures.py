@@ -221,6 +221,11 @@ class TestCellCap:
                 next(stream)
             assert exc.value.cell == cell
 
+    def test_deep_cell_enumerates(self):
+        # one structure, 1500 elements deep in the insertion tree
+        assert next(enum_partitions(1500, 1)) == SetPartition(
+            1500, (tuple(range(1, 1501)),))
+
     def test_negative_arguments_rejected(self):
         for enum in (enum_partitions, enum_cycle_perms, enum_lah):
             with pytest.raises(ValueError):
