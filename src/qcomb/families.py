@@ -1,10 +1,14 @@
 """Engines for the q-number families and the generalized Stirling numbers.
 
 Every engine returns an exact QPoly or MPoly and is memoized on its
-parameters.  The r = 0 triangles are filled iteratively by one kernel; the
-restricted (r > 0) values are computed from them through the corresponding
-shift formulas, so those formulas are exercised on every restricted
-computation; the enumeration oracles validate the composition independently.
+parameters; clear_caches() drops every kept value.  The r = 0 triangles are
+filled iteratively by one kernel; the restricted (r > 0) values are computed
+from them through the corresponding shift formulas, so those formulas are
+exercised on every restricted computation; the enumeration oracles validate
+the composition independently.  Each shift sum is evaluated in Horner form
+in its q-integer factor: the partial sum is multiplied by one q-integer per
+step (polyring.times_q_integer), so no power [r]^(n-i) or q-rising
+factorial is ever built.
 
 Values are zero outside the support 0 <= k <= n; negative n or r is an
 argument error.
@@ -16,7 +20,7 @@ from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
 from .polyring import (ALPHA, BETA, M_ZERO, MPoly, Q_ONE, Q_ZERO, QPoly, R, X,
-                       binom, binom_gen, q_binomial, q_integer, q_rising)
+                       binom, binom_gen, q_binomial, times_q_integer)
 
 
 def _check_nr(name: str, n: int, r: int) -> None:
@@ -27,7 +31,8 @@ def _check_nr(name: str, n: int, r: int) -> None:
 def _triangle(zero, one, step):
     """T(n, k), 0 <= k <= n, of the triangle T(0, 0) = one and
     T(n, k) = step(n, k, T(n-1, k-1), T(n-1, k)), with T(n-1, -1) = zero.
-    Columns 0..k are filled downward to row n and kept; nothing recurses."""
+    Columns 0..k are filled downward to row n and kept in ``cell.columns``;
+    nothing recurses."""
     cols: list[list] = []
 
     def cell(n: int, k: int):
@@ -41,6 +46,7 @@ def _triangle(zero, one, step):
                 left = cols[j - 1][m - 1] if j else zero
                 col.append(step(m, j, left, col[m - 1]))
         return cols[k][n]
+    cell.columns = cols
     return cell
 
 
@@ -50,7 +56,7 @@ def _triangle(zero, one, step):
 
 # column 0 is zero below T(0, 0), where q^(k-1) would be a negative power
 _stirling2_q_base = _triangle(Q_ZERO, Q_ONE, lambda n, k, left, up: (
-    left.shift(k - 1) + q_integer(k) * up if k else Q_ZERO))
+    left.shift(k - 1) + times_q_integer(up, k) if k else Q_ZERO))
 
 
 @lru_cache(maxsize=None)
@@ -59,18 +65,18 @@ def stirling2_q(n: int, k: int, r: int = 0) -> QPoly:
 
     r = 0 follows the recurrence with factors q^(k-1) and the q-integer k;
     r > 0 shifts the unrestricted values by the count of elements avoiding
-    the blocks of 1..r.
+    the blocks of 1..r: the sum over i of C(n, i) * [r]^(n-i) * q^(ir) *
+    S_q(i, k), taken in Horner form in [r].
     """
     _check_nr("stirling2_q", n, r)
     if k < 0 or k > n:
         return Q_ZERO
     if r == 0:
         return _stirling2_q_base(n, k)
-    rq = q_integer(r)
     total = Q_ZERO
     for i in range(k, n + 1):
-        term = _stirling2_q_base(i, k) * binom(n, i) * rq ** (n - i)
-        total = total + term.shift(i * r)
+        term = _stirling2_q_base(i, k) * binom(n, i)
+        total = times_q_integer(total, r) + term.shift(i * r)
     return total
 
 
@@ -90,14 +96,14 @@ def bell_q(n: int, r: int = 0) -> QPoly:
 
 # column 0 is zero below T(0, 0), where q^(n+k-2) can be a negative power
 _lah_q_base = _triangle(Q_ZERO, Q_ONE, lambda n, k, left, up: (
-    left.shift(n + k - 2) + q_integer(n + k - 1) * up if k else Q_ZERO))
+    left.shift(n + k - 2) + times_q_integer(up, n + k - 1) if k else Q_ZERO))
 
 
 def lah_q_closed_form(n: int, k: int) -> QPoly:
     """q^(k(k-1)) * (n_q!/k_q!) * qbinom(n-1, k-1), valid for 1 <= k <= n."""
     ratio = Q_ONE
     for i in range(k + 1, n + 1):
-        ratio = ratio * q_integer(i)
+        ratio = times_q_integer(ratio, i)
     return (ratio * q_binomial(n - 1, k - 1)).shift(k * (k - 1))
 
 
@@ -106,7 +112,9 @@ def lah_q(n: int, k: int, r: int = 0) -> QPoly:
     """Inversion generating polynomial over restricted Lah distributions.
 
     r = 0 follows the two-term recurrence; I-LAH-CF checks it against
-    lah_q_closed_form.
+    lah_q_closed_form.  r > 0 is the sum over i of the q-rising factorial
+    (2r)_(n-i) * qbinom(n, i) * q^(r(2i+r-1)) * L_q(i, k), in Horner form:
+    step i multiplies the partial sum by [2r+n-i] and adds term i.
     """
     _check_nr("lah_q", n, r)
     if k < 0 or k > n:
@@ -115,8 +123,9 @@ def lah_q(n: int, k: int, r: int = 0) -> QPoly:
         return _lah_q_base(n, k)
     total = Q_ZERO
     for i in range(k, n + 1):
-        term = q_rising(2 * r, n - i) * q_binomial(n, i) * _lah_q_base(i, k)
-        total = total + term.shift(r * (2 * i + r - 1))
+        term = q_binomial(n, i) * _lah_q_base(i, k)
+        total = (times_q_integer(total, 2 * r + n - i)
+                 + term.shift(r * (2 * i + r - 1)))
     return total
 
 
@@ -125,12 +134,17 @@ def lah_q(n: int, k: int, r: int = 0) -> QPoly:
 # ---------------------------------------------------------------------------
 
 _stirling1_q_base = _triangle(Q_ZERO, Q_ONE, lambda n, k, left, up:
-                              left + q_integer(n - 1) * up)
+                              left + times_q_integer(up, n - 1))
 
 
 @lru_cache(maxsize=None)
 def stirling1_q(n: int, k: int, r: int = 0) -> QPoly:
-    """Cycle-inversion generating polynomial over restricted permutations."""
+    """Cycle-inversion generating polynomial over restricted permutations.
+
+    r > 0 is the sum over i of the q-rising factorial (r)_(n-i) *
+    qbinom(n, i) * s_q(i, k), in Horner form: step i multiplies the
+    partial sum by [r+n-i] and adds term i.
+    """
     _check_nr("stirling1_q", n, r)
     if k < 0 or k > n:
         return Q_ZERO
@@ -138,8 +152,8 @@ def stirling1_q(n: int, k: int, r: int = 0) -> QPoly:
         return _stirling1_q_base(n, k)
     total = Q_ZERO
     for i in range(k, n + 1):
-        term = q_rising(r, n - i) * q_binomial(n, i) * _stirling1_q_base(i, k)
-        total = total + term
+        term = q_binomial(n, i) * _stirling1_q_base(i, k)
+        total = times_q_integer(total, r + n - i) + term
     return total
 
 
@@ -190,6 +204,22 @@ def gen_bell(n: int) -> MPoly:
     for k in range(n + 1):
         total = total + hsu_shiue(n, k) * X ** k
     return total
+
+
+# every kept value: the six engine caches, the q-binomial cache behind the
+# shift sums and the kernel columns; held here, not looked up by name, so a
+# re-bound module attribute cannot hide one of them
+_CACHES = (stirling2_q, bell_q, lah_q, stirling1_q, hsu_shiue, gen_bell,
+           q_binomial)
+_KERNELS = (_stirling2_q_base, _lah_q_base, _stirling1_q_base, _hsu_shiue_base)
+
+
+def clear_caches() -> None:
+    """Drop every value the engines keep; later calls recompute them."""
+    for fn in _CACHES:
+        fn.cache_clear()
+    for kernel in _KERNELS:
+        kernel.columns.clear()
 
 
 # ---------------------------------------------------------------------------

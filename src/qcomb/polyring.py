@@ -18,6 +18,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
+from operator import sub
 from typing import Iterable, Sequence
 
 
@@ -29,34 +32,43 @@ class _Poly:
     """Ring plumbing shared by QPoly and MPoly.
 
     A subclass defines the hot operators (+, *, unary -, is_zero) itself and
-    supplies ``ONE``, ``_coerce`` (its value of an int) and ``_data()`` (the
-    canonical contents that decide equality).
+    supplies ``ONE``, ``_coerce`` (its value of an int or of itself, and
+    NotImplemented for any other operand) and ``_data()`` (the canonical
+    contents that decide equality).  Only ints and the carrier's own type
+    mix with a carrier; anything else is a TypeError, never an inexact or
+    nested polynomial.
     """
 
     __slots__ = ()
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else self + (-other)
 
-    def __rsub__(self, other: int):
-        return self._coerce(other) + (-self)
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else other + (-self)
 
     def __pow__(self, n: int):
+        """Binary powering: bit_length(n) - 1 squarings and popcount(n) - 1
+        other products, none of them by ONE."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = self.ONE
+        if n == 0:
+            return self.ONE
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = self._coerce(other)
-        elif not isinstance(other, type(self)):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         return self._data() == other._data()
 
@@ -119,13 +131,20 @@ class QPoly(_Poly):
 
     @staticmethod
     def _coerce(value: "QPoly | int") -> "QPoly":
-        return value if isinstance(value, QPoly) else QPoly((value,))
+        if isinstance(value, QPoly):
+            return value
+        if isinstance(value, int):
+            return QPoly((value,))
+        return NotImplemented
 
     def _data(self) -> tuple[int, ...]:
         return self.coeffs
 
     def __add__(self, other: "QPoly | int") -> "QPoly":
-        other = self._coerce(other)
+        if not isinstance(other, QPoly):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -144,6 +163,8 @@ class QPoly(_Poly):
             if other == 0:
                 return Q_ZERO
             return QPoly([other * c for c in self.coeffs])
+        if not isinstance(other, QPoly):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Q_ZERO
@@ -236,6 +257,21 @@ def q_integer(n: int) -> QPoly:
     return QPoly((1,) * n)
 
 
+def times_q_integer(p: QPoly, n: int) -> QPoly:
+    """p * q_integer(n) in O(deg p + n) additions.
+
+    Coefficient j of the product is the sum of the coefficients j-n+1..j of
+    p, read off one running (prefix) sum instead of a schoolbook product.
+    """
+    if n < 0:
+        raise ValueError(f"times_q_integer requires n >= 0, got {n}")
+    if not n or not p.coeffs:
+        return Q_ZERO
+    prefix = list(accumulate(p.coeffs, initial=0))
+    pad = [prefix[-1]] * (n - 1)
+    return QPoly(map(sub, prefix[1:] + pad, [0] * (n - 1) + prefix[:-1]))
+
+
 def q_factorial(n: int) -> QPoly:
     """Product of the q-integers 1..n; one for n = 0."""
     if n < 0:
@@ -243,11 +279,13 @@ def q_factorial(n: int) -> QPoly:
     return q_rising(1, n)
 
 
+@lru_cache(maxsize=1024)
 def q_binomial(n: int, k: int) -> QPoly:
     """Gaussian binomial coefficient.
 
     Total on integer pairs: 1 whenever k = 0 (any n), the exact q-factorial
-    ratio for 0 <= k <= n, and 0 otherwise.
+    ratio for 0 <= k <= n, and 0 otherwise.  The 1024 most recently used
+    values are kept: the shift sums ask for the same rows over and over.
     """
     if k == 0:
         return Q_ONE
@@ -264,7 +302,7 @@ def q_rising(n: int, m: int) -> QPoly:
         raise ValueError(f"q_rising requires n, m >= 0, got ({n}, {m})")
     p = Q_ONE
     for i in range(n, n + m):
-        p = p * q_integer(i)
+        p = times_q_integer(p, i)
     return p
 
 
@@ -364,13 +402,20 @@ class MPoly(_Poly):
 
     @staticmethod
     def _coerce(value: "MPoly | int") -> "MPoly":
-        return value if isinstance(value, MPoly) else MPoly.from_int(value)
+        if isinstance(value, MPoly):
+            return value
+        if isinstance(value, int):
+            return MPoly.from_int(value)
+        return NotImplemented
 
     def _data(self) -> dict[tuple[int, int, int, int], int]:
         return self.terms
 
     def __add__(self, other: "MPoly | int") -> "MPoly":
-        other = self._coerce(other)
+        if not isinstance(other, MPoly):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
@@ -384,6 +429,8 @@ class MPoly(_Poly):
     def __mul__(self, other: "MPoly | int") -> "MPoly":
         if isinstance(other, int):
             return MPoly({e: other * c for e, c in self.terms.items()})
+        if not isinstance(other, MPoly):
+            return NotImplemented
         out: dict[tuple[int, int, int, int], int] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():

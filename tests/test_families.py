@@ -1,10 +1,11 @@
 import pytest
 
-from qcomb import classical
+from qcomb import classical, families
 from qcomb.families import (FAMILIES, bell_q, gen_bell, hsu_shiue, lah_q,
                             stirling1_q, stirling2_q, stirling_neg1,
                             table_rows)
-from qcomb.polyring import MPoly, Q_ONE, Q_ZERO, QPoly, poly_eval_int
+from qcomb.polyring import (MPoly, Q_ONE, Q_ZERO, QPoly, poly_eval_int,
+                            q_binomial)
 
 
 class TestStirling2Q:
@@ -159,6 +160,24 @@ class TestMemoDeterminism:
         a = stirling2_q(6, 3, 2)
         b = stirling2_q(6, 3, 2)
         assert a == b and a.coeffs == b.coeffs
+
+
+class TestClearCaches:
+    def test_clear_drops_every_kept_value(self):
+        cells = [(stirling2_q, (9, 3, 2)), (lah_q, (8, 3, 1)),
+                 (stirling1_q, (8, 2, 2)), (bell_q, (7, 1)),
+                 (hsu_shiue, (6, 3)), (gen_bell, (5,))]
+        before = [fn(*args) for fn, args in cells]
+        kernels = (families._stirling2_q_base, families._lah_q_base,
+                   families._stirling1_q_base, families._hsu_shiue_base)
+        assert all(kernel.columns for kernel in kernels)
+        families.clear_caches()
+        for fn in [fn for fn, _ in cells] + [q_binomial]:
+            assert fn.cache_info().currsize == 0, fn.__name__
+        assert all(kernel.columns == [] for kernel in kernels)
+        after = [fn(*args) for fn, args in cells]
+        assert after == before
+        assert all(a is not b for a, b in zip(after, before))
 
 
 class TestTableRows:

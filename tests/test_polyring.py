@@ -1,4 +1,5 @@
 import json
+import operator
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,7 +10,7 @@ from qcomb.polyring import (ALPHA, BETA, ExactDivisionError, MPoly, Q, Q_ONE,
                             Q_ZERO, QPoly, R, X, binom, binom_gen,
                             elementary_symmetric, poly_eval_int, q_binomial,
                             q_factorial, q_integer, q_rising, rising_int,
-                            shifted_factorial)
+                            shifted_factorial, times_q_integer)
 
 qpolys = st.lists(st.integers(-3, 3), max_size=4).map(QPoly)
 exps = st.tuples(*(st.integers(0, 2) for _ in range(4)))
@@ -100,6 +101,36 @@ class TestQPrimitives:
                     counts[v] = counts.get(v, 0) + 1
                 gf = QPoly([counts.get(i, 0) for i in range(max(counts) + 1)])
                 assert gf == q_binomial(n, k), (n, k)
+
+    @given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=12).map(QPoly),
+           st.integers(0, 15))
+    def test_times_q_integer_is_schoolbook_product(self, p, n):
+        assert times_q_integer(p, n).coeffs == (p * q_integer(n)).coeffs
+
+    def test_times_q_integer_edges(self):
+        assert times_q_integer(Q_ZERO, 5) == Q_ZERO
+        assert times_q_integer(QPoly([3, -1]), 0) == Q_ZERO
+        assert times_q_integer(QPoly([3, -1]), 1) == QPoly([3, -1])
+        with pytest.raises(ValueError):
+            times_q_integer(Q_ONE, -1)
+
+    def test_q_binomial_cache_is_factorial_ratio(self):
+        # schoolbook q-factorials, kept apart from times_q_integer
+        fact = [Q_ONE]
+        for i in range(1, 31):
+            fact.append(fact[-1] * q_integer(i))
+        want = {(n, k): fact[n].exact_div(fact[k] * fact[n - k])
+                if 0 <= k <= n else Q_ZERO
+                for n in range(31) for k in range(-1, n + 2)}
+        want.update({(n, k): Q_ONE if k == 0 else Q_ZERO
+                     for n in range(-3, 0) for k in (-1, 0, 1)})
+
+        assert q_binomial.cache_info().maxsize == 1024
+        q_binomial.cache_clear()
+        for _ in range(2):  # cold, then from the cache
+            for (n, k), value in want.items():
+                assert q_binomial(n, k).coeffs == value.coeffs, (n, k)
+        assert q_binomial.cache_info().hits >= len(want)
 
     def test_q_rising(self):
         assert q_rising(5, 0) == Q_ONE
@@ -327,6 +358,48 @@ class TestSharedRingPlumbing:
         for b in (rebuild(a), type(a).from_json(a.to_json()), a + 0, a * 1):
             assert a == b
             assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("cls, base", [(QPoly, QPoly([1, -2, 1])),
+                                       (MPoly, ALPHA + BETA - 2)],
+                         ids=["QPoly", "MPoly"])
+def test_power_multiplication_count(monkeypatch, cls, base):
+    """b ** e makes bit_length(e) - 1 squarings and popcount(e) - 1 other
+    products, and none of them by ONE."""
+    operands = []
+    mul = cls.__mul__
+
+    def counting_mul(a, b):
+        operands.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(cls, "__mul__", counting_mul)
+    for e in range(10):
+        operands.clear()
+        base ** e
+        want = max(e.bit_length() - 1, 0) + max(bin(e).count("1") - 1, 0)
+        assert len(operands) == want, e
+        assert all(cls.ONE not in pair for pair in operands), e
+
+
+# a carrier beside an operand that is neither an int nor its own type
+FOREIGN = [
+    pytest.param(QPoly([1, 2]), 0.5, id="QPoly-float"),
+    pytest.param(QPoly([1, 2]), Fraction(1, 2), id="QPoly-Fraction"),
+    pytest.param(QPoly([1, 2]), X, id="QPoly-MPoly"),
+    pytest.param(X, 2.5, id="MPoly-float"),
+    pytest.param(X, Fraction(1, 2), id="MPoly-Fraction"),
+    pytest.param(X, QPoly([1, 2]), id="MPoly-QPoly"),
+]
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+@pytest.mark.parametrize("poly, foreign", FOREIGN)
+def test_foreign_operand_is_type_error(poly, foreign, op):
+    with pytest.raises(TypeError):
+        op(poly, foreign)
+    with pytest.raises(TypeError):
+        op(foreign, poly)
 
 
 @given(qpolys, mpolys)

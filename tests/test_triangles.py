@@ -1,5 +1,7 @@
 """The iterative triangle kernels of families.py and classical.py against the
-recursive definitions they replaced, kept here as the reference."""
+recursive definitions they replaced, and the Horner-form shift sums of the
+restricted q-engines against the term-by-term sums they replaced; both are
+kept here as the reference."""
 
 import json
 import math
@@ -17,7 +19,7 @@ from qcomb import classical
 from qcomb.families import (hsu_shiue, lah_q, stirling1_q, stirling2_q,
                             stirling_neg1)
 from qcomb.polyring import (ALPHA, BETA, M_ZERO, MPoly, Q_ONE, Q_ZERO, R,
-                            poly_eval_int, q_integer)
+                            binom, poly_eval_int, q_binomial, q_integer)
 
 # ---------------------------------------------------------------------------
 # the recursive definitions, as they were in the engines
@@ -150,6 +152,75 @@ TRIANGLES = {
                       lambda n, k, r: ref_ext_lah_count(n, k)),
 }
 RESTRICTED = ("stirling2_r", "stirling1_r", "lah_r")
+
+
+# ---------------------------------------------------------------------------
+# the r > 0 shift sums, term by term, as they were in the engines
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def ref_q_rising(a, m):
+    """Schoolbook product of the q-integers a, a+1, ..., a+m-1."""
+    p = Q_ONE
+    for i in range(a, a + m):
+        p = p * q_integer(i)
+    return p
+
+
+def ref_shift_stirling2_q(n, k, r):
+    if k < 0 or k > n:
+        return Q_ZERO
+    rq = q_integer(r)
+    total = Q_ZERO
+    for i in range(k, n + 1):
+        term = ref_stirling2_q(i, k) * binom(n, i) * rq ** (n - i)
+        total = total + term.shift(i * r)
+    return total
+
+
+def ref_shift_lah_q(n, k, r):
+    if k < 0 or k > n:
+        return Q_ZERO
+    total = Q_ZERO
+    for i in range(k, n + 1):
+        term = ref_q_rising(2 * r, n - i) * q_binomial(n, i) * ref_lah_q(i, k)
+        total = total + term.shift(r * (2 * i + r - 1))
+    return total
+
+
+def ref_shift_stirling1_q(n, k, r):
+    if k < 0 or k > n:
+        return Q_ZERO
+    total = Q_ZERO
+    for i in range(k, n + 1):
+        total = total + (ref_q_rising(r, n - i) * q_binomial(n, i)
+                         * ref_stirling1_q(i, k))
+    return total
+
+
+SHIFT_SUMS = {
+    "stirling2_q": (stirling2_q, ref_shift_stirling2_q),
+    "lah_q": (lah_q, ref_shift_lah_q),
+    "stirling1_q": (stirling1_q, ref_shift_stirling1_q),
+}
+
+
+@pytest.mark.parametrize("name", SHIFT_SUMS)
+def test_shift_sums_every_cell_up_to_20(name):
+    fn, ref = SHIFT_SUMS[name]
+    for r in range(4):
+        for n in range(21):
+            for k in range(-1, n + 2):
+                assert fn(n, k, r) == ref(n, k, r), (name, n, k, r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(SHIFT_SUMS)), st.integers(0, 26),
+       st.integers(-1, 27), st.integers(0, 6))
+def test_shift_sums_random_cell(name, n, k, r):
+    fn, ref = SHIFT_SUMS[name]
+    assert fn(n, k, r) == ref(n, k, r), (name, n, k, r)
 
 
 @pytest.mark.parametrize("name", TRIANGLES)
