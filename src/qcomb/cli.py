@@ -188,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--all", action="store_true",
                           help="run every registered identity")
     p_verify.add_argument("--default-grids", action="store_true",
-                          help="use the registered default grids")
+                          help="refuse range flags; without them every "
+                               "identity already runs on its default grid")
     for name in ("m", "n", "k", "r"):
         p_verify.add_argument(f"--{name}", type=_range_arg, default=None)
     p_verify.add_argument("--format", choices=("json", "text"), default="text")

@@ -11,6 +11,13 @@ other side no engine computes certify the shift formulas: I-PE1 against the
 partition oracle, I-LAH-R against the classical Lah counts, and oracle-diff
 (acceptance criterion 1) against every enumeration oracle.
 
+``_two_part`` is the two-part product formula of Spivey and Mezo,
+F(m+n, k) = sum_i sum_j C(n, i) w(i, j) F(m, j) G(i, k-j).  I-SPIVEY,
+I-MEZO-1/2, I-P1E1/2, I-P2E1/2, I-T3E1, I-T4C1, I-T5E1, I-T5E2 (direct
+route), I-BIN-5, I-BIN-7 and the rows of ``_BIN_ROWS`` (I-BIN-1..4) share
+it; I-T4E1..3 are the rows of ``_T4_ROWS`` on one shift sum.  Each entry
+declares its grid in ``@_identity``.
+
 Reports are deterministic: cells are generated in a fixed order and the
 first mismatching cell is serialized in full.
 """
@@ -19,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from typing import Callable, Iterator, NamedTuple
 
@@ -107,14 +114,11 @@ class IdentityDef:
     cells: Callable[[Ranges], Iterator[dict]]
     evaluate: Callable[[dict], tuple]
     notes: tuple[str, ...] = ()
+    # extra counterexample fields for a failing cell
+    diagnose: Callable[[dict], dict] | None = None
 
 
 REGISTRY: dict[str, IdentityDef] = {}
-
-
-def _register(name: str, summary: str, defaults: Ranges, cells, evaluate,
-              notes: tuple[str, ...] = ()) -> None:
-    REGISTRY[name] = IdentityDef(name, summary, defaults, cells, evaluate, notes)
 
 
 def identity_names() -> list[str]:
@@ -131,18 +135,13 @@ def _ocell(family: str, n: int, k: int, r: int = 0):
     return _otable(family, n, r).get(k, zero)
 
 
-def _span(ranges: Ranges, name: str) -> range:
-    lo, hi = ranges[name]
-    return range(lo, hi + 1)
-
-
-def _first_tracked_mismatch(n: int, k: int):
-    """First extended Lah structure whose incremental statistics disagree
-    with the direct computation, if any."""
-    for lam, inc in enum_extended_lah_tracked(n, k):
+def _first_tracked_mismatch(cell: dict) -> dict:
+    """Counterexample field naming the first extended Lah structure whose
+    incremental statistics disagree with the direct computation, if any."""
+    for lam, inc in enum_extended_lah_tracked(cell["n"], cell.get("k", 0)):
         if tuple(ext_stats(lam)) != inc:
-            return lam
-    return None
+            return {"stat_mismatch_structure": lam.text()}
+    return {}
 
 
 def check(identity: str, overrides: Ranges | None = None) -> IdentityReport:
@@ -151,12 +150,17 @@ def check(identity: str, overrides: Ranges | None = None) -> IdentityReport:
         raise KeyError(f"unknown identity {identity!r}")
     entry = REGISTRY[identity]
     ranges = dict(entry.defaults)
-    if overrides:
-        for name, rng in overrides.items():
-            if name not in ranges:
-                raise ValueError(
-                    f"identity {identity} has no parameter {name!r}")
-            ranges[name] = rng
+    overrides = overrides or {}
+    for name, rng in overrides.items():
+        if name not in ranges:
+            raise ValueError(
+                f"identity {identity} has no parameter {name!r}")
+        ranges[name] = rng
+    # the default window must not clip the m and n asked for
+    if "m+n" in ranges and "m+n" not in overrides and (
+            "m" in overrides or "n" in overrides):
+        (m_lo, m_hi), (n_lo, n_hi) = ranges["m"], ranges["n"]
+        ranges["m+n"] = (m_lo + n_lo, m_hi + n_hi)
     grid = {name: f"{lo}..{hi}" for name, (lo, hi) in ranges.items()}
     cells = list(entry.cells(ranges))
     if not cells:
@@ -169,10 +173,8 @@ def check(identity: str, overrides: Ranges | None = None) -> IdentityReport:
                 "lhs": serialize_value(lhs),
                 "rhs": serialize_value(rhs),
             }
-            if entry.name in ("I-GENL1", "I-GENL1-REC"):
-                bad = _first_tracked_mismatch(cell["n"], cell.get("k", 0))
-                if bad is not None:
-                    counter["stat_mismatch_structure"] = bad.text()
+            if entry.diagnose is not None:
+                counter.update(entry.diagnose(cell))
             return IdentityReport(entry.name, grid, checked, "fail",
                                   counterexample=counter, notes=entry.notes)
     return IdentityReport(entry.name, grid, checked, "pass", notes=entry.notes)
@@ -215,7 +217,7 @@ def oracle_diff(family: str, n: int, r: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# grid generators
+# the grid, the shared bodies and the registration decorator
 # ---------------------------------------------------------------------------
 
 def _grid(ranges: Ranges, k: str | None = None, k_min: int = 0,
@@ -225,7 +227,8 @@ def _grid(ranges: Ranges, k: str | None = None, k_min: int = 0,
     and the routes run innermost."""
     names = [name for name in ranges if name != "m+n"]
     window = ranges.get("m+n")
-    for values in product(*(_span(ranges, name) for name in names)):
+    spans = [range(lo, hi + 1) for lo, hi in (ranges[name] for name in names)]
+    for values in product(*spans):
         cell = dict(zip(names, values))
         if window and not window[0] <= cell["m"] + cell["n"] <= window[1]:
             continue
@@ -238,212 +241,191 @@ def _grid(ranges: Ranges, k: str | None = None, k_min: int = 0,
             yield from [{**c, "route": route} for route in routes] or [c]
 
 
+def _two_part(n: int, js: range, weight, left, right, zero):
+    """Sum of weight(i, j) * left(j) * right(i, j) over i = 0..n and j in js.
+
+    This is the two-part product formula F(m+n, k) = sum_i sum_j C(n, i)
+    w(i, j) F(m, j) G(i, k-j): left is the m-part, computed once per j;
+    right is the i-part and weight carries the binomial and the weight.
+    """
+    lefts = [(j, left(j)) for j in js]
+    return sum((weight(i, j) * value * right(i, j)
+                for i in range(n + 1) for j, value in lefts), zero)
+
+
+def _row_sum(fn, n: int, r: int) -> QPoly:
+    """fn(n, 0, r) + ... + fn(n, n, r): the total weight of row n."""
+    return sum((fn(n, k, r) for k in range(n + 1)), Q_ZERO)
+
+
+def _identity(name: str, summary: str, defaults: Ranges,
+              notes: tuple[str, ...] = (),
+              diagnose: Callable[[dict], dict] | None = None, **grid):
+    """Register the decorated evaluate function as identity ``name``; its
+    cells are ``_grid`` with the keyword arguments ``grid``."""
+    def register(evaluate):
+        REGISTRY[name] = IdentityDef(name, summary, defaults,
+                                     partial(_grid, **grid), evaluate, notes,
+                                     diagnose)
+        return evaluate
+    return register
+
+
+_MN10 = {"m": (0, 10), "n": (0, 10), "m+n": (0, 10)}
+_MN10R = {**_MN10, "r": (0, 3)}
+_MN8R = {"m": (0, 8), "n": (0, 8), "m+n": (0, 8), "r": (0, 2)}
+_MN7 = {"m": (0, 7), "n": (0, 7), "m+n": (0, 7)}
+_MN7R = {**_MN7, "r": (0, 2)}
+
+
 # ---------------------------------------------------------------------------
 # identity definitions, in source order of the families they involve
 # ---------------------------------------------------------------------------
 
+@_identity("I-SPIVEY", "classical Bell number double sum", _MN10)
 def _spivey(cell):
     m, n = cell["m"], cell["n"]
-    lhs = cl.bell(m + n)
-    rhs = sum(j ** (n - i) * binom(n, i) * cl.stirling2(m, j) * cl.bell(i)
-              for i in range(n + 1) for j in range(m + 1))
-    return lhs, rhs
+    rhs = _two_part(n, range(m + 1), lambda i, j: j ** (n - i) * binom(n, i),
+                    lambda j: cl.stirling2(m, j), lambda i, j: cl.bell(i), 0)
+    return cl.bell(m + n), rhs
 
 
-_register(
-    "I-SPIVEY", "classical Bell number double sum",
-    {"m": (0, 10), "n": (0, 10), "m+n": (0, 10)},
-    _grid, _spivey)
-
-
+@_identity("I-MEZO-1", "restricted Bell number double sum", _MN10R)
 def _mezo1(cell):
     m, n, r = cell["m"], cell["n"], cell["r"]
-    lhs = cl.bell_r(m + n, r)
-    rhs = sum((j + r) ** (n - i) * binom(n, i) * cl.stirling2_r(m, j, r) * cl.bell(i)
-              for i in range(n + 1) for j in range(m + 1))
-    return lhs, rhs
+    rhs = _two_part(n, range(m + 1),
+                    lambda i, j: (j + r) ** (n - i) * binom(n, i),
+                    lambda j: cl.stirling2_r(m, j, r), lambda i, j: cl.bell(i),
+                    0)
+    return cl.bell_r(m + n, r), rhs
 
 
-_register(
-    "I-MEZO-1", "restricted Bell number double sum",
-    {"m": (0, 10), "n": (0, 10), "m+n": (0, 10), "r": (0, 3)},
-    _grid, _mezo1)
-
-
+@_identity("I-MEZO-2",
+           "rising factorial double sum over restricted cycle counts", _MN10R)
 def _mezo2(cell):
     m, n, r = cell["m"], cell["n"], cell["r"]
-    lhs = rising_int(r + 1, m + n)
-    rhs = sum(rising_int(m, n - i) * binom(n, i) * cl.stirling1_r(m, j, r)
-              * rising_int(r + 1, i)
-              for i in range(n + 1) for j in range(m + 1))
-    return lhs, rhs
+    rhs = _two_part(n, range(m + 1),
+                    lambda i, j: rising_int(m, n - i) * binom(n, i),
+                    lambda j: cl.stirling1_r(m, j, r),
+                    lambda i, j: rising_int(r + 1, i), 0)
+    return rising_int(r + 1, m + n), rhs
 
 
-_register(
-    "I-MEZO-2", "rising factorial double sum over restricted cycle counts",
-    {"m": (0, 10), "n": (0, 10), "m+n": (0, 10), "r": (0, 3)},
-    _grid, _mezo2)
-
-
+@_identity("I-PE1",
+           "restriction shift for partition weights, against enumeration",
+           {"n": (0, 8), "r": (0, 2)}, k="n")
 def _pe1(cell):
     n, k, r = cell["n"], cell["k"], cell["r"]
     return _ocell("partitions", n, k, r), stirling2_q(n, k, r)
 
 
-_register(
-    "I-PE1", "restriction shift for partition weights, against enumeration",
-    {"n": (0, 8), "r": (0, 2)},
-    lambda rng: _grid(rng, k="n"), _pe1)
+def _p1_weight(m: int, n: int, r: int):
+    return lambda i, j: (q_integer(j + r) ** (n - i)
+                         * binom(n, i)).shift(i * (j + r))
 
 
+@_identity("I-P1E1",
+           "two-part product formula for restricted partition weights",
+           _MN8R, k="m+n")
 def _p1e1(cell):
     m, n, r, k = cell["m"], cell["n"], cell["r"], cell["k"]
-    lhs = stirling2_q(m + n, k, r)
-    rhs = Q_ZERO
-    for i in range(n + 1):
-        for j in range(m + 1):
-            term = (q_integer(j + r) ** (n - i) * binom(n, i)
-                    * stirling2_q(m, j, r) * stirling2_q(i, k - j, 0))
-            rhs = rhs + term.shift(i * (j + r))
-    return lhs, rhs
+    rhs = _two_part(n, range(m + 1), _p1_weight(m, n, r),
+                    lambda j: stirling2_q(m, j, r),
+                    lambda i, j: stirling2_q(i, k - j, 0), Q_ZERO)
+    return stirling2_q(m + n, k, r), rhs
 
 
-_register(
-    "I-P1E1", "two-part product formula for restricted partition weights",
-    {"m": (0, 8), "n": (0, 8), "m+n": (0, 8), "r": (0, 2)},
-    lambda rng: _grid(rng, k="m+n"), _p1e1)
-
-
+@_identity("I-P1E2", "two-part product formula for restricted Bell weights",
+           _MN8R)
 def _p1e2(cell):
     m, n, r = cell["m"], cell["n"], cell["r"]
-    lhs = bell_q(m + n, r)
-    rhs = Q_ZERO
-    for i in range(n + 1):
-        for j in range(m + 1):
-            term = (q_integer(j + r) ** (n - i) * binom(n, i)
-                    * stirling2_q(m, j, r) * bell_q(i, 0))
-            rhs = rhs + term.shift(i * (j + r))
-    return lhs, rhs
+    rhs = _two_part(n, range(m + 1), _p1_weight(m, n, r),
+                    lambda j: stirling2_q(m, j, r),
+                    lambda i, j: bell_q(i, 0), Q_ZERO)
+    return bell_q(m + n, r), rhs
 
 
-_register(
-    "I-P1E2", "two-part product formula for restricted Bell weights",
-    {"m": (0, 8), "n": (0, 8), "m+n": (0, 8), "r": (0, 2)},
-    _grid, _p1e2)
-
-
-def _bin1(cell):
-    m, n, k = cell["m"], cell["n"], cell["k"]
-    lhs = binom(m + n - k - 1, k - 1)
-    rhs = 0
-    for i in range(n + 1):
-        for j in range(m + 1):
-            a = indicator_pair(i, j, n).a
-            rhs += (a * (-1) ** ((i + 1) * j) * binom(n, i)
-                    * binom_gen(m - j // 2 - 1, m - j)
-                    * binom_gen(i - k + (j + 1) // 2 - 1, i - 2 * k + j))
-    return lhs, rhs
-
-
-def _bin2(cell):
-    m, n, k = cell["m"], cell["n"], cell["k"]
-    lhs = binom(m + n - k, k - 1)
-    rhs = 0
-    for i in range(n + 1):
-        for j in range(m + 1):
-            a = indicator_pair(i, j, n).a
-            rhs += (a * (-1) ** (i * j) * binom(n, i)
-                    * binom_gen(m - j // 2 - 1, m - j)
-                    * binom_gen(i - k + j // 2, i - 2 * k + j + 1))
-    return lhs, rhs
-
-
-def _bin3(cell):
-    m, n, k = cell["m"], cell["n"], cell["k"]
-    lhs = binom(m + n - k, k)
-    rhs = 0
-    for i in range(n + 1):
-        for j in range(m + 1):
-            b = indicator_pair(i, j, n).b
-            rhs += (b * (-1) ** (i * (j + 1)) * binom(n, i)
-                    * binom_gen(m - (j + 1) // 2, m - j)
-                    * binom_gen(i - k + (j + 1) // 2 - 1, i - 2 * k + j))
-    return lhs, rhs
-
-
-def _bin4(cell):
-    m, n, k = cell["m"], cell["n"], cell["k"]
-    lhs = binom(m + n - k, k - 1)
-    rhs = 0
-    for i in range(n + 1):
-        for j in range(m + 1):
-            b = indicator_pair(i, j, n).b
-            rhs += (b * (-1) ** ((i + 1) * (j + 1)) * binom(n, i)
-                    * binom_gen(m - (j + 1) // 2, m - j)
-                    * binom_gen(i - k + j // 2, i - 2 * k + j + 1))
-    return lhs, rhs
-
-
+# I-BIN-1..4 read binom(m+n-k-a, k-b) = sum_i sum_j ind(i, j)
+# * (-1)^((i+s)(j+t)) * C(n, i) * binom_gen(m - (j+c)//2 - d, m-j)
+# * binom_gen(i - k + (j+e)//2 - f, i - 2k + j + g), where ind is the
+# a (0) or b (1) parity indicator.  Each row holds the name, the summary,
+# (a, b), the indicator, (s, t), (c, d) and (e, f, g).
+_BIN_ROWS = [
+    ("I-BIN-1", "binomial identity from the even-restriction evaluation",
+     (1, 1), 0, (1, 0), (0, 1), (1, 1, 0)),
+    ("I-BIN-2", "companion binomial identity, odd target index",
+     (0, 1), 0, (0, 0), (0, 1), (0, 0, 1)),
+    ("I-BIN-3", "binomial identity from the odd-restriction evaluation",
+     (0, 0), 1, (0, 1), (1, 0), (1, 1, 0)),
+    ("I-BIN-4", "companion binomial identity, odd target index",
+     (0, 1), 1, (1, 1), (1, 0), (0, 0, 1)),
+]
 _BIN_NOTE = ("binomials inside the sums follow the generalized convention "
              "(value 1 at lower index 0 for any upper index), matching the "
              "closed forms they substitute; the left side is an ordinary "
              "binomial, zero outside its support",)
-for _nm, _fn, _sm in [
-        ("I-BIN-1", _bin1, "binomial identity from the even-restriction evaluation"),
-        ("I-BIN-2", _bin2, "companion binomial identity, odd target index"),
-        ("I-BIN-3", _bin3, "binomial identity from the odd-restriction evaluation"),
-        ("I-BIN-4", _bin4, "companion binomial identity, odd target index")]:
-    _register(_nm, _sm, {"m": (1, 10), "n": (1, 10)},
-              lambda rng: _grid(rng, k="m+n", k_min=1), _fn,
-              notes=_BIN_NOTE)
+
+
+def _bin_identity(lhs, ind, sign, left, right):
+    (a, b), (s, t), (c, d), (e, f, g) = lhs, sign, left, right
+
+    def evaluate(cell):
+        m, n, k = cell["m"], cell["n"], cell["k"]
+        rhs = _two_part(
+            n, range(m + 1),
+            lambda i, j: (indicator_pair(i, j, n)[ind]
+                          * (-1) ** ((i + s) * (j + t)) * binom(n, i)),
+            lambda j: binom_gen(m - (j + c) // 2 - d, m - j),
+            lambda i, j: binom_gen(i - k + (j + e) // 2 - f,
+                                   i - 2 * k + j + g), 0)
+        return binom(m + n - k - a, k - b), rhs
+    return evaluate
+
+
+for _name, _summary, *_row in _BIN_ROWS:
+    _identity(_name, _summary, {"m": (1, 10), "n": (1, 10)}, _BIN_NOTE,
+              k="m+n", k_min=1)(_bin_identity(*_row))
 
 
 def _sneg(n: int, k: int, r: int = 0) -> int:
     return poly_eval_int(stirling2_q(n, k, r), -1)
 
 
+@_identity("I-BIN-5",
+           "q = -1 specialization of the two-part partition formula", _MN10,
+           k="m+n")
 def _bin5(cell):
     m, n, k = cell["m"], cell["n"], cell["k"]
-    lhs = _sneg(m + n, k)
-    rhs = sum(indicator_pair(i, j, n).a * (-1) ** (i * j) * binom(n, i)
-              * _sneg(m, j) * _sneg(i, k - j)
-              for i in range(n + 1) for j in range(m + 1))
-    return lhs, rhs
+    rhs = _two_part(n, range(m + 1),
+                    lambda i, j: (indicator_pair(i, j, n).a
+                                  * (-1) ** (i * j) * binom(n, i)),
+                    lambda j: _sneg(m, j), lambda i, j: _sneg(i, k - j), 0)
+    return _sneg(m + n, k), rhs
 
 
-_register(
-    "I-BIN-5", "q = -1 specialization of the two-part partition formula",
-    {"m": (0, 10), "n": (0, 10), "m+n": (0, 10)},
-    lambda rng: _grid(rng, k="m+n"), _bin5)
-
-
+@_identity("I-BIN-6", "closed form for partition weights at q = -1",
+           {"n": (0, 20)}, k="n")
 def _bin6(cell):
     n, k = cell["n"], cell["k"]
     return _sneg(n, k), stirling_neg1("plain", n, k)
 
 
-_register("I-BIN-6", "closed form for partition weights at q = -1",
-          {"n": (0, 20)}, lambda rng: _grid(rng, k="n"), _bin6)
-
-
+@_identity("I-BIN-7", "q = -1 specialization with one restricted element",
+           _MN10, k="m+n",
+           notes=("includes the binomial factor over the free elements, "
+                  "which the usual statement drops; without it the identity "
+                  "fails already at m=0, n=2, k=1",))
 def _bin7(cell):
     m, n, k = cell["m"], cell["n"], cell["k"]
-    lhs = _sneg(m + n, k, 1)
-    rhs = sum(indicator_pair(i, j, n).b * (-1) ** (i * (j + 1)) * binom(n, i)
-              * _sneg(m, j, 1) * _sneg(i, k - j)
-              for i in range(n + 1) for j in range(m + 1))
-    return lhs, rhs
+    rhs = _two_part(n, range(m + 1),
+                    lambda i, j: (indicator_pair(i, j, n).b
+                                  * (-1) ** (i * (j + 1)) * binom(n, i)),
+                    lambda j: _sneg(m, j, 1), lambda i, j: _sneg(i, k - j), 0)
+    return _sneg(m + n, k, 1), rhs
 
 
-_register(
-    "I-BIN-7", "q = -1 specialization with one restricted element",
-    {"m": (0, 10), "n": (0, 10), "m+n": (0, 10)},
-    lambda rng: _grid(rng, k="m+n"), _bin7,
-    notes=("includes the binomial factor over the free elements, which the "
-           "usual statement drops; without it the identity fails already "
-           "at m=0, n=2, k=1",))
-
-
+@_identity("I-BIN-8", "alternating-sum form of the restricted q = -1 values",
+           {"n": (0, 12)}, k="n")
 def _bin8(cell):
     n, k = cell["n"], cell["k"]
     lhs = _sneg(n, k, 1)
@@ -453,29 +435,22 @@ def _bin8(cell):
     return lhs, rhs
 
 
-_register("I-BIN-8", "alternating-sum form of the restricted q = -1 values",
-          {"n": (0, 12)}, lambda rng: _grid(rng, k="n"), _bin8)
-
-
+@_identity("I-BIN-9", "closed form for restricted partition weights at q = -1",
+           {"n": (0, 20)}, k="n")
 def _bin9(cell):
     n, k = cell["n"], cell["k"]
     return _sneg(n, k, 1), stirling_neg1("r1", n, k)
 
 
-_register("I-BIN-9", "closed form for restricted partition weights at q = -1",
-          {"n": (0, 20)}, lambda rng: _grid(rng, k="n"), _bin9)
-
-
+@_identity("I-LAH-CF", "product closed form versus the two-term recurrence",
+           {"n": (1, 20)}, k="n", k_min=1, n_min=1)
 def _lah_cf(cell):
     n, k = cell["n"], cell["k"]
     return lah_q_closed_form(n, k), lah_q(n, k, 0)
 
 
-_register("I-LAH-CF", "product closed form versus the two-term recurrence",
-          {"n": (1, 20)},
-          lambda rng: _grid(rng, k="n", k_min=1, n_min=1), _lah_cf)
-
-
+@_identity("I-LAH-R", "restriction shift for ordered-block counts at q = 1",
+           {"n": (0, 8), "r": (0, 3)}, k="n")
 def _lah_r(cell):
     n, k, r = cell["n"], cell["k"], cell["r"]
     lhs = poly_eval_int(lah_q(n, k, r), 1)
@@ -484,62 +459,44 @@ def _lah_r(cell):
     return lhs, rhs
 
 
-_register("I-LAH-R", "restriction shift for ordered-block counts at q = 1",
-          {"n": (0, 8), "r": (0, 3)},
-          lambda rng: _grid(rng, k="n"), _lah_r)
+def _p2_weight(m: int, n: int, r: int):
+    def weight(i, j):
+        base = j + m + 2 * r
+        return (q_rising(base, n - i) * q_binomial(n, i)).shift(i * base)
+    return weight
 
 
-def _p2_factor(i: int, j: int, m: int, r: int, n: int) -> QPoly:
-    base = j + m + 2 * r
-    return (q_rising(base, n - i) * q_binomial(n, i)).shift(i * base)
-
-
+@_identity("I-P2E1",
+           "two-part product formula for restricted ordered-block weights",
+           _MN7R, k="m+n")
 def _p2e1(cell):
     m, n, r, k = cell["m"], cell["n"], cell["r"], cell["k"]
-    lhs = lah_q(m + n, k, r)
-    rhs = Q_ZERO
-    for i in range(n + 1):
-        for j in range(k + 1):
-            rhs = rhs + (_p2_factor(i, j, m, r, n) * lah_q(m, j, r)
-                         * lah_q(i, k - j, 0))
-    return lhs, rhs
+    rhs = _two_part(n, range(k + 1), _p2_weight(m, n, r),
+                    lambda j: lah_q(m, j, r),
+                    lambda i, j: lah_q(i, k - j, 0), Q_ZERO)
+    return lah_q(m + n, k, r), rhs
 
 
-_register(
-    "I-P2E1", "two-part product formula for restricted ordered-block weights",
-    {"m": (0, 7), "n": (0, 7), "m+n": (0, 7), "r": (0, 2)},
-    lambda rng: _grid(rng, k="m+n"), _p2e1)
-
-
-def _lah_q_total(n: int, r: int) -> QPoly:
-    total = Q_ZERO
-    for k in range(n + 1):
-        total = total + lah_q(n, k, r)
-    return total
-
-
+@_identity("I-P2E2", "summed form of the ordered-block product formula",
+           _MN7R, routes=("bound=m", "bound=m+n"),
+           notes=("the inner summation bound is read as m (terms beyond m "
+                  "vanish since the restricted values are zero there) and "
+                  "the aggregate value at size i as the sum over all block "
+                  "counts; the check runs both bounds m and m+n and they "
+                  "must agree",))
 def _p2e2(cell):
     m, n, r = cell["m"], cell["n"], cell["r"]
     bound = m if cell["route"] == "bound=m" else m + n
-    lhs = _lah_q_total(m + n, r)
-    rhs = Q_ZERO
-    for i in range(n + 1):
-        for j in range(bound + 1):
-            rhs = rhs + (_p2_factor(i, j, m, r, n) * lah_q(m, j, r)
-                         * _lah_q_total(i, 0))
-    return lhs, rhs
+    totals = [_row_sum(lah_q, i, 0) for i in range(n + 1)]
+    rhs = _two_part(n, range(bound + 1), _p2_weight(m, n, r),
+                    lambda j: lah_q(m, j, r), lambda i, j: totals[i], Q_ZERO)
+    return _row_sum(lah_q, m + n, r), rhs
 
 
-_register(
-    "I-P2E2", "summed form of the ordered-block product formula",
-    {"m": (0, 7), "n": (0, 7), "m+n": (0, 7), "r": (0, 2)},
-    lambda rng: _grid(rng, routes=("bound=m", "bound=m+n")), _p2e2,
-    notes=("the inner summation bound is read as m (terms beyond m vanish "
-           "since the restricted values are zero there) and the aggregate "
-           "value at size i as the sum over all block counts; the check "
-           "runs both bounds m and m+n and they must agree",))
-
-
+@_identity("I-QBIN", "Gaussian binomial identity from the ordered-block formula",
+           {"m": (0, 6), "n": (0, 6), "k": (0, 6)},
+           notes=("individual terms carry negative powers of q; both sides "
+                  "are lifted by a common power before comparing",))
 def _qbin_corollary(cell):
     m, n, k = cell["m"], cell["n"], cell["k"]
     exps = [i * (j + m + 1) - 2 * j * (k - j + 1)
@@ -557,13 +514,8 @@ def _qbin_corollary(cell):
     return lhs, rhs
 
 
-_register(
-    "I-QBIN", "Gaussian binomial identity from the ordered-block formula",
-    {"m": (0, 6), "n": (0, 6), "k": (0, 6)}, _grid, _qbin_corollary,
-    notes=("individual terms carry negative powers of q; both sides are "
-           "lifted by a common power before comparing",))
-
-
+@_identity("I-CQ-REC", "cycle-weight recurrence, against enumeration",
+           {"n": (1, 7)}, k="n", n_min=1)
 def _cq_rec(cell):
     n, k = cell["n"], cell["k"]
     lhs = _ocell("perms", n, k)
@@ -571,25 +523,15 @@ def _cq_rec(cell):
     return lhs, rhs
 
 
-_register("I-CQ-REC", "cycle-weight recurrence, against enumeration",
-          {"n": (1, 7)}, lambda rng: _grid(rng, k="n", n_min=1), _cq_rec)
-
-
+@_identity("I-T3E1", "two-part product formula for restricted cycle weights",
+           _MN7R, k="m+n")
 def _t3e1(cell):
     m, n, r, k = cell["m"], cell["n"], cell["r"], cell["k"]
-    lhs = stirling1_q(m + n, k, r)
-    rhs = Q_ZERO
-    for i in range(n + 1):
-        fac = q_rising(m + r, n - i) * q_binomial(n, i)
-        for j in range(m + 1):
-            rhs = rhs + fac * stirling1_q(m, j, r) * stirling1_q(i, k - j, 0)
-    return lhs, rhs
-
-
-_register(
-    "I-T3E1", "two-part product formula for restricted cycle weights",
-    {"m": (0, 7), "n": (0, 7), "m+n": (0, 7), "r": (0, 2)},
-    lambda rng: _grid(rng, k="m+n"), _t3e1)
+    facs = [q_rising(m + r, n - i) * q_binomial(n, i) for i in range(n + 1)]
+    rhs = _two_part(n, range(m + 1), lambda i, j: facs[i],
+                    lambda j: stirling1_q(m, j, r),
+                    lambda i, j: stirling1_q(i, k - j, 0), Q_ZERO)
+    return stirling1_q(m + n, k, r), rhs
 
 
 def _one_plus_qints(lo: int, count: int) -> QPoly:
@@ -599,34 +541,23 @@ def _one_plus_qints(lo: int, count: int) -> QPoly:
     return p
 
 
+@_identity("I-T3E2", "summed form of the cycle product formula", _MN7R)
 def _t3e2(cell):
     m, n, r = cell["m"], cell["n"], cell["r"]
-    lhs = _one_plus_qints(m + r, n)
-    rhs = Q_ZERO
-    for i in range(n + 1):
-        rhs = rhs + (q_rising(m + r, n - i) * q_binomial(n, i)
-                     * _one_plus_qints(0, i))
-    return lhs, rhs
+    rhs = sum((q_rising(m + r, n - i) * q_binomial(n, i)
+               * _one_plus_qints(0, i) for i in range(n + 1)), Q_ZERO)
+    return _one_plus_qints(m + r, n), rhs
 
 
-_register(
-    "I-T3E2", "summed form of the cycle product formula",
-    {"m": (0, 7), "n": (0, 7), "m+n": (0, 7), "r": (0, 2)},
-    _grid, _t3e2)
-
-
+@_identity("I-CQ-SUM", "total cycle weight as a product",
+           {"n": (0, 8), "r": (0, 3)})
 def _cq_sum(cell):
     n, r = cell["n"], cell["r"]
-    lhs = Q_ZERO
-    for k in range(n + 1):
-        lhs = lhs + stirling1_q(n, k, r)
-    return lhs, _one_plus_qints(r, n)
+    return _row_sum(stirling1_q, n, r), _one_plus_qints(r, n)
 
 
-_register("I-CQ-SUM", "total cycle weight as a product",
-          {"n": (0, 8), "r": (0, 3)}, _grid, _cq_sum)
-
-
+@_identity("I-CQ-SYM", "cycle weights as elementary symmetric polynomials",
+           {"n": (0, 10)}, k="n")
 def _cq_sym(cell):
     n, k = cell["n"], cell["k"]
     lhs = stirling1_q(n, k, 0)
@@ -634,102 +565,73 @@ def _cq_sym(cell):
     return lhs, rhs
 
 
-_register("I-CQ-SYM", "cycle weights as elementary symmetric polynomials",
-          {"n": (0, 10)}, lambda rng: _grid(rng, k="n"), _cq_sym)
+# I-T4E1..3 read engine(n, k, m+r) = sum_i factor(m, n-i) * binomial(n, i)
+# * engine(i, k, r) * q^shift(m, r, n, i).  I-T4E1 is stated for the
+# block-position statistic with the restricted blocks' fixed contribution
+# included; engine values drop that r-choose-2 constant, so both sides are
+# lifted by q^lift, the last column (zero in the other two rows).
+_T4_ROWS = [
+    ("I-T4E1", "restriction-composition shift for partition weights",
+     ("the partition-weight identity holds for the statistic that includes "
+      "the restricted blocks' fixed r-choose-2 contribution; both sides are "
+      "lifted accordingly before comparing engine values",),
+     stirling2_q, lambda m, e: q_integer(m) ** e, binom,
+     lambda m, r, n, i: m * (i + r) + m * (m - 1) // 2,
+     lambda x: x * (x - 1) // 2),
+    ("I-T4E2", "restriction-composition shift for ordered-block weights",
+     (), lah_q, lambda m, e: q_rising(2 * m, e), q_binomial,
+     lambda m, r, n, i: m * (2 * i + 2 * r + m - 1), lambda x: 0),
+    ("I-T4E3", "restriction-composition shift for cycle weights",
+     (), stirling1_q, q_rising, q_binomial,
+     lambda m, r, n, i: r * (n - i), lambda x: 0),
+]
 
 
-def _t4e1(cell):
-    # stated for the block-position statistic with the restricted blocks'
-    # fixed contribution included; engine values drop that r-choose-2
-    # constant, so both sides are lifted by the matching power of q
-    m, n, r, k = cell["m"], cell["n"], cell["r"], cell["k"]
-    lhs = stirling2_q(n, k, m + r).shift((m + r) * (m + r - 1) // 2)
-    mq = q_integer(m)
-    rhs = Q_ZERO
-    for i in range(n + 1):
-        term = (mq ** (n - i) * binom(n, i)
-                * stirling2_q(i, k, r).shift(r * (r - 1) // 2))
-        rhs = rhs + term.shift(m * (i + r) + m * (m - 1) // 2)
-    return lhs, rhs
+def _t4_identity(engine_fn, factor, binomial, shift, lift):
+    def evaluate(cell):
+        m, n, r, k = cell["m"], cell["n"], cell["r"], cell["k"]
+        terms = ((factor(m, n - i) * binomial(n, i)
+                  * engine_fn(i, k, r).shift(lift(r))).shift(shift(m, r, n, i))
+                 for i in range(n + 1))
+        return engine_fn(n, k, m + r).shift(lift(m + r)), sum(terms, Q_ZERO)
+    return evaluate
 
 
-def _t4e2(cell):
-    m, n, r, k = cell["m"], cell["n"], cell["r"], cell["k"]
-    lhs = lah_q(n, k, m + r)
-    rhs = Q_ZERO
-    for i in range(n + 1):
-        term = q_rising(2 * m, n - i) * q_binomial(n, i) * lah_q(i, k, r)
-        rhs = rhs + term.shift(m * (2 * i + 2 * r + m - 1))
-    return lhs, rhs
+for _name, _summary, _notes, *_row in _T4_ROWS:
+    _identity(_name, _summary, _MN7R, _notes, k="n")(_t4_identity(*_row))
 
 
-def _t4e3(cell):
-    m, n, r, k = cell["m"], cell["n"], cell["r"], cell["k"]
-    lhs = stirling1_q(n, k, m + r)
-    rhs = Q_ZERO
-    for i in range(n + 1):
-        term = q_rising(m, n - i) * q_binomial(n, i) * stirling1_q(i, k, r)
-        rhs = rhs + term.shift(r * (n - i))
-    return lhs, rhs
-
-
-_T4E1_NOTE = ("the partition-weight identity holds for the statistic that "
-              "includes the restricted blocks' fixed r-choose-2 "
-              "contribution; both sides are lifted accordingly before "
-              "comparing engine values",)
-for _nm, _fn, _sm, _nt in [
-        ("I-T4E1", _t4e1, "restriction-composition shift for partition weights",
-         _T4E1_NOTE),
-        ("I-T4E2", _t4e2, "restriction-composition shift for ordered-block weights",
-         ()),
-        ("I-T4E3", _t4e3, "restriction-composition shift for cycle weights",
-         ())]:
-    _register(_nm, _sm,
-              {"m": (0, 7), "n": (0, 7), "m+n": (0, 7), "r": (0, 2)},
-              lambda rng: _grid(rng, k="n"), _fn,
-              notes=_nt)
-
-
+@_identity("I-T4C1", "summed form of the cycle restriction-composition shift",
+           _MN7R)
 def _t4c1(cell):
     m, n, r = cell["m"], cell["n"], cell["r"]
-    lhs = _one_plus_qints(r, m + n)
-    rhs = Q_ZERO
-    for i in range(n + 1):
-        fac = (q_rising(m, n - i) * q_binomial(n, i)).shift(r * (n - i))
-        inner = _one_plus_qints(r, i)
-        for j in range(m + 1):
-            rhs = rhs + fac * stirling1_q(m, j, r) * inner
-    return lhs, rhs
+    facs = [(q_rising(m, n - i) * q_binomial(n, i)).shift(r * (n - i))
+            for i in range(n + 1)]
+    inners = [_one_plus_qints(r, i) for i in range(n + 1)]
+    rhs = _two_part(n, range(m + 1), lambda i, j: facs[i],
+                    lambda j: stirling1_q(m, j, r), lambda i, j: inners[i],
+                    Q_ZERO)
+    return _one_plus_qints(r, m + n), rhs
 
 
-_register(
-    "I-T4C1", "summed form of the cycle restriction-composition shift",
-    {"m": (0, 7), "n": (0, 7), "m+n": (0, 7), "r": (0, 2)},
-    _grid, _t4c1)
-
-
+@_identity("I-GENREC", "connection constants between shifted factorial bases",
+           {"n": (0, 8)})
 def _genrec(cell):
     n = cell["n"]
-    lhs = shifted_factorial(n, X, -ALPHA)
-    rhs = M_ZERO
-    for k in range(n + 1):
-        rhs = rhs + hsu_shiue(n, k) * shifted_factorial(k, X - R, BETA)
-    return lhs, rhs
+    rhs = sum((hsu_shiue(n, k) * shifted_factorial(k, X - R, BETA)
+               for k in range(n + 1)), M_ZERO)
+    return shifted_factorial(n, X, -ALPHA), rhs
 
 
-_register("I-GENREC", "connection constants between shifted factorial bases",
-          {"n": (0, 8)}, _grid, _genrec)
-
-
+@_identity("I-GENL1", "generalized Stirling numbers as weighted sums",
+           {"n": (0, 7)}, diagnose=_first_tracked_mismatch, k="n")
 def _genl1(cell):
     n, k = cell["n"], cell["k"]
     return hsu_shiue(n, k), _ocell("ext_lah", n, k)
 
 
-_register("I-GENL1", "generalized Stirling numbers as weighted sums",
-          {"n": (0, 7)}, lambda rng: _grid(rng, k="n"), _genl1)
-
-
+@_identity("I-GENL1-REC", "weighted-sum recurrence, against enumeration",
+           {"n": (1, 6)}, diagnose=_first_tracked_mismatch, k="n", n_min=1)
 def _genl1_rec(cell):
     n, k = cell["n"], cell["k"]
     lhs = _ocell("ext_lah", n, k)
@@ -738,50 +640,36 @@ def _genl1_rec(cell):
     return lhs, rhs
 
 
-_register("I-GENL1-REC", "weighted-sum recurrence, against enumeration",
-          {"n": (1, 6)}, lambda rng: _grid(rng, k="n", n_min=1), _genl1_rec)
+def _t5_weight(m: int, n: int):
+    return lambda i, j: (binom(n, i) * shifted_factorial(
+        n - i, ALPHA * m + BETA * j, -ALPHA))
 
 
 def _t5e1_rhs(m: int, n: int, k: int) -> MPoly:
-    rhs = M_ZERO
-    for i in range(n + 1):
-        for j in range(m + 1):
-            rhs = rhs + (binom(n, i) * hsu_shiue(m, j) * hsu_shiue(i, k - j)
-                         * shifted_factorial(n - i, ALPHA * m + BETA * j, -ALPHA))
-    return rhs
+    return _two_part(n, range(m + 1), _t5_weight(m, n),
+                     lambda j: hsu_shiue(m, j),
+                     lambda i, j: hsu_shiue(i, k - j), M_ZERO)
 
 
+@_identity("I-T5E1",
+           "two-part product formula for generalized Stirling numbers",
+           _MN7, k="m+n")
 def _t5e1(cell):
     m, n, k = cell["m"], cell["n"], cell["k"]
     return hsu_shiue(m + n, k), _t5e1_rhs(m, n, k)
 
 
-_register(
-    "I-T5E1", "two-part product formula for generalized Stirling numbers",
-    {"m": (0, 7), "n": (0, 7), "m+n": (0, 7)},
-    lambda rng: _grid(rng, k="m+n"), _t5e1)
-
-
+@_identity("I-T5E2", "generalized Bell polynomial product formula", _MN7,
+           routes=("direct", "sum-over-k"),
+           notes=("verified twice: directly with the block-count marker and "
+                  "by summing the refined formula over all block counts",))
 def _t5e2(cell):
     m, n = cell["m"], cell["n"]
-    lhs = gen_bell(m + n)
     if cell["route"] == "direct":
-        rhs = M_ZERO
-        for i in range(n + 1):
-            for j in range(m + 1):
-                rhs = rhs + (binom(n, i) * X ** j * hsu_shiue(m, j)
-                             * gen_bell(i)
-                             * shifted_factorial(n - i, ALPHA * m + BETA * j, -ALPHA))
+        rhs = _two_part(n, range(m + 1), _t5_weight(m, n),
+                        lambda j: X ** j * hsu_shiue(m, j),
+                        lambda i, j: gen_bell(i), M_ZERO)
     else:  # sum the refined formula over the block-count marker
-        rhs = M_ZERO
-        for k in range(m + n + 1):
-            rhs = rhs + X ** k * _t5e1_rhs(m, n, k)
-    return lhs, rhs
-
-
-_register(
-    "I-T5E2", "generalized Bell polynomial product formula",
-    {"m": (0, 7), "n": (0, 7), "m+n": (0, 7)},
-    lambda rng: _grid(rng, routes=("direct", "sum-over-k")), _t5e2,
-    notes=("verified twice: directly with the block-count marker and by "
-           "summing the refined formula over all block counts",))
+        rhs = sum((X ** k * _t5e1_rhs(m, n, k) for k in range(m + n + 1)),
+                  M_ZERO)
+    return gen_bell(m + n), rhs

@@ -107,6 +107,13 @@ class TestVerify:
         assert code == 0
         assert out.startswith("PASS I-SPIVEY")
 
+    def test_ranges_widen_the_default_window(self, capsys):
+        # m+n defaults to 0..10, which would clip every cell of m = 11..12
+        code, out, _ = run_cli(capsys, "verify", "--identity", "I-SPIVEY",
+                               "--m", "11..12", "--n", "0..2")
+        assert code == 0
+        assert out == "PASS I-SPIVEY     cells=6 m=11..12 m+n=11..14 n=0..2\n"
+
     def test_unknown_identity(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--identity", "NO-SUCH")
         assert code == 2

@@ -1,9 +1,10 @@
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
-from qcomb import classical
+from qcomb import classical, identities
 from qcomb.identities import (REGISTRY, check, identity_names,
                               indicator_pair, serialize_value)
 from qcomb.polyring import MPoly, QPoly, binom
@@ -146,6 +147,24 @@ class TestCheckDriver:
         finally:
             del REGISTRY["I-BROKEN"]
 
+    def test_explicit_window_still_clips(self):
+        r = check("I-SPIVEY", {"m": (11, 12), "n": (0, 2), "m+n": (0, 10)})
+        assert r.status == "skipped"
+        assert r.grid["m+n"] == "0..10"
+
+    def test_stat_mismatch_names_the_structure(self, monkeypatch):
+        from qcomb.structures import enum_extended_lah_tracked
+        # fail at (n, k) = (2, 1) only, with statistics that never agree
+        entry = dataclasses.replace(
+            REGISTRY["I-GENL1"], evaluate=lambda cell: (cell["k"] == 1, False))
+        monkeypatch.setitem(REGISTRY, "I-GENL1", entry)
+        monkeypatch.setattr(identities, "ext_stats", lambda lam: ())
+        r = check("I-GENL1", {"n": (2, 2)})
+        first, _ = next(enum_extended_lah_tracked(2, 1))
+        assert r.status == "fail"
+        assert r.counterexample["params"] == {"k": 1, "n": 2}
+        assert r.counterexample["stat_mismatch_structure"] == first.text()
+
     def test_skipped_on_empty_grid(self):
         r = check("I-BIN-6", {"n": (5, 4)})
         assert r.status == "skipped"
@@ -157,6 +176,47 @@ class TestSerializeValue:
         assert serialize_value(7) == {"type": "int", "value": "7"}
         assert serialize_value(QPoly([1, 2]))["type"] == "qpoly"
         assert serialize_value(MPoly.from_int(3))["type"] == "mpoly"
+
+
+# sha256 of each identity's report JSON on the reduced grid together with
+# every cell and both serialized sides, computed before the registry was
+# rewritten as shared bodies and tables
+REDUCED_PINS = {
+    "I-SPIVEY": "7bde066c4040aa6611cbdda11a84339ec810f97dfb37836c8f35b8861bc944bd",
+    "I-MEZO-1": "a01b6bf886e3bdc75de319151b272ee8b2f788808f458c62763b0147898d5ac4",
+    "I-MEZO-2": "82f1e09062898452be4798e008c2595e1382dc6cd9042cfdc53c66788594b2b2",
+    "I-PE1": "2e9f9a059c095ce038063f32c5c7be36c05255cfa8e8a6b5c26f5500ddea8a86",
+    "I-P1E1": "cb963984839d9d873a49fee57fd0e1a11d4216deb35df1dff5125b932a1393fb",
+    "I-P1E2": "4487558fb845155e86a3e903dcf4ae9e1de97b5d64798b71523655b87a078015",
+    "I-BIN-1": "586d0d793eb26abe483259f302f272c8b072a4ad8f2f887ae3ff4e56fe5188bb",
+    "I-BIN-2": "5dbafd6642fa19841524a2bdb27e3900c0f4f7488653883b8b32b079321de4f7",
+    "I-BIN-3": "d31d9664a451abc5934fe36b5c719a42719b0986122865fe129fae4b167358ad",
+    "I-BIN-4": "90c54459921200ad177b7292a35a4a9c8bb69dac08a9909cc3011849e32baa3a",
+    "I-BIN-5": "b8b894b2146656a32cd1bbd2d486754287d3177a2725214cb81200c544c28ce5",
+    "I-BIN-6": "2577600fe1d526eda5e9d209b0c5599d622b14483b7f7695c2460afa35caadde",
+    "I-BIN-7": "69ae8d9e1621ee65cdd439065f1e8bdacd70f7bbce52665e7874b6cfb146ccc3",
+    "I-BIN-8": "72d72f670edb935f079f921ac0100c2ca491cadee3dfa5513f118ab6ddb862b3",
+    "I-BIN-9": "0d1c3c950e4652a77015235707e7b7e90c5235f8f58695694e3acaa99df3d889",
+    "I-LAH-CF": "715e2c76186eab523481ae166cca6f05401f08c93839ed3572c1c6e36a3d33b4",
+    "I-LAH-R": "e807d9e0d6cc7a9e523e95eadea72936101f0cc0e5119e26dcc73afe9f6f3125",
+    "I-P2E1": "2b8be7326b294748383d127ffb2283fd86eb983fcdc788ad1aeed139306c6ca8",
+    "I-P2E2": "867cd1281bc4084488d0e4d7bc6bb80bf681e31caf323ff5eaf5d628cc9db94c",
+    "I-QBIN": "a78a837b438103dcde4b0764dcb7013ea377aa53b3c28517c087499d29415950",
+    "I-CQ-REC": "838742f9d02dcb100cc1fe35ddb123a469246b40a56bd699109cc380794e7d05",
+    "I-T3E1": "661f4bd959e600c4e19e309031dcec1f4bef8dccf9d092064a16a0a82110f788",
+    "I-T3E2": "7ddbcbdff83bec06b27df815f526d157f55bed6eb77ba7f398edefabb35e14cf",
+    "I-CQ-SUM": "5d38f7fd4f53440b1b503855655b14a87d1f8815a27df3d491576ac286133b74",
+    "I-CQ-SYM": "c287ad0c9d206466a7011a9148cee8e8fe426cbcb10f3c2039910b89fc22d3ec",
+    "I-T4E1": "ff4e0d2c308d967acb5bc12ca884055c7c35680ba862704b2389344f7b729964",
+    "I-T4E2": "3c8df0bee1a7d59ce2123965fad696214c1e573db1d182993f94d65b46fcbe88",
+    "I-T4E3": "cf79bfbac81ea27b86a5d806c1963dd05e6dbc060200ae72375901c48a9bfe6e",
+    "I-T4C1": "be88210c801882f8ef4d7a4d94baf87294d902a18003dc6a0057309b3200ed5b",
+    "I-GENREC": "d2c9f8bd2e4581afd2eaf7f0ec673160dfe767f8441ca402edbf3fb9a8456d77",
+    "I-GENL1": "c3306f996fa5175a6aae7e31c7e9cd535b1387a8cdbc35d96b7ca75ec5758f5f",
+    "I-GENL1-REC": "95a85ef463b9b96d520c3709b2a12faf773e2e7a50b274c5a5bb06654f6f8283",
+    "I-T5E1": "45e29211d9f3a38a2b546460e56d7e7540e6716186416f9585273a4fd52c886e",
+    "I-T5E2": "b6a4b14591387d33fe479864bfdcd9cdf0ce1e7d0da5a9161751a18ce09ea8a0",
+}
 
 
 class TestQuickSuite:
@@ -171,3 +231,9 @@ class TestQuickSuite:
             overrides[param] = (lo, min(hi, lo + 3))
         r = check(name, overrides)
         assert r.status == "pass", r.to_json()
+        cells = [[sorted(cell.items()), serialize_value(lhs),
+                  serialize_value(rhs)]
+                 for cell in entry.cells({**entry.defaults, **overrides})
+                 for lhs, rhs in [entry.evaluate(cell)]]
+        blob = json.dumps([r.to_json(), cells]).encode()
+        assert hashlib.sha256(blob).hexdigest() == REDUCED_PINS[name]
