@@ -219,8 +219,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return _run_verify(args)
         return _run_oracle_diff(args)
-    except (CellCapError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CellCapError, ValueError, MemoryError, OverflowError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     finally:
         structures.set_default_cap(None)

@@ -3,18 +3,21 @@
 Four families: set partitions, permutations in standard cycle form, Lah
 distributions (ordered blocks), and extended Lah distributions (Lah
 distributions with circled special elements).  Blocks and cycles are always
-stored ordered by increasing minimum; each cycle starts with its minimum.
+stored ordered by increasing minimum, which one shared validator checks;
+each cycle starts with its minimum.
 
 Every family grows on one insertion tree: element t goes into each legal
 slot of each structure on [t-1], so each structure is one leaf, reached in a
 deterministic order.  Each slot also says what t adds to the family's
-statistic; the enumerators build the leaves, the oracles only count them.
-The r-restricted variants make each of 1..r open its own block or cycle.
+statistic; the enumerators build and validate the leaves, and all four
+oracles only count them.  The r-restricted variants make each of 1..r open
+its own block or cycle.
 """
 
 from __future__ import annotations
 
 import os
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 from . import classical
@@ -84,27 +87,38 @@ def _check_cap(cell: tuple, estimate: int, cap: int | None) -> None:
 # structure types
 # ---------------------------------------------------------------------------
 
+def _valid(structure, in_group=None, rule: str = ""):
+    """Check and return a structure (n, groups): nonempty groups (blocks or
+    cycles) that cover [n] exactly once, ordered by increasing minimum, each
+    obeying the family's own in_group rule, if any, which rule describes."""
+    n, groups = structure
+    for g in groups:
+        if not g:
+            raise StructureError("empty group")
+        if in_group is not None and not in_group(g):
+            raise StructureError(f"group {g} {rule}")
+    if sorted(chain.from_iterable(groups)) != list(range(1, n + 1)):
+        raise StructureError("groups do not cover the ground set exactly once")
+    mins = list(map(min, groups))
+    if mins != sorted(mins):
+        raise StructureError("groups not ordered by increasing minimum")
+    return structure
+
+
+def _text(groups: tuple[tuple[int, ...], ...], circled=frozenset()) -> str:
+    return "/".join(",".join(f"({e})" if e in circled else str(e) for e in g)
+                    for g in groups)
+
+
 class SetPartition(NamedTuple):
     n: int
     blocks: tuple[tuple[int, ...], ...]
 
     def validate(self) -> "SetPartition":
-        seen: set[int] = set()
-        for b in self.blocks:
-            if not b:
-                raise StructureError("empty block")
-            if list(b) != sorted(b):
-                raise StructureError(f"block {b} not increasing")
-            seen.update(b)
-        if seen != set(range(1, self.n + 1)) or sum(map(len, self.blocks)) != self.n:
-            raise StructureError("blocks do not partition the ground set")
-        mins = [b[0] for b in self.blocks]
-        if mins != sorted(mins):
-            raise StructureError("blocks not ordered by increasing minimum")
-        return self
+        return _valid(self, lambda b: list(b) == sorted(b), "is not increasing")
 
     def text(self) -> str:
-        return "/".join(",".join(str(e) for e in b) for b in self.blocks)
+        return _text(self.blocks)
 
 
 class CyclePerm(NamedTuple):
@@ -112,22 +126,10 @@ class CyclePerm(NamedTuple):
     cycles: tuple[tuple[int, ...], ...]
 
     def validate(self) -> "CyclePerm":
-        seen: set[int] = set()
-        for c in self.cycles:
-            if not c:
-                raise StructureError("empty cycle")
-            if c[0] != min(c):
-                raise StructureError(f"cycle {c} does not start with its minimum")
-            seen.update(c)
-        if seen != set(range(1, self.n + 1)) or sum(map(len, self.cycles)) != self.n:
-            raise StructureError("cycles do not cover the ground set")
-        mins = [c[0] for c in self.cycles]
-        if mins != sorted(mins):
-            raise StructureError("cycles not ordered by increasing minimum")
-        return self
+        return _valid(self, lambda c: c[0] == min(c), "does not start with its minimum")
 
     def text(self) -> str:
-        return "/".join(",".join(str(e) for e in c) for c in self.cycles)
+        return _text(self.cycles)
 
 
 class LahDist(NamedTuple):
@@ -135,20 +137,10 @@ class LahDist(NamedTuple):
     blocks: tuple[tuple[int, ...], ...]
 
     def validate(self) -> "LahDist":
-        seen: set[int] = set()
-        for b in self.blocks:
-            if not b:
-                raise StructureError("empty block")
-            seen.update(b)
-        if seen != set(range(1, self.n + 1)) or sum(map(len, self.blocks)) != self.n:
-            raise StructureError("blocks do not partition the ground set")
-        mins = [min(b) for b in self.blocks]
-        if mins != sorted(mins):
-            raise StructureError("blocks not ordered by increasing minimum")
-        return self
+        return _valid(self)                              # any order inside
 
     def text(self) -> str:
-        return "/".join(",".join(str(e) for e in b) for b in self.blocks)
+        return _text(self.blocks)
 
 
 class ExtLahDist(NamedTuple):
@@ -163,50 +155,35 @@ class ExtLahDist(NamedTuple):
         return len(self.base.blocks) - (1 if 1 in self.circled else 0)
 
     def validate(self) -> "ExtLahDist":
-        self.base.validate()
-        special = special_elements(self.base)
+        special = special_elements(self.base.validate())
+        starts = {b[0] for b in self.base.blocks}
         for e in self.circled:
             if e not in special:
                 raise StructureError(f"circled element {e} is not special")
-        if 1 in self.circled:
-            for b in self.base.blocks:
-                if 1 in b and b[0] != 1:
-                    raise StructureError("circled 1 does not start its block")
-        for e in self.circled:
-            if e >= 2:
-                for b in self.base.blocks:
-                    if b and b[0] == e:
-                        raise StructureError(f"circled element {e} starts a block")
+            if (e in starts) != (e == 1):        # 1 lies in blocks[0]
+                raise StructureError(f"circled element {e} starts a block" if e > 1
+                                     else "circled 1 does not start its block")
         return self
 
     def text(self) -> str:
-        def fmt(e: int) -> str:
-            return f"({e})" if e in self.circled else str(e)
-        return "/".join(",".join(fmt(e) for e in b) for b in self.base.blocks)
+        return _text(self.base.blocks, self.circled)
 
 
 def special_elements(delta: LahDist) -> frozenset[int]:
     """Elements eligible for circling: 1, plus every element that is not a
     block minimum and is preceded by all smaller elements in the
     left-to-right scan of the blocks."""
-    if delta.n == 0:
-        return frozenset()
-    pos: dict[int, int] = {}
-    blockmin: dict[int, int] = {}
-    i = 0
+    out = []
+    seen: set[int] = set()
+    low = 1                              # the least element not yet seen
     for b in delta.blocks:
         mn = min(b)
         for e in b:
-            pos[e] = i
-            blockmin[e] = mn
-            i += 1
-    out = {1}
-    # running max of pos[1..e-1]; all of [e-1] lie left of e iff it is < pos[e]
-    seen_max = pos[1]
-    for e in range(2, delta.n + 1):
-        if e != blockmin[e] and seen_max < pos[e]:
-            out.add(e)
-        seen_max = max(seen_max, pos[e])
+            if e == low and (e == 1 or e != mn):
+                out.append(e)
+            seen.add(e)
+            while low in seen:
+                low += 1
     return frozenset(out)
 
 
@@ -265,6 +242,11 @@ def _ext_lah_slots(base: int):
     return slots
 
 
+def _unpack(stat: int, base: int) -> tuple[int, int, int]:
+    """(nrec, rec_star, circ) from a statistic packed by _ext_lah_slots(base)."""
+    return stat % base, stat // base % base, stat // (base * base)
+
+
 _SLOTS = {"partitions": _partition_slots, "perms": _cycle_slots,
           "lah": _lah_slots}
 
@@ -282,6 +264,8 @@ def _cell(family: str, n: int, k: int | None, r: int, cap: int | None) -> bool:
     name, count = _CELLS[family]
     if n < 0 or r < 0:
         raise ValueError(f"{name} requires n, r >= 0, got ({n}, {r})")
+    if family == "ext_lah" and r:
+        raise ValueError("ext_lah oracle requires r = 0")
     if k is not None and not 0 <= k <= n:
         return False
     ks = range(n + 1) if k is None else (k,)
@@ -403,13 +387,10 @@ def enum_extended_lah_tracked(
     """Extended Lah distributions with incrementally tracked statistics:
     yields (structure, (nrec, rec_star, circ)), each structure validated
     against the circling rules."""
-    base = n + 1
-    for groups, stat in _leaves("ext_lah", n, k, 0, cap, _ext_lah_slots(base)):
-        circ, rest = divmod(stat, base * base)
-        rec_star, nrec = divmod(rest, base)
+    for groups, stat in _leaves("ext_lah", n, k, 0, cap, _ext_lah_slots(n + 1)):
         lam = ExtLahDist(LahDist(n, tuple(tuple(map(abs, b)) for b in groups)),
                          frozenset(-e for b in groups for e in b if e < 0))
-        yield lam.validate(), (nrec, rec_star, circ)
+        yield lam.validate(), _unpack(stat, n + 1)
 
 
 def enum_extended_lah(n: int, k: int | None,
@@ -421,8 +402,4 @@ def enum_extended_lah(n: int, k: int | None,
 
 def check_r_distinct(structure: SetPartition | CyclePerm | LahDist, r: int) -> bool:
     """True iff elements 1..r occupy pairwise distinct blocks/cycles."""
-    groups = structure.blocks if not isinstance(structure, CyclePerm) else structure.cycles
-    for g in groups:
-        if sum(1 for e in g if e <= r) > 1:
-            return False
-    return True
+    return all(sum(e <= r for e in g) <= 1 for g in structure[1])

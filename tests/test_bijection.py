@@ -3,7 +3,8 @@ import pytest
 from qcomb.bijection import join_lah, split_lah
 from qcomb.families import hsu_shiue
 from qcomb.stats import ext_stats, weight
-from qcomb.structures import ExtLahDist, LahDist, enum_extended_lah
+from qcomb.structures import (ExtLahDist, LahDist, StructureError,
+                              enum_extended_lah)
 
 
 class TestSplitBasics:
@@ -51,6 +52,16 @@ class TestSplitBasics:
             join_lah(parts.sigma, parts.sigma_labels[:-1], parts.tau, 2, 2)
         with pytest.raises(ValueError):
             join_lah(parts.sigma, parts.sigma_labels, parts.tau, 3, 2)
+
+    def test_join_validates_its_output(self):
+        # both inputs are valid, but the join circles 3 in 1,(3)/2, where 2
+        # does not precede 3: only the check of the output rejects it, so
+        # join_lah cannot validate its inputs alone
+        sigma = ExtLahDist(LahDist(2, ((1, 2),)), frozenset({2})).validate()
+        tau = ExtLahDist(LahDist(1, ((1,),)), frozenset()).validate()
+        with pytest.raises(StructureError,
+                           match="^circled element 3 is not special$"):
+            join_lah(sigma, (1, 3), tau, 1, 2)
 
 
 class TestRoundTrip:

@@ -84,6 +84,23 @@ class TestTable:
         assert out.startswith("stirling2_q(n=1500, k=2, r=0) = ")
         assert out.count("\n") == 1 and err == ""
 
+    @pytest.mark.parametrize("family, r, message", [
+        # [r]^1 asks for a list of 10^18 coefficients, 8 * 10^18 bytes that
+        # no 64-bit address space can map: MemoryError, no memory touched
+        ("stirling2_q", "1000000000000000000", "out of memory"),
+        # a length past the index range: OverflowError
+        ("stirling2_q", "10000000000000000000",
+         "cannot fit 'int' into an index-sized integer"),
+        ("lah_q", "10000000000000000000",
+         "cannot fit 'int' into an index-sized integer"),
+    ])
+    def test_huge_r_is_one_error_line(self, capsys, family, r, message):
+        code, out, err = run_cli(capsys, "table", "--family", family,
+                                 "--n", "1", "--k", "0", "--r", r)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("argv", [
         ("table", "--family", "hsu_shiue", "--n", "2", "--r", "1"),
         ("table", "--family", "hsu_shiue", "--n", "2", "--r", "0"),

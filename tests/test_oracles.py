@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import qcomb
 from qcomb import classical
-from qcomb.oracles import (ENGINE_FOR_ORACLE, ORACLE_FOR_ENGINE, oracle,
+from qcomb import structures
+from qcomb.oracles import (ORACLE_FAMILIES, ORACLE_FOR_ENGINE, oracle,
                            oracle_table)
 from qcomb.polyring import MPoly, QPoly, poly_eval_int
 from qcomb.stats import ext_stats, stat_inv_c, stat_inv_rho, stat_w
@@ -53,15 +54,23 @@ class TestOracleTables:
             assert table.get(k, QPoly()) == oracle("perms", 4, k, 1)
 
     def test_registry(self):
-        assert ENGINE_FOR_ORACLE["partitions"] == "stirling2_q"
-        assert set(ENGINE_FOR_ORACLE) == {"partitions", "perms", "lah",
-                                          "ext_lah"}
+        # the first engine each oracle certifies, read off the one mapping
+        first = {}
+        for engine, oracle_family in ORACLE_FOR_ENGINE.items():
+            first.setdefault(oracle_family, engine)
+        assert first["partitions"] == "stirling2_q"
+        assert set(first) == {"partitions", "perms", "lah", "ext_lah"}
 
     def test_one_mapping_both_ways(self):
+        # every oracle certifies some engine, and every engine has an oracle
         assert ORACLE_FOR_ENGINE["bell_q"] == "partitions"
-        assert set(ORACLE_FOR_ENGINE.values()) == set(ENGINE_FOR_ORACLE)
-        for oracle_family, engine in ENGINE_FOR_ORACLE.items():
-            assert ORACLE_FOR_ENGINE[engine] == oracle_family
+        assert set(ORACLE_FOR_ENGINE.values()) == set(ORACLE_FAMILIES)
+        engines = {}
+        for engine, oracle_family in ORACLE_FOR_ENGINE.items():
+            engines.setdefault(oracle_family, []).append(engine)
+        assert engines == {"partitions": ["stirling2_q", "bell_q"],
+                           "perms": ["stirling1_q"], "lah": ["lah_q"],
+                           "ext_lah": ["hsu_shiue"]}
 
 
 def reference_table(family, n, r=0, only_k=None):
@@ -140,6 +149,20 @@ def test_oracle_side_imports_no_engine_code(module):
             imported.update(f"{base}.{alias.name}" for alias in node.names)
     leaves = {name.rsplit(".", 1)[-1] for name in imported}
     assert not leaves & {"families", "identities"}, (module, sorted(imported))
+
+
+def test_oracles_build_no_structure():
+    """Every oracle folds: oracles.py imports no structure class and no
+    enumerator from structures.py."""
+    path = Path(qcomb.__file__).parent / "oracles.py"
+    imported = {alias.name for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) and node.module == "structures"
+                for alias in node.names}
+    assert imported, "the oracles walk the insertion tree of structures.py"
+    for name in imported:
+        obj = getattr(structures, name)
+        assert not name.startswith("enum_"), name
+        assert not (isinstance(obj, type) and issubclass(obj, tuple)), name
 
 
 @pytest.mark.parametrize("module", ["families", "classical", "structures"])
