@@ -73,8 +73,7 @@ def split_lah(lam: ExtLahDist, m: int, n: int) -> SplitParts:
                      sig_map, len(sigma_elems)).validate()
     tau_map = {e: t + 1 for t, e in enumerate(tau_elems)}
     tau = _relabel(tuple(tau_blocks),
-                   frozenset(e for e in lam.circled
-                             if any(e in b for b in tau_blocks)),
+                   frozenset(e for e in lam.circled if e in tau_map),
                    tau_map, i).validate()
     return SplitParts(i, j, sigma, tuple(sigma_elems), tau)
 
@@ -92,12 +91,13 @@ def join_lah(sigma: ExtLahDist, sigma_labels: tuple[int, ...],
     sigma.validate()
     tau.validate()
 
+    ground = set(range(1, m + n + 1))
     used = set(sigma_labels)
+    if sorted(used) != list(sigma_labels) or not used <= ground:
+        raise ValueError("sigma_labels must increase strictly within [m+n]")
     if not set(range(1, m + 1)) <= used:
         raise ValueError("sigma must contain all of [m]")
-    rest = sorted(set(range(1, m + n + 1)) - used)
-    if len(rest) != tau.n:
-        raise ValueError("tau size inconsistent with sigma labels")
+    rest = sorted(ground - used)                         # tau.n of them
 
     sig_map = {t + 1: e for t, e in enumerate(sigma_labels)}
     tau_map = {t + 1: e for t, e in enumerate(rest)}

@@ -1,9 +1,10 @@
 """Statistics on partitions, cycle permutations and Lah distributions.
 
-Each statistic is computed directly from the structure definition.  The
-oracles do not call these: they fold the same statistics in as the insertion
-tree places each element.  These direct computations are the reference that
-the tests compare the fold against.  All functions are pure.
+Each statistic is computed directly from the structure definition; the
+extended-Lah statistics take one pass over each block.  The oracles do not
+call these: they fold the same statistics in as the insertion tree places
+each element.  These direct computations are the reference that the tests
+compare the fold against.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -60,45 +61,42 @@ def stat_inv_c(pi: CyclePerm) -> int:
     return inversions(word)
 
 
-def _record_lows(seq: Sequence[int]) -> list[int]:
-    out = []
-    mn: int | None = None
-    for e in seq:
-        if mn is None or e < mn:
-            out.append(e)
-            mn = e
-    return out
-
-
 def ext_stats(lam: ExtLahDist) -> ExtStats:
-    """Record-low statistics of an extended Lah distribution.
+    """Record-low statistics of an extended Lah distribution, in one pass
+    over each block.
 
-    Within each true block only the uncircled sublist is scanned: rec_star
-    counts record lows that are not the sublist minimum, nrec the uncircled
-    elements that are not record lows.  The block holding circled 1
-    contributes all of its uncircled elements to nrec and nothing to
-    rec_star; this is cross-checked against a scan with a sentinel 1 at the
-    front of that sublist.
+    Within each true block only the uncircled elements are scanned: the
+    first is a record low and the sublist minimum so far, each later new
+    minimum counts in rec_star, and every other element in nrec.  The block
+    holding circled 1 contributes all of its uncircled elements to nrec and
+    nothing to rec_star; this is cross-checked against a scan with a
+    sentinel 1 at the front of that block, which no uncircled element may
+    undercut.
     """
     nrec = rec_star = 0
-    one_circled = 1 in lam.circled
+    circled = lam.circled
+    one_circled = 1 in circled
     for b in lam.base.blocks:
-        unc = [e for e in b if e not in lam.circled]
         if one_circled and b[0] == 1:
-            # sentinel scan must agree with the stated override
-            lows = _record_lows([1] + unc)
-            if lows != [1]:
-                raise AssertionError(
-                    f"sentinel scan of circled-1 block disagrees: {lows}")
-            nrec += len(unc)
+            for e in b:
+                if e not in circled:
+                    if e < 1:
+                        raise AssertionError(
+                            f"sentinel scan of circled-1 block disagrees: {e} < 1")
+                    nrec += 1
             continue
-        if not unc:
-            continue
-        lows = _record_lows(unc)
-        mn = min(unc)
-        rec_star += sum(1 for e in lows if e != mn)
-        nrec += len(unc) - len(lows)
-    return ExtStats(nrec, rec_star, len(lam.circled))
+        mn = None
+        for e in b:
+            if e in circled:
+                continue
+            if mn is None:
+                mn = e
+            elif e < mn:
+                mn = e
+                rec_star += 1
+            else:
+                nrec += 1
+    return ExtStats(nrec, rec_star, len(circled))
 
 
 def weight(lam: ExtLahDist) -> MPoly:

@@ -17,7 +17,6 @@ its own block or cycle.
 from __future__ import annotations
 
 import os
-from itertools import chain
 from typing import Iterator, NamedTuple
 
 from . import classical
@@ -91,17 +90,11 @@ def _valid(structure, in_group=None, rule: str = ""):
     """Check and return a structure (n, groups): nonempty groups (blocks or
     cycles) that cover [n] exactly once, ordered by increasing minimum, each
     obeying the family's own in_group rule, if any, which rule describes."""
-    n, groups = structure
-    for g in groups:
-        if not g:
-            raise StructureError("empty group")
-        if in_group is not None and not in_group(g):
-            raise StructureError(f"group {g} {rule}")
-    if sorted(chain.from_iterable(groups)) != list(range(1, n + 1)):
-        raise StructureError("groups do not cover the ground set exactly once")
-    mins = list(map(min, groups))
-    if mins != sorted(mins):
-        raise StructureError("groups not ordered by increasing minimum")
+    _scan(structure)
+    if in_group is not None:
+        for g in structure[1]:
+            if not in_group(g):
+                raise StructureError(f"group {g} {rule}")
     return structure
 
 
@@ -155,8 +148,7 @@ class ExtLahDist(NamedTuple):
         return len(self.base.blocks) - (1 if 1 in self.circled else 0)
 
     def validate(self) -> "ExtLahDist":
-        special = special_elements(self.base.validate())
-        starts = {b[0] for b in self.base.blocks}
+        special, starts = _scan(self.base)
         for e in self.circled:
             if e not in special:
                 raise StructureError(f"circled element {e} is not special")
@@ -169,22 +161,54 @@ class ExtLahDist(NamedTuple):
         return _text(self.base.blocks, self.circled)
 
 
+def _scan(structure) -> tuple[frozenset[int], set[int]]:
+    """Check that the groups of a structure (n, groups) are nonempty, cover
+    [n] exactly once and come in order of increasing minimum, in one
+    left-to-right scan, and return what the scan finds when the groups are
+    read as the blocks of a Lah distribution: its special elements and its
+    block starts."""
+    n, blocks = structure
+    seen = bytearray(max(n, 0) + 2)      # seen[n + 1] stays 0 and stops low
+    special = []
+    starts = set()
+    low = 1                              # the least element not yet seen
+    last = 0                             # the minimum of the previous block
+    try:
+        for b in blocks:
+            if not b:
+                raise StructureError("empty group")
+            mn = b[0]                    # the minimum of the block so far
+            starts.add(mn)
+            for e in b:
+                if not 0 < e <= n or seen[e]:
+                    raise StructureError(
+                        "groups do not cover the ground set exactly once")
+                seen[e] = 1
+                if e < mn:
+                    mn = e
+                if e == low:
+                    # all smaller elements came first, so the later ones of
+                    # this block are larger: e is its minimum iff e == mn
+                    if e == 1 or e != mn:
+                        special.append(e)
+                    while seen[low]:
+                        low += 1
+            if mn < last:
+                raise StructureError("groups not ordered by increasing minimum")
+            last = mn
+    except TypeError as exc:             # say, an element that is not an int
+        raise StructureError(f"malformed groups: {exc}") from exc
+    if low <= n:
+        raise StructureError("groups do not cover the ground set exactly once")
+    return frozenset(special), starts
+
+
 def special_elements(delta: LahDist) -> frozenset[int]:
     """Elements eligible for circling: 1, plus every element that is not a
     block minimum and is preceded by all smaller elements in the
-    left-to-right scan of the blocks."""
-    out = []
-    seen: set[int] = set()
-    low = 1                              # the least element not yet seen
-    for b in delta.blocks:
-        mn = min(b)
-        for e in b:
-            if e == low and (e == 1 or e != mn):
-                out.append(e)
-            seen.add(e)
-            while low in seen:
-                low += 1
-    return frozenset(out)
+    left-to-right scan of the blocks.  delta must be valid: an invalid one
+    raises StructureError."""
+    return _scan(delta)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,46 @@ class TestSplitBasics:
             join_lah(sigma, (1, 3), tau, 1, 2)
 
 
+    def test_join_rejects_labels_out_of_order(self):
+        # with labels (3, 1) the join would be 3,1/2: a valid structure that
+        # splits back to sigma = 2,1 with labels (1, 3), not to these inputs
+        sigma = ExtLahDist(LahDist(2, ((1, 2),)), frozenset())
+        tau = ExtLahDist(LahDist(1, ((1,),)), frozenset())
+        with pytest.raises(ValueError, match="sigma_labels"):
+            join_lah(sigma, (3, 1), tau, 1, 2)
+        for labels in ((1, 1), (0, 1), (1, 4)):
+            with pytest.raises(ValueError):
+                join_lah(sigma, labels, tau, 1, 2)
+        assert join_lah(sigma, (1, 3), tau, 1, 2).text() == "1,3/2"
+
+
+class TestValidateCalls:
+    def test_every_validation_is_kept(self, monkeypatch):
+        # the enumerator validates each structure it yields once; split_lah
+        # validates its input and both parts, join_lah both parts and its
+        # output
+        calls = []
+        checked = ExtLahDist.validate
+
+        def counting(self):
+            calls.append(self)
+            return checked(self)
+
+        monkeypatch.setattr(ExtLahDist, "validate", counting)
+        lams = list(enum_extended_lah(4, None))
+        assert len(calls) == len(lams) == 209
+        for m in range(1, 4):
+            for lam in lams:
+                del calls[:]
+                parts = split_lah(lam, m, 4 - m)
+                assert len(calls) == 3
+                assert calls[0] is lam
+                del calls[:]
+                back = join_lah(parts.sigma, parts.sigma_labels, parts.tau, m, 4 - m)
+                assert len(calls) == 3
+                assert calls[-1] is back
+
+
 class TestRoundTrip:
     def test_round_trip_and_weight_multiplicativity(self):
         for total in range(2, 6):

@@ -42,6 +42,30 @@ class TestValidators:
             # circled 1 must start its block
             ExtLahDist(LahDist(2, ((2, 1),)), frozenset({1})).validate()
 
+    @pytest.mark.parametrize("base", [
+        LahDist(1, ((0, 1),)), LahDist(2, ((1, 2, 3),)), LahDist(2, ((1, -1, 2),)),
+        LahDist(2, ((1, 2), (4,))), LahDist(2, ((1, 2, 0),))])
+    def test_elements_outside_the_ground_set(self, base):
+        # 1..n all present, plus an element outside [n]
+        with pytest.raises(StructureError):
+            base.validate()
+        with pytest.raises(StructureError):
+            ExtLahDist(base, frozenset()).validate()
+        with pytest.raises(StructureError):
+            special_elements(base)
+
+    @pytest.mark.parametrize("groups", [
+        ((1.0,),), (("a",),), ((1, "a"),), ((1, 2.0),), ((1,), (None,))])
+    def test_elements_that_are_not_integers(self, groups):
+        n = len([e for g in groups for e in g])
+        for structure in (SetPartition(n, groups), CyclePerm(n, groups),
+                          LahDist(n, groups), ExtLahDist(LahDist(n, groups),
+                                                         frozenset())):
+            with pytest.raises(StructureError):
+                structure.validate()
+        with pytest.raises(StructureError):
+            special_elements(LahDist(n, groups))
+
     def test_text_forms(self):
         pi = SetPartition(3, ((1, 3), (2,)))
         assert pi.text() == "1,3/2"
