@@ -14,17 +14,16 @@ import json
 import sys
 
 from . import structures
-from .families import FAMILIES, table_rows
+from .families import FAMILIES, PARAMS, table_rows
 from .identities import (REGISTRY, check, identity_names, oracle_diff,
                          serialize_value)
+from .oracles import ORACLE_FOR_ENGINE
 from .polyring import MPoly, QPoly
 from .structures import CellCapError
 
-DIFF_FAMILIES = ("stirling2_q", "stirling1_q", "lah_q", "bell_q", "ext_lah")
-
-# range flags a family has no parameter for (hsu_shiue's r is a
-# polynomial variable)
-_UNUSED_FLAGS = {"bell_q": ("k",), "gen_bell": ("k", "r"), "hsu_shiue": ("r",)}
+# oracle-diff family -> its engine; hsu_shiue goes by its oracle's name
+_DIFF_ENGINE = {"ext_lah" if e == "hsu_shiue" else e: e for e in ORACLE_FOR_ENGINE}
+DIFF_FAMILIES = tuple(_DIFF_ENGINE)
 
 
 def parse_range(text: str) -> tuple[int, int]:
@@ -45,16 +44,16 @@ def _value_csv(v: QPoly | MPoly) -> str:
     return str(v)
 
 
-def _reject_unused_flags(args) -> None:
-    for name in _UNUSED_FLAGS.get(args.family, ()):
-        if getattr(args, name) is not None:
+def _reject_unused_flags(args, params: tuple[str, ...]) -> None:
+    for name in ("k", "r"):
+        if name not in params and getattr(args, name) is not None:
             raise ValueError(f"{args.family} takes no --{name}")
 
 
 def _emit_table(args) -> int:
     if args.family not in FAMILIES:
         raise ValueError(f"unknown family {args.family!r}; choose from {FAMILIES}")
-    _reject_unused_flags(args)
+    _reject_unused_flags(args, PARAMS[args.family])
     n_range = range(args.n[0], args.n[1] + 1)
     k_range = range(args.k[0], args.k[1] + 1) if args.k else None
     r_range = range(args.r[0], args.r[1] + 1) if args.r else None
@@ -92,8 +91,6 @@ def _run_verify(args) -> int:
         rng = getattr(args, name)
         if rng is not None:
             overrides[name] = tuple(rng)
-    if args.default_grids and overrides:
-        raise ValueError("--default-grids cannot be combined with explicit ranges")
     if args.all:
         names = identity_names()
         if overrides:
@@ -130,9 +127,9 @@ def _run_oracle_diff(args) -> int:
             f"unknown family {args.family!r}; choose from {DIFF_FAMILIES}")
     if args.family == "ext_lah" and args.r and args.r != (0, 0):
         raise ValueError("ext_lah oracle requires r = 0")
-    _reject_unused_flags(args)
-    # oracle-diff names the hsu_shiue engine by its oracle family
-    engine_family = "hsu_shiue" if args.family == "ext_lah" else args.family
+    engine_family = _DIFF_ENGINE[args.family]
+    # every family takes the oracle's restriction r
+    _reject_unused_flags(args, ("r", *PARAMS[engine_family]))
     cells = _diff_cells(args)
     mismatches = [m for n, r in cells
                   for m in oracle_diff(engine_family, n, r, args.k)]
@@ -163,12 +160,12 @@ def build_parser() -> argparse.ArgumentParser:
                 f"(overrides ${structures.CELL_CAP_ENV}; "
                 f"default {structures.DEFAULT_CELL_CAP})")
     parser.add_argument("--cell-cap", default=None, help=cap_help)
+    # accepted after the subcommand too; SUPPRESS keeps the global value
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument("--cell-cap", default=argparse.SUPPRESS, help=cap_help)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_table = sub.add_parser("table", help="emit one family table")
-    # accepted after the subcommand too; SUPPRESS keeps the global value
-    p_table.add_argument("--cell-cap", default=argparse.SUPPRESS,
-                         help=cap_help)
+    p_table = sub.add_parser("table", parents=[cap], help="emit one family table")
     p_table.add_argument("--family", required=True,
                          help=f"one of {', '.join(FAMILIES)}")
     p_table.add_argument("--n", type=_range_arg, required=True,
@@ -180,24 +177,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--format", choices=("json", "csv", "text"),
                          default="text")
 
-    p_verify = sub.add_parser("verify", help="run identity checks")
-    p_verify.add_argument("--cell-cap", default=argparse.SUPPRESS,
-                          help=cap_help)
+    p_verify = sub.add_parser("verify", parents=[cap], help="run identity checks")
     p_verify.add_argument("--identity", default=None,
                           help="registered identity name")
     p_verify.add_argument("--all", action="store_true",
                           help="run every registered identity")
-    p_verify.add_argument("--default-grids", action="store_true",
-                          help="refuse range flags; without them every "
-                               "identity already runs on its default grid")
     for name in ("m", "n", "k", "r"):
         p_verify.add_argument(f"--{name}", type=_range_arg, default=None)
     p_verify.add_argument("--format", choices=("json", "text"), default="text")
 
-    p_diff = sub.add_parser("oracle-diff",
+    p_diff = sub.add_parser("oracle-diff", parents=[cap],
                             help="compare an engine against its enumeration oracle")
-    p_diff.add_argument("--cell-cap", default=argparse.SUPPRESS,
-                        help=cap_help)
     p_diff.add_argument("--family", required=True,
                         help=f"one of {', '.join(DIFF_FAMILIES)}")
     p_diff.add_argument("--n", type=_range_arg, required=True)

@@ -235,9 +235,12 @@ class TableRow(NamedTuple):
     provenance: str
 
 
-QPOLY_FAMILIES = ("stirling2_q", "stirling1_q", "lah_q", "bell_q")
-MPOLY_FAMILIES = ("hsu_shiue", "gen_bell")
-FAMILIES = QPOLY_FAMILIES + MPOLY_FAMILIES
+# family -> the parameters its engine takes after n, in table order
+# (hsu_shiue's r is a variable of its polynomials, not a parameter)
+PARAMS = {"stirling2_q": ("k", "r"), "stirling1_q": ("k", "r"),
+          "lah_q": ("k", "r"), "bell_q": ("r",), "hsu_shiue": ("k",),
+          "gen_bell": ()}
+FAMILIES = tuple(PARAMS)
 
 
 def engine(family: str) -> Callable:
@@ -250,24 +253,18 @@ def engine(family: str) -> Callable:
 
 def table_rows(family: str, n_range: range, k_range: range | None = None,
                r_range: range | None = None) -> Iterator[TableRow]:
-    """Rows of one family table over inclusive parameter ranges."""
-    fn = engine(family)
-    rs = r_range if r_range is not None else range(0, 1)
+    """Rows of one family table over inclusive parameter ranges; k defaults
+    to 0..n and r to 0 where the family takes them."""
+    fn, names = engine(family), PARAMS[family]
+    rs = (range(1) if r_range is None else r_range) if "r" in names else (None,)
     for n in n_range:
-        ks = k_range if k_range is not None else range(0, n + 1)
-        if family == "bell_q":
+        ks = ((range(n + 1) if k_range is None else k_range) if "k" in names
+              else (None,))
+        for k in ks:
             for r in rs:
-                yield TableRow(family, n, None, r, fn(n, r), "recurrence")
-        elif family == "gen_bell":
-            yield TableRow(family, n, None, None, fn(n), "recurrence")
-        elif family == "hsu_shiue":
-            for k in ks:
-                yield TableRow(family, n, k, None, fn(n, k), "recurrence")
-        else:
-            for k in ks:
-                for r in rs:
-                    # the label names the closed form that I-LAH-CF
-                    # certifies equal to the recurrence lah_q computes
-                    prov = ("closed-form" if family == "lah_q" and r == 0
-                            and 1 <= k <= n else "recurrence")
-                    yield TableRow(family, n, k, r, fn(n, k, r), prov)
+                # the label names the closed form that I-LAH-CF
+                # certifies equal to the recurrence lah_q computes
+                prov = ("closed-form" if family == "lah_q" and r == 0
+                        and 1 <= k <= n else "recurrence")
+                args = (v for v in (k, r) if v is not None)
+                yield TableRow(family, n, k, r, fn(n, *args), prov)

@@ -31,10 +31,10 @@ from itertools import product
 from typing import Callable, Iterator, NamedTuple
 
 from . import classical as cl
-from .families import (bell_q, engine, gen_bell, hsu_shiue, lah_q,
+from .families import (PARAMS, bell_q, engine, gen_bell, hsu_shiue, lah_q,
                        lah_q_closed_form, stirling1_q, stirling2_q,
                        stirling_neg1)
-from .oracles import ORACLE_FOR_ENGINE, oracle_table
+from .oracles import ORACLE_FOR_ENGINE, ZERO, oracle_table
 from .polyring import (ALPHA, BETA, M_ZERO, MPoly, Q_ONE, Q_ZERO, QPoly, R,
                        X, binom, binom_gen, elementary_symmetric,
                        poly_eval_int, q_binomial, q_integer, q_rising,
@@ -88,7 +88,8 @@ class IdentityReport:
 
     def summary_line(self) -> str:
         grid = " ".join(f"{k}={v}" for k, v in sorted(self.grid.items()))
-        line = f"{self.status.upper():4s} {self.identity:12s} cells={self.cells_checked} {grid}"
+        line = (f"{self.status.upper():4s} {self.identity:12s} "
+                f"cells={self.cells_checked} {grid}")
         if self.counterexample is not None:
             line += f" first-counterexample={self.counterexample['params']}"
         return line
@@ -131,8 +132,7 @@ def _otable(family: str, n: int, r: int):
 
 
 def _ocell(family: str, n: int, k: int, r: int = 0):
-    zero = M_ZERO if family == "ext_lah" else Q_ZERO
-    return _otable(family, n, r).get(k, zero)
+    return _otable(family, n, r).get(k, ZERO[family])
 
 
 def _first_tracked_mismatch(cell: dict) -> dict:
@@ -190,30 +190,32 @@ def oracle_diff(family: str, n: int, r: int = 0,
     """Engine-versus-oracle mismatches of one (family, n, r) cell, in k order.
 
     ``family`` is an engine family with an oracle (``ORACLE_FOR_ENGINE``);
-    ``k_range`` is inclusive and defaults to 0..n (bell_q has no k).  A range
+    ``r`` is the oracle's restriction and the engine's r, if it takes one.
+    ``k_range`` is inclusive and defaults to 0..n; a family without k
+    (bell_q) is one cell, the sum over every k, and ignores it.  A range
     that covers 0..n is enumerated in one pass; otherwise each requested k
     is enumerated, and held to the cap, on its own.  Each mismatch is
     ``{"params", "engine", "oracle"}`` with serialized values.
     """
-    oracle_family, fn = ORACLE_FOR_ENGINE[family], engine(family)
-    if family == "bell_q":
+    oracle_family, fn, names = ORACLE_FOR_ENGINE[family], engine(family), PARAMS[family]
+    lo, hi = k_range if k_range is not None and "k" in names else (0, n)
+    if lo == 0 and hi >= n:
         table = oracle_table(oracle_family, n, r)
-        cells = [({"n": n, "r": r}, fn(n, r), sum(table.values(), Q_ZERO))]
     else:
-        zero = M_ZERO if family == "hsu_shiue" else Q_ZERO
-        lo, hi = (0, n) if k_range is None else k_range
-        ks = range(lo, hi + 1)
-        if lo == 0 and hi >= n:
-            table = oracle_table(oracle_family, n, r)
-        else:
-            table = {kk: v for k in ks for kk, v
-                     in oracle_table(oracle_family, n, r, only_k=k).items()}
-        cells = [({"n": n, "k": k, "r": r},
-                  fn(n, k) if family == "hsu_shiue" else fn(n, k, r),
-                  table.get(k, zero)) for k in ks]
-    return [{"params": params, "engine": serialize_value(want),
-             "oracle": serialize_value(got)}
-            for params, want, got in cells if want != got]
+        table = {kk: v for k in range(lo, hi + 1) for kk, v
+                 in oracle_table(oracle_family, n, r, only_k=k).items()}
+    zero = ZERO[oracle_family]
+    cells = ([{"n": n, "k": k, "r": r} for k in range(lo, hi + 1)]
+             if "k" in names else [{"n": n, "r": r}])
+    mismatches = []
+    for params in cells:
+        want = fn(n, *(params[name] for name in names))
+        got = (table.get(params["k"], zero) if "k" in params
+               else sum(table.values(), zero))
+        if want != got:
+            mismatches.append({"params": params, "engine": serialize_value(want),
+                               "oracle": serialize_value(got)})
+    return mismatches
 
 
 # ---------------------------------------------------------------------------

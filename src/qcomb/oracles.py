@@ -14,11 +14,9 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from functools import partial
 
-from .polyring import MPoly, QPoly
+from .polyring import M_ZERO, MPoly, Q_ZERO, QPoly
 from .structures import (_SLOTS, _cell, _ext_lah_slots, _insertion_tree,
                          _unpack)
-
-ORACLE_FAMILIES = ("partitions", "perms", "lah", "ext_lah")
 
 # engine family -> oracle family that certifies it
 ORACLE_FOR_ENGINE = {"stirling2_q": "partitions", "stirling1_q": "perms",
@@ -45,22 +43,24 @@ _FOLDS = {
     "lah": lambda n, r: (_SLOTS["lah"], partial(_qpoly, 0)),
     "ext_lah": lambda n, r: (_ext_lah_slots(n + 1), partial(_weights, n + 1)),
 }
+ORACLE_FAMILIES = tuple(_FOLDS)
+
+# family -> the value of a cell that holds no structure
+ZERO = {"partitions": Q_ZERO, "perms": Q_ZERO, "lah": Q_ZERO, "ext_lah": M_ZERO}
 
 
-def oracle(family: str, n: int, k: int, r: int = 0,
-           cap: int | None = None) -> QPoly | MPoly:
+def oracle(family: str, n: int, k: int, r: int = 0) -> QPoly | MPoly:
     """Exact statistic sum over one enumeration cell."""
-    zero = MPoly() if family == "ext_lah" else QPoly()
-    return oracle_table(family, n, r, cap=cap, only_k=k).get(k, zero)
+    return oracle_table(family, n, r, only_k=k).get(k, ZERO[family])
 
 
-def oracle_table(family: str, n: int, r: int = 0, cap: int | None = None,
+def oracle_table(family: str, n: int, r: int = 0,
                  only_k: int | None = None) -> dict[int, QPoly | MPoly]:
     """Statistic sums for every k of one (family, n, r) cell in a single
     enumeration pass; restrict to one k with only_k."""
     if family not in ORACLE_FAMILIES:
         raise ValueError(f"unknown oracle family {family!r}")
-    if not _cell(family, n, only_k, r, cap):
+    if not _cell(family, n, only_k, r):
         return {}
     slots, value = _FOLDS[family](n, r)
     counts: defaultdict[int, Counter] = defaultdict(Counter)

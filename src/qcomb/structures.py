@@ -43,17 +43,13 @@ class CellCapError(RuntimeError):
 _cap_override: int | None = None
 
 
-def _checked_cap(cap: int | None) -> int | None:
-    if cap is not None and not (isinstance(cap, int) and cap >= 0):
-        raise ValueError(f"cap must be a non-negative integer or None, got {cap!r}")
-    return cap
-
-
 def set_default_cap(cap: int | None) -> None:
     """Install a process-wide cap, taking precedence over the environment;
     None removes it."""
     global _cap_override
-    _cap_override = _checked_cap(cap)
+    if cap is not None and not (isinstance(cap, int) and cap >= 0):
+        raise ValueError(f"cap must be a non-negative integer or None, got {cap!r}")
+    _cap_override = cap
 
 
 def parse_cap(text: str, source: str) -> int:
@@ -63,23 +59,15 @@ def parse_cap(text: str, source: str) -> int:
     return int(text)
 
 
-def effective_cap(cap: int | None = None) -> int:
-    """Resolve the enumeration cap: explicit value, then the installed
-    override, then the environment, then the built-in default."""
-    if cap is not None:
-        return _checked_cap(cap)
+def effective_cap() -> int:
+    """Resolve the enumeration cap: the installed override, then the
+    environment, then the built-in default."""
     if _cap_override is not None:
         return _cap_override
     env = os.environ.get(CELL_CAP_ENV)
     if env is not None:
         return parse_cap(env, CELL_CAP_ENV)
     return DEFAULT_CELL_CAP
-
-
-def _check_cap(cell: tuple, estimate: int, cap: int | None) -> None:
-    limit = effective_cap(cap)
-    if estimate > limit:
-        raise CellCapError(cell, estimate, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +156,9 @@ def _scan(structure) -> tuple[frozenset[int], set[int]]:
     read as the blocks of a Lah distribution: its special elements and its
     block starts."""
     n, blocks = structure
-    seen = bytearray(max(n, 0) + 2)      # seen[n + 1] stays 0 and stops low
+    if n < 0:
+        raise StructureError(f"negative size {n}")
+    seen = bytearray(n + 2)              # seen[n + 1] stays 0 and stops low
     special = []
     starts = set()
     low = 1                              # the least element not yet seen
@@ -283,8 +273,9 @@ _CELLS = {
 }
 
 
-def _cell(family: str, n: int, k: int | None, r: int, cap: int | None) -> bool:
-    """Check one cell's arguments and size; False when k is out of range."""
+def _cell(family: str, n: int, k: int | None, r: int) -> bool:
+    """Check one cell's arguments and its size against the cap; False when k
+    is out of range."""
     name, count = _CELLS[family]
     if n < 0 or r < 0:
         raise ValueError(f"{name} requires n, r >= 0, got ({n}, {r})")
@@ -293,8 +284,10 @@ def _cell(family: str, n: int, k: int | None, r: int, cap: int | None) -> bool:
     if k is not None and not 0 <= k <= n:
         return False
     ks = range(n + 1) if k is None else (k,)
-    _check_cap((family, n, k, None if family == "ext_lah" else r),
-               sum(count(n, kk, r) for kk in ks), cap)
+    estimate, cap = sum(count(n, kk, r) for kk in ks), effective_cap()
+    if estimate > cap:
+        raise CellCapError((family, n, k, None if family == "ext_lah" else r),
+                           estimate, cap)
     return True
 
 
@@ -359,11 +352,11 @@ def _insertion_tree(size: int, k: int | None, r: int, slots,
                            stat + inc, None])
 
 
-def _leaves(family: str, n: int, k: int | None, r: int, cap: int | None,
+def _leaves(family: str, n: int, k: int | None, r: int,
             slots) -> Iterator[tuple[list[list[int]], int]]:
     """Check one cell, then yield (groups, stat) for each structure in it:
     its blocks or cycles, valid until the next leaf, and its statistic."""
-    if not _cell(family, n, k, r, cap):
+    if not _cell(family, n, k, r):
         return
     groups: list[list[int]] = []
     if n + r == 0:
@@ -380,47 +373,42 @@ def _leaves(family: str, n: int, k: int | None, r: int, cap: int | None,
 # enumerators
 # ---------------------------------------------------------------------------
 
-def enum_partitions(n: int, k: int | None, r: int = 0,
-                    cap: int | None = None) -> Iterator[SetPartition]:
+def enum_partitions(n: int, k: int | None, r: int = 0) -> Iterator[SetPartition]:
     """Partitions of [n+r] into k+r blocks with 1..r in distinct blocks.
 
     k=None streams all block counts.  The stream is empty for impossible
     (n, k, r) combinations.
     """
-    for groups, _ in _leaves("partitions", n, k, r, cap, _partition_slots):
+    for groups, _ in _leaves("partitions", n, k, r, _partition_slots):
         yield SetPartition(n + r, tuple(map(tuple, groups)))
 
 
-def enum_cycle_perms(n: int, k: int | None, r: int = 0,
-                     cap: int | None = None) -> Iterator[CyclePerm]:
+def enum_cycle_perms(n: int, k: int | None, r: int = 0) -> Iterator[CyclePerm]:
     """Permutations of [n+r] with k+r cycles, 1..r in distinct cycles."""
-    for groups, _ in _leaves("perms", n, k, r, cap, _cycle_slots):
+    for groups, _ in _leaves("perms", n, k, r, _cycle_slots):
         yield CyclePerm(n + r, tuple(map(tuple, groups)))
 
 
-def enum_lah(n: int, k: int | None, r: int = 0,
-             cap: int | None = None) -> Iterator[LahDist]:
+def enum_lah(n: int, k: int | None, r: int = 0) -> Iterator[LahDist]:
     """Lah distributions of [n+r] into k+r ordered blocks, 1..r distinct."""
-    for groups, _ in _leaves("lah", n, k, r, cap, _lah_slots):
+    for groups, _ in _leaves("lah", n, k, r, _lah_slots):
         yield LahDist(n + r, tuple(map(tuple, groups)))
 
 
 def enum_extended_lah_tracked(
-        n: int, k: int | None,
-        cap: int | None = None) -> Iterator[tuple[ExtLahDist, tuple[int, int, int]]]:
+        n: int, k: int | None) -> Iterator[tuple[ExtLahDist, tuple[int, int, int]]]:
     """Extended Lah distributions with incrementally tracked statistics:
     yields (structure, (nrec, rec_star, circ)), each structure validated
     against the circling rules."""
-    for groups, stat in _leaves("ext_lah", n, k, 0, cap, _ext_lah_slots(n + 1)):
+    for groups, stat in _leaves("ext_lah", n, k, 0, _ext_lah_slots(n + 1)):
         lam = ExtLahDist(LahDist(n, tuple(tuple(map(abs, b)) for b in groups)),
                          frozenset(-e for b in groups for e in b if e < 0))
         yield lam.validate(), _unpack(stat, n + 1)
 
 
-def enum_extended_lah(n: int, k: int | None,
-                      cap: int | None = None) -> Iterator[ExtLahDist]:
+def enum_extended_lah(n: int, k: int | None) -> Iterator[ExtLahDist]:
     """Extended Lah distributions of [n] with exactly k true blocks."""
-    for lam, _stats in enum_extended_lah_tracked(n, k, cap=cap):
+    for lam, _stats in enum_extended_lah_tracked(n, k):
         yield lam
 
 

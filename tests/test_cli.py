@@ -117,6 +117,28 @@ class TestTable:
         assert err == f"error: {argv[2]} takes no {flag}\n"
 
 
+@pytest.mark.parametrize("family", families.FAMILIES)
+def test_table_refuses_every_flag_params_omits(capsys, family):
+    for flag in ("k", "r"):
+        code, _, err = run_cli(capsys, "table", "--family", family, "--n", "1",
+                               f"--{flag}", "0")
+        refused = flag not in families.PARAMS[family]
+        assert (code, err) == ((2, f"error: {family} takes no --{flag}\n")
+                               if refused else (0, ""))
+
+
+@pytest.mark.parametrize("family", cli.DIFF_FAMILIES)
+def test_oracle_diff_takes_r_and_the_engines_k(capsys, family):
+    engine = "hsu_shiue" if family == "ext_lah" else family
+    code, _, err = run_cli(capsys, "oracle-diff", "--family", family,
+                           "--n", "1", "--r", "0")
+    assert (code, err) == (0, "")
+    code, _, err = run_cli(capsys, "oracle-diff", "--family", family,
+                           "--n", "1", "--k", "0")
+    assert (code, err) == ((0, "") if "k" in families.PARAMS[engine]
+                           else (2, f"error: {family} takes no --k\n"))
+
+
 class TestVerify:
     def test_single_identity(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--identity", "I-SPIVEY",
@@ -148,13 +170,14 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify")
         assert code == 2
 
-    def test_default_grids_conflict(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--identity", "I-SPIVEY",
-                               "--default-grids", "--m", "0..2")
-        assert code == 2
+    def test_default_grids_is_gone(self):
+        # every identity runs on its default grid unless a range flag is given
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--all", "--default-grids"])
+        assert exc.value.code == 2
 
-    def test_all_default_grids(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--all", "--default-grids")
+    def test_all_passes_one_line_per_identity(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--all")
         assert code == 0
         lines = out.strip().splitlines()
         from qcomb.identities import identity_names

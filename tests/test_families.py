@@ -198,3 +198,21 @@ class TestTableRows:
     def test_families_registry(self):
         assert set(FAMILIES) == {"stirling2_q", "stirling1_q", "lah_q",
                                  "bell_q", "hsu_shiue", "gen_bell"}
+
+    @pytest.mark.parametrize("family, params, value", [
+        ("stirling2_q", ("k", "r"), stirling2_q),
+        ("stirling1_q", ("k", "r"), stirling1_q),
+        ("lah_q", ("k", "r"), lah_q),
+        ("bell_q", ("r",), lambda n, k, r: bell_q(n, r)),
+        ("hsu_shiue", ("k",), lambda n, k, r: hsu_shiue(n, k)),
+        ("gen_bell", (), lambda n, k, r: gen_bell(n)),
+    ])
+    def test_rows_walk_n_then_k_then_r(self, family, params, value):
+        # every range is passed; a family ignores the ones it does not take
+        rows = list(table_rows(family, range(2, 4), range(0, 2), range(0, 2)))
+        ks = range(0, 2) if "k" in params else (None,)
+        rs = range(0, 2) if "r" in params else (None,)
+        want = [(n, k, r) for n in range(2, 4) for k in ks for r in rs]
+        assert [(row.n, row.k, row.r) for row in rows] == want
+        assert all(row.family == family for row in rows)
+        assert [row.value for row in rows] == [value(*c) for c in want]

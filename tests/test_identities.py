@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qcomb import classical, identities
+from qcomb import classical, families, identities
 from qcomb.identities import (REGISTRY, check, identity_names,
                               indicator_pair, serialize_value)
 from qcomb.polyring import MPoly, QPoly, binom
@@ -169,6 +169,20 @@ class TestCheckDriver:
         r = check("I-BIN-6", {"n": (5, 4)})
         assert r.status == "skipped"
         assert r.cells_checked == 0
+
+
+class TestOracleDiff:
+    @pytest.mark.parametrize("planted", [False, True])
+    def test_bell_q_ignores_k_range(self, monkeypatch, planted):
+        # bell_q has no k: its one cell is the sum over every k
+        if planted:
+            real = families.bell_q
+            monkeypatch.setattr(families, "bell_q",
+                                lambda n, r=0: real(n, r) * 2)
+        diff = identities.oracle_diff("bell_q", 3, 1)
+        assert diff == identities.oracle_diff("bell_q", 3, 1, k_range=(1, 1))
+        assert [m["params"] for m in diff] == ([{"n": 3, "r": 1}] if planted
+                                               else [])
 
 
 class TestSerializeValue:

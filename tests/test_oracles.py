@@ -42,9 +42,10 @@ class TestOracleExamples:
         assert oracle("partitions", 2, 5, 0) == QPoly()
         assert oracle("ext_lah", 2, 5, 0) == MPoly()
 
-    def test_capacity_error_propagates(self):
+    def test_capacity_error_propagates(self, cell_cap):
+        cell_cap(10)
         with pytest.raises(CellCapError):
-            oracle("perms", 9, 3, 0, cap=10)
+            oracle("perms", 9, 3, 0)
 
 
 class TestOracleTables:

@@ -7,6 +7,7 @@ scan must accept and reject exactly the same inputs and find the same
 special elements.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcomb.structures import (CyclePerm, ExtLahDist, LahDist, SetPartition,
@@ -211,3 +212,14 @@ def test_mutations_reach_both_outcomes():
 
     collect()
     assert outcomes == {(cls, ok) for cls in REFERENCE for ok in (True, False)}
+
+
+@pytest.mark.parametrize("n", [-1, -5])
+@pytest.mark.parametrize("cls", [SetPartition, CyclePerm, LahDist, ExtLahDist])
+def test_negative_size_is_rejected(cls, n):
+    # no groups cover an empty ground set, but there is no ground set of
+    # negative size
+    structure = (ExtLahDist(LahDist(n, ()), frozenset()) if cls is ExtLahDist
+                 else cls(n, ()))
+    assert not _accepts(cls.validate, structure)
+    assert not _accepts(REFERENCE[cls], structure)

@@ -124,7 +124,7 @@ class TestIncrementalAgainstDirect:
         for family, (cls, stat) in direct.items():
             for r in range(3):
                 for n in range(7 - r):
-                    for groups, folded in _leaves(family, n, None, r, None,
+                    for groups, folded in _leaves(family, n, None, r,
                                                   _SLOTS[family]):
                         s = cls(n + r, tuple(map(tuple, groups)))
                         assert folded == stat(s), (family, r, s.text())

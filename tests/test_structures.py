@@ -215,9 +215,10 @@ class TestExtendedLahAgainstFilterGenerator:
 
 
 class TestCellCap:
-    def test_cap_raises_with_estimate(self):
+    def test_cap_raises_with_estimate(self, cell_cap):
+        cell_cap(100)
         with pytest.raises(CellCapError) as exc:
-            list(enum_partitions(8, None, 0, cap=100))
+            list(enum_partitions(8, None, 0))
         assert exc.value.estimate == classical.bell(8)
         assert exc.value.cap == 100
 
@@ -227,19 +228,20 @@ class TestCellCap:
         set_default_cap(50)
         try:
             assert effective_cap() == 50
-            assert effective_cap(7) == 7
         finally:
             set_default_cap(None)
         assert effective_cap() == 123
 
-    def test_under_cap_enumerates(self):
-        assert sum(1 for _ in enum_partitions(4, None, 0, cap=15)) == 15
+    def test_under_cap_enumerates(self, cell_cap):
+        cell_cap(15)
+        assert sum(1 for _ in enum_partitions(4, None, 0)) == 15
 
-    def test_cap_raised_before_any_structure(self):
-        cells = [(enum_partitions(8, None, 0, cap=100), ("partitions", 8, None, 0)),
-                 (enum_cycle_perms(5, 2, 1, cap=100), ("perms", 5, 2, 1)),
-                 (enum_lah(5, None, 2, cap=100), ("lah", 5, None, 2)),
-                 (enum_extended_lah(5, 2, cap=100), ("ext_lah", 5, 2, None))]
+    def test_cap_raised_before_any_structure(self, cell_cap):
+        cell_cap(100)
+        cells = [(enum_partitions(8, None, 0), ("partitions", 8, None, 0)),
+                 (enum_cycle_perms(5, 2, 1), ("perms", 5, 2, 1)),
+                 (enum_lah(5, None, 2), ("lah", 5, None, 2)),
+                 (enum_extended_lah(5, 2), ("ext_lah", 5, 2, None))]
         for stream, cell in cells:
             with pytest.raises(CellCapError) as exc:
                 next(stream)
@@ -259,14 +261,14 @@ class TestCellCap:
         with pytest.raises(ValueError):
             next(enum_extended_lah(-1, None))
 
-    def test_negative_cap_rejected_before_any_structure(self, monkeypatch):
+    def test_negative_cap_rejected_before_any_structure(self, monkeypatch,
+                                                        cell_cap):
         monkeypatch.setenv("QCOMB_MAX_ENUM", "123")
-        with pytest.raises(ValueError, match="cap must be"):
-            next(enum_partitions(1, None, cap=-1))
-        with pytest.raises(ValueError, match="cap must be"):
-            set_default_cap(-3)
+        for bad in (-1, -3):
+            with pytest.raises(ValueError, match="cap must be"):
+                cell_cap(bad)
         assert effective_cap() == 123       # nothing was installed
-        assert effective_cap(None) == 123
+        assert sum(1 for _ in enum_partitions(1, None)) == 1
 
     @pytest.mark.parametrize("value", ["-5", "abc", "1.5", ""])
     def test_bad_env_cap_names_the_variable(self, monkeypatch, value):
