@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / no check failed (a skipped identity is no failure),
 1 a verification found a counterexample, 2 usage or capacity error, which
-``main`` alone reports.  All results go to stdout, diagnostics to stderr.
+``main`` alone reports, or a stdout closed by its reader, which prints
+nothing.  All results go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -11,12 +12,13 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from . import structures
 from .families import FAMILIES, PARAMS, table_rows
 from .identities import (REGISTRY, check, identity_names, oracle_diff,
-                         serialize_value)
+                         table_json)
 from .oracles import ORACLE_FOR_ENGINE
 from .polyring import MPoly, QPoly
 from .structures import CellCapError
@@ -58,6 +60,8 @@ def _emit_table(args) -> int:
     k_range = range(args.k[0], args.k[1] + 1) if args.k else None
     r_range = range(args.r[0], args.r[1] + 1) if args.r else None
     rows = list(table_rows(args.family, n_range, k_range, r_range))
+    # the whole table is rendered before the first write, so a value that
+    # cannot be converted leaves stdout empty
     if args.format == "csv":
         out = io.StringIO()
         writer = csv.writer(out)
@@ -67,21 +71,23 @@ def _emit_table(args) -> int:
                              "" if row.k is None else row.k,
                              "" if row.r is None else row.r,
                              _value_csv(row.value)])
-        sys.stdout.write(out.getvalue())
+        text = out.getvalue()
     elif args.format == "json":
-        obj = [{"family": row.family, "n": row.n, "k": row.k, "r": row.r,
-                "provenance": row.provenance,
-                "value": serialize_value(row.value)} for row in rows]
-        json.dump(obj, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        text = table_json(rows) + "\n"
     else:
+        lines = []
         for row in rows:
             params = [f"n={row.n}"]
             if row.k is not None:
                 params.append(f"k={row.k}")
             if row.r is not None:
                 params.append(f"r={row.r}")
-            print(f"{row.family}({', '.join(params)}) = {row.value}")
+            lines.append(f"{row.family}({', '.join(params)}) = {row.value}\n")
+        text = "".join(lines)
+    # in buffer-sized pieces: CPython's buffered writer returns a short count
+    # without raising when the reader of a pipe leaves during one large write
+    for i in range(0, len(text), io.DEFAULT_BUFFER_SIZE):
+        sys.stdout.write(text[i:i + io.DEFAULT_BUFFER_SIZE])
     return 0
 
 
@@ -205,12 +211,22 @@ def main(argv: list[str] | None = None) -> int:
             structures.set_default_cap(
                 structures.parse_cap(args.cell_cap, "--cell-cap"))
         if args.command == "table":
-            return _emit_table(args)
-        if args.command == "verify":
-            return _run_verify(args)
-        return _run_oracle_diff(args)
+            code = _emit_table(args)
+        elif args.command == "verify":
+            code = _run_verify(args)
+        else:
+            code = _run_oracle_diff(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+        return code
     except (CellCapError, ValueError, MemoryError, OverflowError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader is gone: send the flush at shutdown to the null device
+        # so that it prints nothing either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 2
     finally:
         structures.set_default_cap(None)

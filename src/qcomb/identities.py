@@ -28,12 +28,12 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import classical as cl
-from .families import (PARAMS, bell_q, engine, gen_bell, hsu_shiue, lah_q,
-                       lah_q_closed_form, stirling1_q, stirling2_q,
-                       stirling_neg1)
+from .families import (PARAMS, TableRow, bell_q, engine, gen_bell,
+                       hsu_shiue, lah_q, lah_q_closed_form, stirling1_q,
+                       stirling2_q, stirling_neg1)
 from .oracles import ORACLE_FOR_ENGINE, ZERO, oracle_table
 from .polyring import (ALPHA, BETA, M_ZERO, MPoly, Q_ONE, Q_ZERO, QPoly, R,
                        X, binom, binom_gen, elementary_symmetric,
@@ -101,6 +101,43 @@ def serialize_value(v) -> dict:
     if isinstance(v, MPoly):
         return {"type": "mpoly", "terms": v.to_json()}
     return {"type": "int", "value": str(v)}
+
+
+# table_json lays out a table exactly as json.dumps([row dicts with
+# serialize_value values], indent=2, sort_keys=True) would, but from format
+# strings: with indent, json takes its pure-Python encoder.  Decimal
+# coefficients need no escaping; the free-text fields take the C encoder.
+_encode = json.JSONEncoder().encode
+_ROW = ('  {\n    "family": %s,\n    "k": %s,\n    "n": %d,\n'
+        '    "provenance": %s,\n    "r": %s,\n'
+        '    "value": {\n      %s\n    }\n  }')
+_QPOLY = '"coeffs": [\n        "%s"\n      ],\n      "type": "qpoly"'
+_MPOLY = '"terms": [%s\n      ],\n      "type": "mpoly"'
+_TERM = ('\n        {\n          "coeff": "%d",\n          "exps": [\n'
+         '            %d,\n            %d,\n            %d,\n            %d\n'
+         '          ]\n        }')
+_EMPTY = {QPoly: '"coeffs": [],\n      "type": "qpoly"',
+          MPoly: '"terms": [],\n      "type": "mpoly"'}
+
+
+def _json_value(v: QPoly | MPoly) -> str:
+    if not v:
+        return _EMPTY[type(v)]
+    if isinstance(v, QPoly):
+        return _QPOLY % '",\n        "'.join(map(str, v.coeffs))
+    return _MPOLY % ",".join([_TERM % (c, *e) for e, c in v.sorted_terms()])
+
+
+def table_json(rows: Iterable[TableRow]) -> str:
+    """The JSON document of table rows (no trailing newline), built in full
+    before it is returned, so a value that cannot be converted writes
+    nothing."""
+    body = ",\n".join([
+        _ROW % (_encode(row.family), "null" if row.k is None else row.k, row.n,
+                _encode(row.provenance), "null" if row.r is None else row.r,
+                _json_value(row.value))
+        for row in rows])
+    return f"[\n{body}\n]" if body else "[]"
 
 
 # ---------------------------------------------------------------------------

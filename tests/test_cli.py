@@ -3,12 +3,20 @@ import csv
 import inspect
 import io
 import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import qcomb
 from qcomb import cli, families
 from qcomb.cli import main, parse_range
-from qcomb.identities import serialize_value
+from qcomb.families import TableRow
+from qcomb.identities import serialize_value, table_json
 from qcomb.polyring import MPoly, QPoly
 
 
@@ -137,6 +145,115 @@ def test_oracle_diff_takes_r_and_the_engines_k(capsys, family):
                            "--n", "1", "--k", "0")
     assert (code, err) == ((0, "") if "k" in families.PARAMS[engine]
                            else (2, f"error: {family} takes no --k\n"))
+
+
+def reference_table_json(rows) -> str:
+    """The reference table_json is checked against: a dict per row, then
+    json.dump with indent=2 and sort_keys."""
+    out = io.StringIO()
+    json.dump([{"family": row.family, "n": row.n, "k": row.k, "r": row.r,
+                "provenance": row.provenance,
+                "value": serialize_value(row.value)} for row in rows],
+              out, indent=2, sort_keys=True)
+    return out.getvalue()
+
+
+# coefficients up to 4,001 digits, under the interpreter's 4,300-digit limit
+coeffs = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                   st.integers(-10 ** 4000, 10 ** 4000))
+qpolys = st.lists(st.one_of(st.just(0), coeffs), max_size=8).map(QPoly)
+mpolys = st.dictionaries(
+    st.tuples(*[st.integers(0, 30)] * 4), st.one_of(st.just(0), coeffs),
+    max_size=6).map(MPoly)
+random_rows = st.builds(
+    TableRow, st.one_of(st.sampled_from(families.FAMILIES), st.text()),
+    st.integers(0, 10 ** 9), st.none() | st.integers(0, 10 ** 9),
+    st.none() | st.integers(0, 10 ** 9), st.one_of(qpolys, mpolys),
+    st.one_of(st.sampled_from(["recurrence", "closed-form"]), st.text()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(random_rows, max_size=4))
+def test_table_json_matches_json_dump(table):
+    assert table_json(table) == reference_table_json(table)
+
+
+def test_table_json_edge_values():
+    table = [TableRow("stirling2_q", 1, 0, 0, QPoly(), "recurrence"),
+             TableRow("gen_bell", 0, None, None, MPoly(), "recurrence"),
+             TableRow("hsu_shiue", 2, 1, None,
+                      MPoly({(1, 0, 0, 0): -3, (0, 0, 2, 1): 10 ** 4000}),
+                      "recurrence"),
+             TableRow("lah_q", 3, 2, 0, QPoly([-1, 0, 10 ** 4000]),
+                      "closed-form")]
+    assert table_json(table) == reference_table_json(table)
+    assert table_json([]) == reference_table_json([]) == "[]"
+
+
+@pytest.mark.parametrize("family", families.FAMILIES)
+def test_table_json_is_byte_identical_for_every_family(capsys, family):
+    argv = ["table", "--family", family, "--n", "0..5", "--format", "json"]
+    r_range = None
+    if "r" in families.PARAMS[family]:
+        argv += ["--r", "0..2"]
+        r_range = range(3)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    want = families.table_rows(family, range(6), r_range=r_range)
+    assert out == reference_table_json(want) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_table_is_all_or_nothing(capsys, monkeypatch, fmt):
+    # the second row's coefficient has more digits than str() converts
+    def table_rows(family, *ranges):
+        yield TableRow(family, 0, 0, 0, QPoly([1]), "recurrence")
+        yield TableRow(family, 1, 0, 0, QPoly([10 ** 5000]), "recurrence")
+
+    monkeypatch.setattr(cli, "table_rows", table_rows)
+    code, out, err = run_cli(capsys, "table", "--family", "stirling2_q",
+                             "--n", "0..1", "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: Exceeds the limit")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_closed_pipe_is_no_traceback(fmt):
+    # about 100 kB, more than a pipe holds, so the writer meets the close
+    src = str(Path(qcomb.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qcomb.cli", "table", "--family", "bell_q",
+         "--n", "0..30", "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == ""
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_cli_lines() -> list[str]:
+    """The qcomb lines of the sh block in the README's CLI section."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("qcomb ")]
+
+
+def test_readme_has_cli_examples():
+    assert len(readme_cli_lines()) >= 9
+
+
+@pytest.mark.parametrize("line", readme_cli_lines())
+def test_readme_cli_example_exits_0(capsys, line):
+    code, out, err = run_cli(capsys, *shlex.split(line)[1:])
+    assert (code, err) == (0, "")
+    assert out
 
 
 class TestVerify:
