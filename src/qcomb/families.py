@@ -20,7 +20,8 @@ from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
 from .polyring import (ALPHA, BETA, M_ZERO, MPoly, Q_ONE, Q_ZERO, QPoly, R, X,
-                       binom, binom_gen, q_binomial, times_q_integer)
+                       binom, binom_gen, q_binomial, q_rising,
+                       times_q_integer)
 
 
 def _check_nr(name: str, n: int, r: int) -> None:
@@ -100,11 +101,11 @@ _lah_q_base = _triangle(Q_ZERO, Q_ONE, lambda n, k, left, up: (
 
 
 def lah_q_closed_form(n: int, k: int) -> QPoly:
-    """q^(k(k-1)) * (n_q!/k_q!) * qbinom(n-1, k-1), valid for 1 <= k <= n."""
-    ratio = Q_ONE
-    for i in range(k + 1, n + 1):
-        ratio = times_q_integer(ratio, i)
-    return (ratio * q_binomial(n - 1, k - 1)).shift(k * (k - 1))
+    """q^(k(k-1)) * (n_q!/k_q!) * qbinom(n-1, k-1), valid for 1 <= k <= n;
+    zero for k > n, as lah_q is."""
+    if k > n:
+        return Q_ZERO
+    return (q_rising(k + 1, n - k) * q_binomial(n - 1, k - 1)).shift(k * (k - 1))
 
 
 @lru_cache(maxsize=None)

@@ -15,8 +15,10 @@ partition oracle, I-LAH-R against the classical Lah counts, and oracle-diff
 F(m+n, k) = sum_i sum_j C(n, i) w(i, j) F(m, j) G(i, k-j).  I-SPIVEY,
 I-MEZO-1/2, I-P1E1/2, I-P2E1/2, I-T3E1, I-T4C1, I-T5E1, I-T5E2 (direct
 route), I-BIN-5, I-BIN-7 and the rows of ``_BIN_ROWS`` (I-BIN-1..4) share
-it; I-T4E1..3 are the rows of ``_T4_ROWS`` on one shift sum.  Each entry
-declares its grid in ``@_identity``.
+it; I-T4E1..3 are the rows of ``_T4_ROWS`` on one shift sum.  Most terms
+of these sums vanish (87 to 89% on the I-BIN grids), and ``_two_part``
+skips every term with a zero factor before it builds the weight.  Each
+entry declares its grid in ``@_identity``.
 
 Reports are deterministic: cells are generated in a fixed order and the
 first mismatching cell is serialized in full.
@@ -286,10 +288,18 @@ def _two_part(n: int, js: range, weight, left, right, zero):
     This is the two-part product formula F(m+n, k) = sum_i sum_j C(n, i)
     w(i, j) F(m, j) G(i, k-j): left is the m-part, computed once per j;
     right is the i-part and weight carries the binomial and the weight.
+    A term with a zero factor is exactly zero, so it is skipped: j drops
+    out where left(j) is zero, and weight(i, j) is called only where
+    right(i, j) is nonzero too.  An all-zero sum is ``zero`` itself.
     """
-    lefts = [(j, left(j)) for j in js]
-    return sum((weight(i, j) * value * right(i, j)
-                for i in range(n + 1) for j, value in lefts), zero)
+    lefts = [(j, value) for j in js if (value := left(j))]
+    total = zero
+    for i in range(n + 1):
+        for j, value in lefts:
+            other = right(i, j)
+            if other:
+                total = total + weight(i, j) * value * other
+    return total
 
 
 def _row_sum(fn, n: int, r: int) -> QPoly:

@@ -272,6 +272,32 @@ def times_q_integer(p: QPoly, n: int) -> QPoly:
     return QPoly(map(sub, prefix[1:] + pad, [0] * (n - 1) + prefix[:-1]))
 
 
+def div_q_integer(p: QPoly, n: int) -> QPoly:
+    """p / q_integer(n) in O(deg p + n) additions; ExactDivisionError unless
+    the division is exact.
+
+    [n] = (1 - q^n) / (1 - q), so p is multiplied by 1 - q (one pass of
+    differences d) and divided by 1 - q^n: the quotient's coefficients
+    follow s_j = d_j + s_(j-n), and the division is exact iff the last n
+    of them vanish.
+    """
+    if n < 0:
+        raise ValueError(f"div_q_integer requires n >= 0, got {n}")
+    if not n:
+        raise ZeroDivisionError("division by the zero polynomial")
+    c = p.coeffs
+    if not c:
+        return Q_ZERO
+    d = list(map(sub, c + (0,), (0,) + c))
+    for j in range(n, len(d)):
+        d[j] += d[j - n]
+    cut = len(d) - n
+    if cut < 1 or any(d[cut:]):
+        raise ExactDivisionError(
+            f"nonzero remainder in division by q_integer({n})")
+    return QPoly(d[:cut])
+
+
 def q_factorial(n: int) -> QPoly:
     """Product of the q-integers 1..n; one for n = 0."""
     if n < 0:
@@ -283,17 +309,22 @@ def q_factorial(n: int) -> QPoly:
 def q_binomial(n: int, k: int) -> QPoly:
     """Gaussian binomial coefficient.
 
-    Total on integer pairs: 1 whenever k = 0 (any n), the exact q-factorial
-    ratio for 0 <= k <= n, and 0 otherwise.  The 1024 most recently used
-    values are kept: the shift sums ask for the same rows over and over.
+    Total on integer pairs: 1 whenever k = 0 (any n), the q-factorial ratio
+    [n]! / ([k]! [n-k]!) for 0 <= k <= n, and 0 otherwise.  It is built as
+    the product of [n-i+1] / [i] over i = 1..min(k, n-k), one
+    times_q_integer and one div_q_integer per step, each linear in the
+    degree; every partial product is the Gaussian binomial (n, i), so each
+    division is exact.  The 1024 most recently used values are kept: the
+    shift sums ask for the same rows over and over.
     """
     if k == 0:
         return Q_ONE
     if k < 0 or n < 0 or k > n:
         return Q_ZERO
-    num = q_factorial(n)
-    den = q_factorial(k) * q_factorial(n - k)
-    return num.exact_div(den)
+    p = Q_ONE
+    for i in range(1, min(k, n - k) + 1):
+        p = div_q_integer(times_q_integer(p, n - i + 1), i)
+    return p
 
 
 def q_rising(n: int, m: int) -> QPoly:

@@ -2,8 +2,8 @@ import pytest
 
 from qcomb import classical, families
 from qcomb.families import (FAMILIES, bell_q, gen_bell, hsu_shiue, lah_q,
-                            stirling1_q, stirling2_q, stirling_neg1,
-                            table_rows)
+                            lah_q_closed_form, stirling1_q, stirling2_q,
+                            stirling_neg1, table_rows)
 from qcomb.polyring import (MPoly, Q_ONE, Q_ZERO, QPoly, poly_eval_int,
                             q_binomial)
 
@@ -69,6 +69,16 @@ class TestLahQ:
                 for r in range(3):
                     assert poly_eval_int(lah_q(n, k, r), 1) == \
                         classical.lah_r(n, k, r)
+
+    def test_closed_form_is_zero_above_the_diagonal(self):
+        # the ratio is a q-rising factorial of length n - k, which cannot
+        # be negative; the closed form is zero there, as lah_q is
+        for n in range(7):
+            for k in range(n + 1, n + 4):
+                assert lah_q_closed_form(n, k) == lah_q(n, k) == Q_ZERO
+        for n in range(1, 9):
+            for k in range(1, n + 1):
+                assert lah_q_closed_form(n, k) == lah_q(n, k)
 
 
 class TestStirling1Q:

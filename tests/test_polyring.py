@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from qcomb.polyring import (ALPHA, BETA, ExactDivisionError, MPoly, Q, Q_ONE,
                             Q_ZERO, QPoly, R, X, binom, binom_gen,
-                            elementary_symmetric, poly_eval_int, q_binomial,
+                            div_q_integer, elementary_symmetric, poly_eval_int, q_binomial,
                             q_factorial, q_integer, q_rising, rising_int,
                             shifted_factorial, times_q_integer)
 
@@ -113,6 +113,56 @@ class TestQPrimitives:
         assert times_q_integer(QPoly([3, -1]), 1) == QPoly([3, -1])
         with pytest.raises(ValueError):
             times_q_integer(Q_ONE, -1)
+
+    @given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=12).map(QPoly),
+           st.integers(1, 15))
+    def test_div_q_integer_undoes_times_q_integer(self, p, n):
+        prod = times_q_integer(p, n)
+        assert div_q_integer(prod, n).coeffs == p.coeffs
+        assert div_q_integer(prod, n).coeffs == prod.exact_div(q_integer(n)).coeffs
+
+    @given(st.lists(st.integers(-3, 3), max_size=8).map(QPoly),
+           st.integers(1, 6))
+    def test_div_q_integer_agrees_with_exact_div(self, p, n):
+        try:
+            want = p.exact_div(q_integer(n))
+        except ExactDivisionError:
+            with pytest.raises(ExactDivisionError):
+                div_q_integer(p, n)
+        else:
+            assert div_q_integer(p, n).coeffs == want.coeffs
+
+    def test_div_q_integer_edges(self):
+        assert div_q_integer(Q_ZERO, 3) == Q_ZERO
+        assert div_q_integer(QPoly([3, -1]), 1) == QPoly([3, -1])
+        assert div_q_integer(QPoly([1, 2, 2, 1]), 3) == QPoly([1, 1])
+        for p, n in ((QPoly([1, 1, 1]), 2), (Q_ONE, 2), (QPoly([1, 1]), 3),
+                     (QPoly([1, 1, 1, 1]), 3)):
+            with pytest.raises(ExactDivisionError):
+                div_q_integer(p, n)
+        with pytest.raises(ZeroDivisionError):
+            div_q_integer(Q_ONE, 0)
+        with pytest.raises(ValueError):
+            div_q_integer(Q_ONE, -1)
+
+    def test_q_binomial_builds_in_linear_steps(self, monkeypatch):
+        # a cold q_binomial multiplies and divides only by q-integers
+        calls = []
+
+        def counted(name):
+            real = getattr(QPoly, name)
+
+            def method(*args):
+                calls.append(name)
+                return real(*args)
+            return method
+        for name in ("__mul__", "__rmul__", "exact_div"):
+            monkeypatch.setattr(QPoly, name, counted(name))
+        q_binomial.cache_clear()
+        value = q_binomial(40, 20)
+        assert calls == []
+        assert poly_eval_int(value, 1) == binom(40, 20)
+        assert value.degree == 20 * 20
 
     def test_q_binomial_cache_is_factorial_ratio(self):
         # schoolbook q-factorials, kept apart from times_q_integer
