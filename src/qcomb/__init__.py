@@ -17,8 +17,7 @@ from .families import (bell_q, gen_bell, hsu_shiue, lah_q, stirling1_q,
                        stirling2_q, stirling_neg1)
 from .oracles import oracle, oracle_table
 from .bijection import SplitParts, join_lah, split_lah
-from .identities import (IdentityReport, check, check_all, identity_names,
-                         indicator_pair)
+from .identities import IdentityReport, check, identity_names, indicator_pair
 
 __all__ = [
     "ALPHA", "BETA", "R", "X", "MPoly", "QPoly",
@@ -34,7 +33,7 @@ __all__ = [
     "stirling_neg1",
     "oracle", "oracle_table",
     "SplitParts", "join_lah", "split_lah",
-    "IdentityReport", "check", "check_all", "identity_names",
+    "IdentityReport", "check", "identity_names",
     "indicator_pair",
 ]
 

@@ -1,14 +1,11 @@
 """Engines for the q-number families and the generalized Stirling numbers.
 
 Every engine returns an exact QPoly or MPoly and is memoized on its
-parameters; clear_caches() drops every kept value.  The r = 0 triangles are
-filled iteratively by one kernel; the restricted (r > 0) values are computed
-from them through the corresponding shift formulas, so those formulas are
-exercised on every restricted computation; the enumeration oracles validate
-the composition independently.  Each shift sum is evaluated in Horner form
-in its q-integer factor: the partial sum is multiplied by one q-integer per
-step (polyring.times_q_integer), so no power [r]^(n-i) or q-rising
-factorial is ever built.
+parameters; clear_caches() drops every kept value.  Each triangle is filled
+iteratively by one kernel, one set of columns per r, from a two-term
+recurrence in n for every r >= 0 alike; the shift sums that I-T4E1..3 state
+are checked against them, not used to compute them, and the enumeration
+oracles validate every triangle independently.
 
 Values are zero outside the support 0 <= k <= n; negative n or r is an
 argument error.
@@ -20,8 +17,7 @@ from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
 from .polyring import (ALPHA, BETA, M_ZERO, MPoly, Q_ONE, Q_ZERO, QPoly, R, X,
-                       binom, binom_gen, q_binomial, q_rising,
-                       times_q_integer)
+                       binom_gen, q_binomial, q_rising, times_q_integer)
 
 
 def _check_nr(name: str, n: int, r: int) -> None:
@@ -30,24 +26,25 @@ def _check_nr(name: str, n: int, r: int) -> None:
 
 
 def _triangle(zero, one, step):
-    """T(n, k), 0 <= k <= n, of the triangle T(0, 0) = one and
-    T(n, k) = step(n, k, T(n-1, k-1), T(n-1, k)), with T(n-1, -1) = zero.
-    Columns 0..k are filled downward to row n and kept in ``cell.columns``;
-    nothing recurses."""
-    cols: list[list] = []
+    """T(n, k, r), 0 <= k <= n, of the triangle T(0, 0, r) = one(r) and
+    T(n, k, r) = step(n, k, r, T(n-1, k-1, r), T(n-1, k, r)), with
+    T(n-1, -1, r) = zero.  Columns 0..k are filled downward to row n and
+    kept, one set per r, in ``cell.columns``; nothing recurses."""
+    columns: dict[int, list[list]] = {}
 
-    def cell(n: int, k: int):
+    def cell(n: int, k: int, r: int):
+        cols = columns.setdefault(r, [])
         if k < len(cols) and n < len(cols[k]):
             return cols[k][n]
         for j in range(k + 1):
             if j == len(cols):
-                cols.append([zero] * j if j else [one])
+                cols.append([zero] * j if j else [one(r)])
             col = cols[j]
             for m in range(len(col), n + 1):
                 left = cols[j - 1][m - 1] if j else zero
-                col.append(step(m, j, left, col[m - 1]))
+                col.append(step(m, j, r, left, col[m - 1]))
         return cols[k][n]
-    cell.columns = cols
+    cell.columns = columns
     return cell
 
 
@@ -55,30 +52,24 @@ def _triangle(zero, one, step):
 # q-Stirling numbers of the second kind and q-Bell numbers
 # ---------------------------------------------------------------------------
 
-# column 0 is zero below T(0, 0), where q^(k-1) would be a negative power
-_stirling2_q_base = _triangle(Q_ZERO, Q_ONE, lambda n, k, left, up: (
-    left.shift(k - 1) + times_q_integer(up, k) if k else Q_ZERO))
+# element n+r joins one of the k+r blocks or opens block k+r (stat_w);
+# column 0 has no left term, whose q^(k+r-1) is a negative power at r = 0
+_stirling2_q_base = _triangle(Q_ZERO, lambda r: Q_ONE, lambda n, k, r, left, up: (
+    left.shift(k + r - 1) + times_q_integer(up, k + r) if k
+    else times_q_integer(up, r)))
 
 
 @lru_cache(maxsize=None)
 def stirling2_q(n: int, k: int, r: int = 0) -> QPoly:
-    """Block-weight generating polynomial over restricted partitions.
-
-    r = 0 follows the recurrence with factors q^(k-1) and the q-integer k;
-    r > 0 shifts the unrestricted values by the count of elements avoiding
-    the blocks of 1..r: the sum over i of C(n, i) * [r]^(n-i) * q^(ir) *
-    S_q(i, k), taken in Horner form in [r].
+    """Block-weight generating polynomial over restricted partitions:
+    T(n, k, r) = q^(k+r-1) * T(n-1, k-1, r) + [k+r] * T(n-1, k, r) with
+    T(0, 0, r) = 1, so the restricted blocks' fixed r-choose-2 contribution
+    is dropped.
     """
     _check_nr("stirling2_q", n, r)
     if k < 0 or k > n:
         return Q_ZERO
-    if r == 0:
-        return _stirling2_q_base(n, k)
-    total = Q_ZERO
-    for i in range(k, n + 1):
-        term = _stirling2_q_base(i, k) * binom(n, i)
-        total = times_q_integer(total, r) + term.shift(i * r)
-    return total
+    return _stirling2_q_base(n, k, r)
 
 
 @lru_cache(maxsize=None)
@@ -95,9 +86,14 @@ def bell_q(n: int, r: int = 0) -> QPoly:
 # q-Lah numbers
 # ---------------------------------------------------------------------------
 
-# column 0 is zero below T(0, 0), where q^(n+k-2) can be a negative power
-_lah_q_base = _triangle(Q_ZERO, Q_ONE, lambda n, k, left, up: (
-    left.shift(n + k - 2) + times_q_integer(up, n + k - 1) if k else Q_ZERO))
+# element n+r opens a block, passing all n+k+2r-2 letters and separators
+# of the word (stat_inv_rho), or takes one of the n+k+2r-1 places in the
+# k+r blocks; column 0 has no left term, whose shift is negative at n = 1,
+# r = 0; the r restricted elements alone have statistic r(r-1)
+_lah_q_base = _triangle(
+    Q_ZERO, lambda r: Q_ONE.shift(r * (r - 1)), lambda n, k, r, left, up: (
+        left.shift(n + k + 2 * r - 2) + times_q_integer(up, n + k + 2 * r - 1)
+        if k else times_q_integer(up, n + 2 * r - 1)))
 
 
 def lah_q_closed_form(n: int, k: int) -> QPoly:
@@ -110,52 +106,36 @@ def lah_q_closed_form(n: int, k: int) -> QPoly:
 
 @lru_cache(maxsize=None)
 def lah_q(n: int, k: int, r: int = 0) -> QPoly:
-    """Inversion generating polynomial over restricted Lah distributions.
-
-    r = 0 follows the two-term recurrence; I-LAH-CF checks it against
-    lah_q_closed_form.  r > 0 is the sum over i of the q-rising factorial
-    (2r)_(n-i) * qbinom(n, i) * q^(r(2i+r-1)) * L_q(i, k), in Horner form:
-    step i multiplies the partial sum by [2r+n-i] and adds term i.
+    """Inversion generating polynomial over restricted Lah distributions:
+    T(n, k, r) = q^(n+k+2r-2) * T(n-1, k-1, r) + [n+k+2r-1] * T(n-1, k, r)
+    with T(0, 0, r) = q^(r(r-1)).  I-LAH-CF checks r = 0 against
+    lah_q_closed_form.
     """
     _check_nr("lah_q", n, r)
     if k < 0 or k > n:
         return Q_ZERO
-    if r == 0:
-        return _lah_q_base(n, k)
-    total = Q_ZERO
-    for i in range(k, n + 1):
-        term = q_binomial(n, i) * _lah_q_base(i, k)
-        total = (times_q_integer(total, 2 * r + n - i)
-                 + term.shift(r * (2 * i + r - 1)))
-    return total
+    return _lah_q_base(n, k, r)
 
 
 # ---------------------------------------------------------------------------
 # q-Stirling numbers of the first kind
 # ---------------------------------------------------------------------------
 
-_stirling1_q_base = _triangle(Q_ZERO, Q_ONE, lambda n, k, left, up:
-                              left + times_q_integer(up, n - 1))
+# element n+r opens a cycle or follows one of the n+r-1 others (stat_inv_c)
+_stirling1_q_base = _triangle(Q_ZERO, lambda r: Q_ONE, lambda n, k, r, left, up:
+                              left + times_q_integer(up, n + r - 1))
 
 
 @lru_cache(maxsize=None)
 def stirling1_q(n: int, k: int, r: int = 0) -> QPoly:
-    """Cycle-inversion generating polynomial over restricted permutations.
-
-    r > 0 is the sum over i of the q-rising factorial (r)_(n-i) *
-    qbinom(n, i) * s_q(i, k), in Horner form: step i multiplies the
-    partial sum by [r+n-i] and adds term i.
+    """Cycle-inversion generating polynomial over restricted permutations:
+    T(n, k, r) = T(n-1, k-1, r) + [n+r-1] * T(n-1, k, r) with
+    T(0, 0, r) = 1.
     """
     _check_nr("stirling1_q", n, r)
     if k < 0 or k > n:
         return Q_ZERO
-    if r == 0:
-        return _stirling1_q_base(n, k)
-    total = Q_ZERO
-    for i in range(k, n + 1):
-        term = q_binomial(n, i) * _stirling1_q_base(i, k)
-        total = times_q_integer(total, r + n - i) + term
-    return total
+    return _stirling1_q_base(n, k, r)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +161,9 @@ def stirling_neg1(variant: str, n: int, k: int) -> int:
 # generalized Stirling numbers and generalized Bell polynomials
 # ---------------------------------------------------------------------------
 
-_hsu_shiue_base = _triangle(M_ZERO, MPoly.from_int(1), lambda n, k, left, up:
+# hsu_shiue's r is a variable of its polynomials: one set of columns, r = 0
+_hsu_shiue_base = _triangle(M_ZERO, lambda r: MPoly.from_int(1),
+                            lambda n, k, r, left, up:
                             left + (ALPHA * (n - 1) + BETA * k + R) * up)
 
 
@@ -193,7 +175,7 @@ def hsu_shiue(n: int, k: int) -> MPoly:
         raise ValueError(f"hsu_shiue requires n >= 0, got {n}")
     if k < 0 or k > n:
         return M_ZERO
-    return _hsu_shiue_base(n, k)
+    return _hsu_shiue_base(n, k, 0)
 
 
 @lru_cache(maxsize=None)
@@ -207,8 +189,8 @@ def gen_bell(n: int) -> MPoly:
     return total
 
 
-# every kept value: the six engine caches, the q-binomial cache behind the
-# shift sums and the kernel columns; held here, not looked up by name, so a
+# every kept value: the six engine caches, the q-binomial cache and the
+# kernel columns; held here, not looked up by name, so a
 # re-bound module attribute cannot hide one of them
 _CACHES = (stirling2_q, bell_q, lah_q, stirling1_q, hsu_shiue, gen_bell,
            q_binomial)

@@ -184,7 +184,7 @@ class TestClearCaches:
         families.clear_caches()
         for fn in [fn for fn, _ in cells] + [q_binomial]:
             assert fn.cache_info().currsize == 0, fn.__name__
-        assert all(kernel.columns == [] for kernel in kernels)
+        assert all(kernel.columns == {} for kernel in kernels)
         after = [fn(*args) for fn, args in cells]
         assert after == before
         assert all(a is not b for a, b in zip(after, before))

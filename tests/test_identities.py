@@ -171,6 +171,26 @@ class TestCheckDriver:
         assert r.cells_checked == 0
 
 
+@pytest.mark.parametrize("kernel, name", [
+    ("_stirling2_q_base", "I-T4E1"), ("_lah_q_base", "I-T4E2"),
+    ("_stirling1_q_base", "I-T4E3")])
+def test_restricted_kernel_fault_fails_at_r_0(kernel, name):
+    """A one-coefficient fault in the r = 1 triangle at (n, k) = (2, 1) is
+    caught first at the r = 0 cell that compares it with the shift sum over
+    the r = 0 triangle; while the engines computed r > 0 by that shift sum,
+    the cell restated the engine and could not fail."""
+    kernel = getattr(families, kernel)
+    families.clear_caches()
+    try:
+        value = kernel(2, 1, 1)
+        kernel.columns[1][1][2] = QPoly((value.coeffs[0] + 1,) + value.coeffs[1:])
+        report = check(name)
+    finally:
+        families.clear_caches()
+    assert report.status == "fail"
+    assert report.counterexample["params"] == {"k": 1, "m": 1, "n": 2, "r": 0}
+
+
 class TestOracleDiff:
     @pytest.mark.parametrize("planted", [False, True])
     def test_bell_q_ignores_k_range(self, monkeypatch, planted):

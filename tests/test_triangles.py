@@ -1,7 +1,7 @@
 """The iterative triangle kernels of families.py and classical.py against the
-recursive definitions they replaced, and the Horner-form shift sums of the
-restricted q-engines against the term-by-term sums they replaced; both are
-kept here as the reference."""
+recursive definitions they replaced, and the restricted q-engines, which
+fill one triangle per r, against the term-by-term shift sums that once
+computed them; both are kept here as the reference."""
 
 import json
 import math
@@ -241,9 +241,11 @@ def test_random_cell(name, n, k, r):
 
 
 def test_cells_out_of_order():
-    """A cold kernel asked for a cell, then for a lower column further down,
-    then for new columns further down, extends every column correctly."""
-    order = [(9, 4), (12, 2), (12, 7)]
+    """A cold kernel asked for a cell at r = 2, then at r = 0, then at r = 2
+    for a lower column further down and for new columns further down, then
+    at r = 1, extends every column of every r correctly; the restricted
+    q-engines are compared with the shift sums."""
+    order = [(9, 4, 2), (12, 2, 0), (12, 2, 2), (13, 7, 2), (10, 5, 1)]
     script = (
         "import json\n"
         "from qcomb import classical\n"
@@ -251,20 +253,22 @@ def test_cells_out_of_order():
         f"order = {order!r}\n"
         "out = {}\n"
         "for name, fn in [('stirling2_q', stirling2_q), ('lah_q', lah_q),\n"
-        "                 ('stirling1_q', stirling1_q), ('hsu_shiue', hsu_shiue)]:\n"
-        "    out[name] = [fn(n, k).to_json() for n, k in order]\n"
+        "                 ('stirling1_q', stirling1_q)]:\n"
+        "    out[name] = [fn(n, k, r).to_json() for n, k, r in order]\n"
+        "out['hsu_shiue'] = [hsu_shiue(n, k).to_json() for n, k, r in order]\n"
         "for name in ('stirling2_r', 'stirling1_r', 'lah_r'):\n"
-        "    out[name] = [getattr(classical, name)(n, k, 2) for n, k in order]\n"
-        "out['ext_lah_count'] = [classical.ext_lah_count(n, k) for n, k in order]\n"
+        "    out[name] = [getattr(classical, name)(n, k, r) for n, k, r in order]\n"
+        "out['ext_lah_count'] = [classical.ext_lah_count(n, k)\n"
+        "                        for n, k, r in order]\n"
         "print(json.dumps(out))\n")
     env = {**os.environ, "PYTHONPATH": str(Path(qcomb.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, check=True, env=env)
     got = json.loads(proc.stdout)
     for name, values in got.items():
-        _fn, ref = TRIANGLES[name]
-        want = [ref(n, k, 2) for n, k in order]
-        if name in ("stirling2_q", "lah_q", "stirling1_q", "hsu_shiue"):
+        ref = SHIFT_SUMS[name][1] if name in SHIFT_SUMS else TRIANGLES[name][1]
+        want = [ref(n, k, r) for n, k, r in order]
+        if name in SHIFT_SUMS or name == "hsu_shiue":
             want = [v.to_json() for v in want]
         assert values == want, name
 
