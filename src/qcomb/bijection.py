@@ -13,6 +13,7 @@ and is inverted by join_lah.
 
 from __future__ import annotations
 
+from itertools import chain, compress
 from typing import NamedTuple
 
 from .structures import ExtLahDist, LahDist
@@ -24,12 +25,6 @@ class SplitParts(NamedTuple):
     sigma: ExtLahDist
     sigma_labels: tuple[int, ...]
     tau: ExtLahDist
-
-
-def _relabel(blocks: tuple[tuple[int, ...], ...], circled: frozenset[int],
-             mapping: dict[int, int], n: int) -> ExtLahDist:
-    base = LahDist(n, tuple(tuple(mapping[e] for e in b) for b in blocks))
-    return ExtLahDist(base, frozenset(mapping[e] for e in circled))
 
 
 def split_lah(lam: ExtLahDist, m: int, n: int) -> SplitParts:
@@ -45,36 +40,45 @@ def split_lah(lam: ExtLahDist, m: int, n: int) -> SplitParts:
         raise ValueError(f"structure size {lam.n} is not m+n = {m + n}")
     lam.validate()
 
-    prefix = [b for b in lam.base.blocks if min(b) <= m]
-    hblocks = [b for b in lam.base.blocks if min(b) > m]
-    j = len(prefix) - (1 if 1 in lam.circled else 0)
+    # the validated blocks come in order of their minima, so the blocks
+    # meeting [m] are a prefix of them
+    blocks, circled = lam.base.blocks, lam.circled
+    p = 0
+    for b in blocks:
+        if min(b) > m:
+            break
+        p += 1
+    j = p - (1 if 1 in circled else 0)
 
     # circled H-elements inside the prefix can only sit in its last block,
     # as a suffix starting at the smallest of them
-    sigma_blocks = [list(b) for b in prefix]
-    tau_blocks: list[tuple[int, ...]] = []
-    last = sigma_blocks[-1]
-    cut = next((p for p, e in enumerate(last)
-                if e > m and e in lam.circled), None)
-    if cut is not None:
-        tau_blocks.append(tuple(last[cut:]))
-        del last[cut:]
-    tau_blocks.extend(hblocks)
+    sigma_blocks, tau_blocks = blocks[:p], blocks[p:]
+    last = blocks[p - 1]
+    for cut, e in enumerate(last):
+        if e > m and e in circled:
+            sigma_blocks = sigma_blocks[:-1] + (last[:cut],)
+            tau_blocks = (last[cut:],) + tau_blocks
+            break
 
-    sigma_elems = sorted(e for b in sigma_blocks for e in b)
-    tau_elems = sorted(e for b in tau_blocks for e in b)
-    i = len(tau_elems)
-    if i + len(sigma_elems) != m + n:
+    s, i = sum(map(len, sigma_blocks)), sum(map(len, tau_blocks))
+    if s + i != m + n:
         raise ValueError("split lost elements; malformed input structure")
 
-    sig_map = {e: t + 1 for t, e in enumerate(sigma_elems)}
-    sigma = _relabel(tuple(tuple(b) for b in sigma_blocks),
-                     frozenset(e for e in lam.circled if e <= m),
-                     sig_map, len(sigma_elems)).validate()
-    tau_map = {e: t + 1 for t, e in enumerate(tau_elems)}
-    tau = _relabel(tuple(tau_blocks),
-                   frozenset(e for e in lam.circled if e in tau_map),
-                   tau_map, i).validate()
+    # one table relabels both parts: each element goes to exactly one
+    sigma_elems = sorted(chain.from_iterable(sigma_blocks))
+    label = [0] * (m + n + 1)
+    for t, e in enumerate(sigma_elems, 1):
+        label[e] = t
+    for t, e in enumerate(sorted(chain.from_iterable(tau_blocks)), 1):
+        label[e] = t
+    relabel = label.__getitem__
+    # [m] lies in sigma and sorts first there, so its labels stay as they are
+    sigma = ExtLahDist(
+        LahDist(s, tuple(tuple(map(relabel, b)) for b in sigma_blocks)),
+        frozenset(e for e in circled if e <= m)).validate()
+    tau = ExtLahDist(
+        LahDist(i, tuple(tuple(map(relabel, b)) for b in tau_blocks)),
+        frozenset(relabel(e) for e in circled if e > m)).validate()
     return SplitParts(i, j, sigma, tuple(sigma_elems), tau)
 
 
@@ -91,27 +95,31 @@ def join_lah(sigma: ExtLahDist, sigma_labels: tuple[int, ...],
     sigma.validate()
     tau.validate()
 
-    ground = set(range(1, m + n + 1))
-    used = set(sigma_labels)
-    if sorted(used) != list(sigma_labels) or not used <= ground:
-        raise ValueError("sigma_labels must increase strictly within [m+n]")
-    if not set(range(1, m + 1)) <= used:
+    # free[e] says whether e in [m+n] is still free for tau
+    free = bytearray(b"\x01") * (m + n + 1)
+    free[0] = 0
+    prev = 0
+    bad = "sigma_labels must increase strictly within [m+n]"
+    try:
+        for e in sigma_labels:
+            if not prev < e <= m + n:
+                raise ValueError(bad)
+            free[e] = 0
+            prev = e
+    except TypeError:                    # a label that is not an int
+        raise ValueError(bad) from None
+    if any(free[1:m + 1]):
         raise ValueError("sigma must contain all of [m]")
-    rest = sorted(ground - used)                         # tau.n of them
 
-    sig_map = {t + 1: e for t, e in enumerate(sigma_labels)}
-    tau_map = {t + 1: e for t, e in enumerate(rest)}
-    blocks = [list(sig_map[e] for e in b) for b in sigma.base.blocks]
-    circled = set(sig_map[e] for e in sigma.circled)
-    circled.update(tau_map[e] for e in tau.circled)
-
-    tau_relabeled = [tuple(tau_map[e] for e in b) for b in tau.base.blocks]
-    if tau_relabeled and 1 in tau.circled:
+    sig = (0,) + tuple(sigma_labels)
+    rest = (0,) + tuple(compress(range(m + n + 1), free))   # tau.n of them
+    blocks = [tuple(map(sig.__getitem__, b)) for b in sigma.base.blocks]
+    tau_blocks = [tuple(map(rest.__getitem__, b)) for b in tau.base.blocks]
+    if tau_blocks and 1 in tau.circled:
         # tau's first block is not true: it continues sigma's last block
-        blocks[-1].extend(tau_relabeled[0])
-        tau_relabeled = tau_relabeled[1:]
-    blocks.extend(list(b) for b in tau_relabeled)
+        blocks[-1] += tau_blocks.pop(0)
+    blocks += tau_blocks
+    circled = frozenset(map(sig.__getitem__, sigma.circled)).union(
+        map(rest.__getitem__, tau.circled))
 
-    lam = ExtLahDist(LahDist(m + n, tuple(tuple(b) for b in blocks)),
-                     frozenset(circled))
-    return lam.validate()
+    return ExtLahDist(LahDist(m + n, tuple(blocks)), circled).validate()

@@ -422,9 +422,16 @@ class MPoly(_Poly):
     def from_monomial(cls, e_alpha: int = 0, e_beta: int = 0, e_r: int = 0,
                       e_x: int = 0, coeff: int = 1) -> "MPoly":
         exps = (e_alpha, e_beta, e_r, e_x)
-        if any(e < 0 for e in exps):
+        if min(exps) < 0:
             raise ValueError(f"negative exponent in monomial {exps}")
-        return cls({exps: coeff})
+        return cls._of({exps: coeff} if coeff != 0 else {})
+
+    @classmethod
+    def _of(cls, terms: dict[tuple[int, int, int, int], int]) -> "MPoly":
+        """Wrap a term map that holds no zero coefficient, without a copy."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -462,6 +469,12 @@ class MPoly(_Poly):
             return MPoly({e: other * c for e, c in self.terms.items()})
         if not isinstance(other, MPoly):
             return NotImplemented
+        if len(self.terms) == 1 == len(other.terms):
+            # a product of two monomials is one term and cannot cancel
+            (ea, ca), = self.terms.items()
+            (eb, cb), = other.terms.items()
+            return MPoly._of({(ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2],
+                               ea[3] + eb[3]): ca * cb})
         out: dict[tuple[int, int, int, int], int] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():

@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 
 from qcomb.polyring import (ALPHA, BETA, ExactDivisionError, MPoly, Q, Q_ONE,
                             Q_ZERO, QPoly, R, X, binom, binom_gen,
-                            div_q_integer, elementary_symmetric, poly_eval_int, q_binomial,
-                            q_factorial, q_integer, q_rising, rising_int,
+                            div_q_integer, elementary_symmetric, poly_eval_int,
+                            q_binomial, q_factorial, q_integer, q_rising, rising_int,
                             shifted_factorial, times_q_integer)
 
 qpolys = st.lists(st.integers(-3, 3), max_size=4).map(QPoly)
@@ -282,6 +282,72 @@ class TestMPoly:
     def test_str(self):
         assert str(MPoly()) == "0"
         assert str(ALPHA + BETA + 2 * R) == "alpha + beta + 2*r"
+
+
+def ref_mpoly_mul(a, b):
+    """The general term-by-term product, with its zero filter."""
+    out = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return MPoly(out)
+
+
+nonzero = st.integers(-5, 5).filter(bool)
+monomials = st.builds(lambda e, c: MPoly({e: c}), exps, nonzero)
+
+
+class TestMPolyFastPaths:
+    def test_from_monomial_with_coefficient_zero_is_zero(self):
+        p = MPoly.from_monomial(e_alpha=2, e_r=1, coeff=0)
+        assert p.is_zero() and p.terms == {} and p == MPoly()
+
+    def test_from_monomial_keeps_its_negative_exponent_error(self):
+        with pytest.raises(ValueError) as err:
+            MPoly.from_monomial(1, -2, 0, 3, coeff=0)
+        assert str(err.value) == "negative exponent in monomial (1, -2, 0, 3)"
+
+    def test_from_monomial_calls_share_no_terms(self):
+        for coeff in (0, 1):
+            a = MPoly.from_monomial(e_beta=1, coeff=coeff)
+            b = MPoly.from_monomial(e_beta=1, coeff=coeff)
+            assert a.terms is not b.terms
+            a.terms[(9, 9, 9, 9)] = 1
+            assert (9, 9, 9, 9) not in b.terms
+
+    @given(monomials, monomials)
+    def test_monomial_product_matches_the_general_product(self, a, b):
+        got = a * b
+        assert got.terms == ref_mpoly_mul(a, b).terms
+        assert got.terms is not a.terms and got.terms is not b.terms
+        assert list(got.terms.values()) == [next(iter(a.terms.values()))
+                                            * next(iter(b.terms.values()))]
+
+    @given(mpolys, mpolys)
+    def test_every_product_matches_the_general_product(self, a, b):
+        assert (a * b).terms == ref_mpoly_mul(a, b).terms
+
+    def test_only_monomial_products_skip_the_general_loop(self, monkeypatch):
+        # the general loop never wraps a term map unfiltered, the fast path
+        # always does
+        wrapped = []
+        of = MPoly._of.__func__
+        monkeypatch.setattr(MPoly, "_of", classmethod(
+            lambda cls, terms: wrapped.append(dict(terms)) or of(cls, terms)))
+        assert (-2 * ALPHA) * (3 * BETA) == -6 * ALPHA * BETA
+        assert wrapped[-1] == {(1, 1, 0, 0): -6}
+        # a monomial times two terms, and two terms times two terms whose
+        # cross terms cancel and must vanish from the term map
+        for a, b, want in [
+                (ALPHA, ALPHA - BETA, {(2, 0, 0, 0): 1, (1, 1, 0, 0): -1}),
+                (ALPHA + BETA, ALPHA - BETA, {(2, 0, 0, 0): 1, (0, 2, 0, 0): -1}),
+                (ALPHA + 1, ALPHA - 1, {(2, 0, 0, 0): 1, (0, 0, 0, 0): -1}),
+                (R - X, R + X, {(0, 0, 2, 0): 1, (0, 0, 0, 2): -1})]:
+            del wrapped[:]
+            assert (a * b).terms == want
+            assert (b * a).terms == want
+            assert wrapped == []
 
 
 class TestShiftedFactorial:

@@ -292,10 +292,14 @@ class TestOutputOrder:
     order."""
 
     PINNED = {
-        "enum_partitions": "9a014588cf3fd52d88904f1e14f1f95b1d4178c492beee445c2c2dc0bc0c0153",
-        "enum_cycle_perms": "9f04f339c04c4989c9ab51a635e32057dd6bfd357522c7c0b4fa490994a1acca",
-        "enum_lah": "d907f0edf92dfe1d5372f66792fb91152103433e83c76101b6fe4837b6ef97d0",
-        "enum_extended_lah": "805e3cd4be1497f2619e6ed8fdba4e2aac72c25326f572401115130bc825f310",
+        "enum_partitions":
+            "9a014588cf3fd52d88904f1e14f1f95b1d4178c492beee445c2c2dc0bc0c0153",
+        "enum_cycle_perms":
+            "9f04f339c04c4989c9ab51a635e32057dd6bfd357522c7c0b4fa490994a1acca",
+        "enum_lah":
+            "d907f0edf92dfe1d5372f66792fb91152103433e83c76101b6fe4837b6ef97d0",
+        "enum_extended_lah":
+            "805e3cd4be1497f2619e6ed8fdba4e2aac72c25326f572401115130bc825f310",
     }
 
     @pytest.mark.parametrize("enum", [enum_partitions, enum_cycle_perms, enum_lah])
