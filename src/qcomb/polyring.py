@@ -424,14 +424,7 @@ class MPoly(_Poly):
         exps = (e_alpha, e_beta, e_r, e_x)
         if min(exps) < 0:
             raise ValueError(f"negative exponent in monomial {exps}")
-        return cls._of({exps: coeff} if coeff != 0 else {})
-
-    @classmethod
-    def _of(cls, terms: dict[tuple[int, int, int, int], int]) -> "MPoly":
-        """Wrap a term map that holds no zero coefficient, without a copy."""
-        out = cls.__new__(cls)
-        out.terms = terms
-        return out
+        return cls({exps: coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -469,12 +462,6 @@ class MPoly(_Poly):
             return MPoly({e: other * c for e, c in self.terms.items()})
         if not isinstance(other, MPoly):
             return NotImplemented
-        if len(self.terms) == 1 == len(other.terms):
-            # a product of two monomials is one term and cannot cancel
-            (ea, ca), = self.terms.items()
-            (eb, cb), = other.terms.items()
-            return MPoly._of({(ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2],
-                               ea[3] + eb[3]): ca * cb})
         out: dict[tuple[int, int, int, int], int] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():

@@ -217,11 +217,11 @@ def mutated_pairs(draw):
             ("repeat", "swap", "value", "shift", "drop", "add", "choice",
              "sigma", "tau", "m", "n")))
         p = draw(st.integers(0, len(labels) - 1)) if labels else None
-        if kind == "sigma":
+        if kind == "sigma" and sigma.n in BY_SIZE:
             sigma = draw(mutated_structures(sizes=(sigma.n,)))
-        elif kind == "tau":
+        elif kind == "tau" and tau.n in BY_SIZE:
             tau = draw(mutated_structures(sizes=(tau.n,)))
-        elif kind == "choice" and m <= len(labels) <= m + n:
+        elif kind == "choice" and m < len(labels) <= m + n:
             rest = draw(st.lists(st.integers(m + 1, m + n), unique=True,
                                  min_size=len(labels) - m,
                                  max_size=len(labels) - m))
