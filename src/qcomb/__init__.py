@@ -4,9 +4,8 @@ checks every identity between them against brute-force enumeration.
 """
 
 from .polyring import (ALPHA, BETA, MPoly, QPoly, R, X, binom, binom_gen,
-                       elementary_symmetric, poly_eval_int, q_binomial,
-                       q_factorial, q_integer, q_rising, rising_int,
-                       shifted_factorial)
+                       elementary_symmetric, q_binomial, q_integer, q_rising,
+                       rising_int, shifted_factorial)
 from .structures import (CellCapError, CyclePerm, ExtLahDist, LahDist,
                          SetPartition, StructureError, enum_cycle_perms,
                          enum_extended_lah, enum_lah, enum_partitions,
@@ -21,9 +20,8 @@ from .identities import IdentityReport, check, identity_names, indicator_pair
 
 __all__ = [
     "ALPHA", "BETA", "R", "X", "MPoly", "QPoly",
-    "binom", "binom_gen", "elementary_symmetric", "poly_eval_int",
-    "q_binomial", "q_factorial", "q_integer", "q_rising", "rising_int",
-    "shifted_factorial",
+    "binom", "binom_gen", "elementary_symmetric", "q_binomial", "q_integer",
+    "q_rising", "rising_int", "shifted_factorial",
     "CellCapError", "CyclePerm", "ExtLahDist", "LahDist", "SetPartition",
     "StructureError", "enum_cycle_perms", "enum_extended_lah", "enum_lah",
     "enum_partitions", "special_elements",

@@ -53,11 +53,6 @@ def stirling2(n: int, k: int) -> int:
     return stirling2_r(n, k, 0)
 
 
-def stirling1(n: int, k: int) -> int:
-    """Signless Stirling numbers of the first kind (cycle counts)."""
-    return stirling1_r(n, k, 0)
-
-
 def lah(n: int, k: int) -> int:
     """Lah numbers: ordered-block partitions of [n] into k blocks."""
     return lah_r(n, k, 0)

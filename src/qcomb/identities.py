@@ -37,9 +37,8 @@ from .families import (PARAMS, TableRow, bell_q, engine, gen_bell,
                        stirling2_q, stirling_neg1)
 from .oracles import ORACLE_FOR_ENGINE, ZERO, oracle_table
 from .polyring import (ALPHA, BETA, M_ZERO, MPoly, Q_ONE, Q_ZERO, QPoly, R,
-                       X, binom, binom_gen, elementary_symmetric,
-                       poly_eval_int, q_binomial, q_integer, q_rising,
-                       rising_int, shifted_factorial)
+                       X, binom, binom_gen, elementary_symmetric, q_binomial,
+                       q_integer, q_rising, rising_int, shifted_factorial)
 from .stats import ext_stats
 from .structures import enum_extended_lah_tracked
 
@@ -431,7 +430,7 @@ for _name, _summary, *_row in _BIN_ROWS:
 
 
 def _sneg(n: int, k: int, r: int = 0) -> int:
-    return poly_eval_int(stirling2_q(n, k, r), -1)
+    return stirling2_q(n, k, r).eval_int(-1)
 
 
 @_identity("I-BIN-5",
@@ -496,7 +495,7 @@ def _lah_cf(cell):
            {"n": (0, 8), "r": (0, 3)}, k="n")
 def _lah_r(cell):
     n, k, r = cell["n"], cell["k"], cell["r"]
-    lhs = poly_eval_int(lah_q(n, k, r), 1)
+    lhs = lah_q(n, k, r).eval_int(1)
     rhs = sum(rising_int(2 * r, i) * binom(n, i) * cl.lah(n - i, k)
               for i in range(n + 1))
     return lhs, rhs

@@ -11,13 +11,14 @@ Two carrier types:
 
 All arithmetic is exact: Python ints carry the coefficients, so there is no
 overflow and no rounding.  Values are immutable after construction and safe
-to share between threads.
+to share between threads.  A constant of either carrier equals the int it
+stands for and hashes like it.  Each carrier writes its JSON form
+(``to_json``); nothing in the package reads that form back.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import sub
@@ -124,9 +125,6 @@ class QPoly(_Poly):
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def coeff(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
     # -- ring operations ----------------------------------------------------
 
     @staticmethod
@@ -185,32 +183,6 @@ class QPoly(_Poly):
             return Q_ZERO
         return QPoly((0,) * k + self.coeffs)
 
-    def exact_div(self, other: "QPoly") -> "QPoly":
-        """Exact polynomial division; a nonzero remainder is a hard error."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return Q_ZERO
-        rem = list(self.coeffs)
-        dd, dv = len(rem) - 1, other.degree
-        if dd < dv:
-            raise ExactDivisionError("degree of divisor exceeds dividend")
-        lead = other.coeffs[-1]
-        quot = [0] * (dd - dv + 1)
-        for i in range(dd - dv, -1, -1):
-            c = rem[i + dv]
-            if c == 0:
-                continue
-            if c % lead != 0:
-                raise ExactDivisionError("leading coefficient does not divide")
-            f = c // lead
-            quot[i] = f
-            for j, oc in enumerate(other.coeffs):
-                rem[i + j] -= f * oc
-        if any(rem):
-            raise ExactDivisionError("nonzero remainder in exact division")
-        return QPoly(quot)
-
     # -- evaluation and serialization ----------------------------------------
 
     def eval_int(self, t: int) -> int:
@@ -224,13 +196,11 @@ class QPoly(_Poly):
         """Ascending coefficient array of decimal strings."""
         return [str(c) for c in self.coeffs]
 
-    @classmethod
-    def from_json(cls, data: Sequence[str]) -> "QPoly":
-        return cls(int(s) for s in data)
-
     # -- dunder plumbing ------------------------------------------------------
 
     def __hash__(self) -> int:
+        if len(self.coeffs) < 2:             # a constant, hashed like its int
+            return hash(sum(self.coeffs))
         return hash(self.coeffs)
 
     def __repr__(self) -> str:
@@ -298,13 +268,6 @@ def div_q_integer(p: QPoly, n: int) -> QPoly:
     return QPoly(d[:cut])
 
 
-def q_factorial(n: int) -> QPoly:
-    """Product of the q-integers 1..n; one for n = 0."""
-    if n < 0:
-        raise ValueError(f"q_factorial requires n >= 0, got {n}")
-    return q_rising(1, n)
-
-
 @lru_cache(maxsize=1024)
 def q_binomial(n: int, k: int) -> QPoly:
     """Gaussian binomial coefficient.
@@ -335,11 +298,6 @@ def q_rising(n: int, m: int) -> QPoly:
     for i in range(n, n + m):
         p = times_q_integer(p, i)
     return p
-
-
-def poly_eval_int(p: QPoly, t: int) -> int:
-    """Exact evaluation of p at q = t."""
-    return p.eval_int(t)
 
 
 def elementary_symmetric(j: int, items: Sequence[QPoly]) -> QPoly:
@@ -471,58 +429,6 @@ class MPoly(_Poly):
 
     __rmul__ = __mul__
 
-    # -- substitution ---------------------------------------------------------
-
-    def substitute(self, **values: "int | Fraction") -> "MPoly":
-        """Substitute exact values for a subset of the variables.
-
-        Unassigned variables stay symbolic; the result is again an MPoly,
-        so its coefficients must come out integral (always true for
-        integer values; checked when a Fraction is supplied).
-        """
-        for name in values:
-            if name not in VAR_NAMES:
-                raise ValueError(f"unknown variable {name!r}")
-        out: dict[tuple[int, int, int, int], Fraction | int] = {}
-        for exps, c in self.terms.items():
-            new = list(exps)
-            term: Fraction | int = c
-            for pos, name in enumerate(VAR_NAMES):
-                if name in values:
-                    term *= Fraction(values[name]) ** exps[pos]
-                    new[pos] = 0
-            e = tuple(new)
-            out[e] = out.get(e, 0) + term
-        ints: dict[tuple[int, int, int, int], int] = {}
-        for e, term in out.items():
-            frac = Fraction(term)
-            if frac.denominator != 1:
-                raise ValueError(
-                    "substitution leaves a non-integer coefficient; use "
-                    "evaluate() for a full rational evaluation")
-            ints[e] = int(frac)
-        return MPoly(ints)
-
-    def evaluate(self, alpha: "Fraction | int", beta: "Fraction | int",
-                 r: "Fraction | int", x: "Fraction | int") -> Fraction:
-        """Exact rational evaluation with every variable assigned."""
-        vals = (Fraction(alpha), Fraction(beta), Fraction(r), Fraction(x))
-        total = Fraction(0)
-        for exps, c in self.terms.items():
-            term = Fraction(c)
-            for v, e in zip(vals, exps):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
-
-    def constant(self) -> int:
-        """The value of a constant polynomial."""
-        extra = [e for e in self.terms if e != _EXP0]
-        if extra:
-            raise ValueError(f"not a constant polynomial: {self}")
-        return self.terms.get(_EXP0, 0)
-
     # -- canonical order and serialization ------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple[int, int, int, int], int]]:
@@ -534,13 +440,11 @@ class MPoly(_Poly):
     def to_json(self) -> list[dict]:
         return [{"exps": list(e), "coeff": str(c)} for e, c in self.sorted_terms()]
 
-    @classmethod
-    def from_json(cls, data: Iterable[dict]) -> "MPoly":
-        return cls({tuple(rec["exps"]): int(rec["coeff"]) for rec in data})
-
     # -- dunder plumbing ------------------------------------------------------
 
     def __hash__(self) -> int:
+        if self.terms.keys() <= {_EXP0}:     # a constant, hashed like its int
+            return hash(self.terms.get(_EXP0, 0))
         return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:

@@ -11,7 +11,9 @@ slot of each structure on [t-1], so each structure is one leaf, reached in a
 deterministic order.  Each slot also says what t adds to the family's
 statistic; the enumerators build and validate the leaves, and all four
 oracles only count them.  The r-restricted variants make each of 1..r open
-its own block or cycle.
+its own block or cycle.  The tests check that restriction, and count the
+true blocks of an extended Lah distribution, with helpers of their own in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -131,9 +133,6 @@ class ExtLahDist(NamedTuple):
     @property
     def n(self) -> int:
         return self.base.n
-
-    def true_block_count(self) -> int:
-        return len(self.base.blocks) - (1 if 1 in self.circled else 0)
 
     def validate(self) -> "ExtLahDist":
         special, starts = _scan(self.base)
@@ -410,8 +409,3 @@ def enum_extended_lah(n: int, k: int | None) -> Iterator[ExtLahDist]:
     """Extended Lah distributions of [n] with exactly k true blocks."""
     for lam, _stats in enum_extended_lah_tracked(n, k):
         yield lam
-
-
-def check_r_distinct(structure: SetPartition | CyclePerm | LahDist, r: int) -> bool:
-    """True iff elements 1..r occupy pairwise distinct blocks/cycles."""
-    return all(sum(e <= r for e in g) <= 1 for g in structure[1])

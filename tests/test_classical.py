@@ -6,7 +6,7 @@ def test_bell_sequence():
 
 
 def test_triangle_values():
-    assert classical.stirling1(4, 2) == 11
+    assert classical.stirling1_r(4, 2, 0) == 11
     assert classical.stirling2(4, 2) == 7
     assert classical.lah(3, 2) == 6
     assert classical.lah(1, 1) == 1
@@ -14,7 +14,7 @@ def test_triangle_values():
 
 def test_out_of_range_zero():
     assert classical.stirling2(3, 4) == 0
-    assert classical.stirling1(-1, 0) == 0
+    assert classical.stirling1_r(-1, 0, 0) == 0
     assert classical.lah(2, -1) == 0
 
 
@@ -22,7 +22,6 @@ def test_restricted_reduce_to_plain():
     for n in range(7):
         for k in range(n + 1):
             assert classical.stirling2_r(n, k, 0) == classical.stirling2(n, k)
-            assert classical.stirling1_r(n, k, 0) == classical.stirling1(n, k)
             assert classical.lah_r(n, k, 0) == classical.lah(n, k)
 
 

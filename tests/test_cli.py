@@ -55,7 +55,8 @@ class TestTable:
         assert code == 0
         data = json.loads(out)
         row = next(r for r in data if r["n"] == 2 and r["k"] == 1)
-        value = MPoly.from_json(row["value"]["terms"])
+        value = MPoly({tuple(t["exps"]): int(t["coeff"])
+                       for t in row["value"]["terms"]})
         assert value == MPoly({(1, 0, 0, 0): 1, (0, 1, 0, 0): 1,
                                (0, 0, 1, 0): 2})
 
@@ -65,7 +66,7 @@ class TestTable:
         assert code == 0
         from qcomb.families import lah_q
         for row in json.loads(out):
-            value = QPoly.from_json(row["value"]["coeffs"])
+            value = QPoly(map(int, row["value"]["coeffs"]))
             assert value == lah_q(row["n"], row["k"], row["r"])
 
     def test_text_bell(self, capsys):
@@ -254,6 +255,32 @@ def test_readme_cli_example_exits_0(capsys, line):
     code, out, err = run_cli(capsys, *shlex.split(line)[1:])
     assert (code, err) == (0, "")
     assert out
+
+
+def test_readme_library_example_gives_its_stated_values():
+    """The README's Python block runs verbatim; each expression statement
+    is evaluated in turn, and the values its comments state are checked."""
+    section = README.read_text(encoding="utf-8").split(
+        "\n## Library example\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope: dict = {}
+    values = []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            code = compile(ast.Expression(stmt.value), "README.md", "eval")
+            values.append(eval(code, scope))
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), scope)
+    s2, _lah, hs, from_oracle, status = values
+    assert str(s2) == "2*q + q^2"
+    assert str(hs) == "alpha + beta + 2*r"
+    assert from_oracle == s2
+    assert status == "pass"
+
+    star: dict = {}
+    exec("from qcomb import *", star)
+    assert set(qcomb.__all__) <= star.keys()
+    assert all(star[name] is getattr(qcomb, name) for name in qcomb.__all__)
 
 
 class TestVerify:

@@ -4,8 +4,8 @@ from qcomb import classical, families
 from qcomb.families import (FAMILIES, bell_q, gen_bell, hsu_shiue, lah_q,
                             lah_q_closed_form, stirling1_q, stirling2_q,
                             stirling_neg1, table_rows)
-from qcomb.polyring import (MPoly, Q_ONE, Q_ZERO, QPoly, poly_eval_int,
-                            q_binomial)
+from qcomb.polyring import MPoly, Q_ONE, Q_ZERO, QPoly, q_binomial
+from reference import evaluate
 
 
 class TestStirling2Q:
@@ -29,26 +29,26 @@ class TestStirling2Q:
     def test_classical_at_one(self):
         for n in range(13):
             for k in range(n + 1):
-                assert poly_eval_int(stirling2_q(n, k), 1) == \
+                assert stirling2_q(n, k).eval_int(1) == \
                     classical.stirling2(n, k)
 
     def test_restricted_classical_at_one(self):
         for n in range(9):
             for k in range(n + 1):
                 for r in range(3):
-                    assert poly_eval_int(stirling2_q(n, k, r), 1) == \
+                    assert stirling2_q(n, k, r).eval_int(1) == \
                         classical.stirling2_r(n, k, r)
 
 
 class TestBellQ:
     def test_examples(self):
         assert bell_q(0, 0) == Q_ONE
-        assert poly_eval_int(bell_q(4, 0), 1) == 15
+        assert bell_q(4, 0).eval_int(1) == 15
         assert bell_q(1, 1) == QPoly([1, 1])
 
     def test_classical_bell_numbers(self):
         for n in range(13):
-            assert poly_eval_int(bell_q(n), 1) == classical.bell(n)
+            assert bell_q(n).eval_int(1) == classical.bell(n)
 
 
 class TestLahQ:
@@ -61,13 +61,13 @@ class TestLahQ:
     def test_classical_at_one(self):
         for n in range(13):
             for k in range(n + 1):
-                assert poly_eval_int(lah_q(n, k), 1) == classical.lah(n, k)
+                assert lah_q(n, k).eval_int(1) == classical.lah(n, k)
 
     def test_restricted_classical_at_one(self):
         for n in range(8):
             for k in range(n + 1):
                 for r in range(3):
-                    assert poly_eval_int(lah_q(n, k, r), 1) == \
+                    assert lah_q(n, k, r).eval_int(1) == \
                         classical.lah_r(n, k, r)
 
     def test_closed_form_is_zero_above_the_diagonal(self):
@@ -86,19 +86,19 @@ class TestStirling1Q:
         assert stirling1_q(3, 2) == QPoly([2, 1])
         for n in range(7):
             assert stirling1_q(n, n) == Q_ONE
-        assert poly_eval_int(stirling1_q(4, 2), 1) == 11
+        assert stirling1_q(4, 2).eval_int(1) == 11
 
     def test_classical_at_one(self):
         for n in range(13):
             for k in range(n + 1):
-                assert poly_eval_int(stirling1_q(n, k), 1) == \
-                    classical.stirling1(n, k)
+                assert stirling1_q(n, k).eval_int(1) == \
+                    classical.stirling1_r(n, k, 0)
 
     def test_restricted_classical_at_one(self):
         for n in range(8):
             for k in range(n + 1):
                 for r in range(3):
-                    assert poly_eval_int(stirling1_q(n, k, r), 1) == \
+                    assert stirling1_q(n, k, r).eval_int(1) == \
                         classical.stirling1_r(n, k, r)
 
 
@@ -117,9 +117,9 @@ class TestStirlingNeg1:
         for n in range(13):
             for k in range(n + 1):
                 assert stirling_neg1("plain", n, k) == \
-                    poly_eval_int(stirling2_q(n, k, 0), -1)
+                    stirling2_q(n, k, 0).eval_int(-1)
                 assert stirling_neg1("r1", n, k) == \
-                    poly_eval_int(stirling2_q(n, k, 1), -1)
+                    stirling2_q(n, k, 1).eval_int(-1)
 
 
 class TestHsuShiue:
@@ -139,13 +139,11 @@ class TestHsuShiue:
         for n in range(11):
             for k in range(n + 1):
                 s = hsu_shiue(n, k)
-                assert s.substitute(alpha=0, beta=1, r=0).constant() == \
-                    classical.stirling2(n, k)
-                assert s.substitute(alpha=1, beta=1, r=0).constant() == \
-                    classical.lah(n, k)
-                assert s.substitute(alpha=-1, beta=1, r=0).constant() == \
-                    (1 if n == k else 0)
-        assert hsu_shiue(3, 2).substitute(alpha=1, beta=1, r=0).constant() == 6
+                assert all(e[3] == 0 for e in s.terms)      # free of x
+                assert evaluate(s, 0, 1, 0, 0) == classical.stirling2(n, k)
+                assert evaluate(s, 1, 1, 0, 0) == classical.lah(n, k)
+                assert evaluate(s, -1, 1, 0, 0) == (1 if n == k else 0)
+        assert evaluate(hsu_shiue(3, 2), 1, 1, 0, 0) == 6
 
     def test_nonnegative_coefficients(self):
         for n in range(9):
@@ -160,9 +158,8 @@ class TestGenBell:
 
     def test_classical_bell_specialization(self):
         for n in range(9):
-            v = gen_bell(n).substitute(alpha=0, beta=1, r=0, x=1).constant()
-            assert v == classical.bell(n)
-        assert gen_bell(5).substitute(alpha=0, beta=1, r=0, x=1).constant() == 52
+            assert evaluate(gen_bell(n), 0, 1, 0, 1) == classical.bell(n)
+        assert evaluate(gen_bell(5), 0, 1, 0, 1) == 52
 
 
 class TestMemoDeterminism:

@@ -8,9 +8,39 @@ from hypothesis import given, strategies as st
 
 from qcomb.polyring import (ALPHA, BETA, ExactDivisionError, MPoly, Q, Q_ONE,
                             Q_ZERO, QPoly, R, X, binom, binom_gen,
-                            div_q_integer, elementary_symmetric, poly_eval_int,
-                            q_binomial, q_factorial, q_integer, q_rising, rising_int,
-                            shifted_factorial, times_q_integer)
+                            div_q_integer, elementary_symmetric, q_binomial,
+                            q_integer, q_rising, rising_int, shifted_factorial,
+                            times_q_integer)
+from reference import evaluate
+
+
+def exact_div(p, d):
+    """Schoolbook division of QPoly p by d; a nonzero remainder is a hard
+    error.  The reference for div_q_integer and the q-binomial caches."""
+    if d.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if p.is_zero():
+        return Q_ZERO
+    rem = list(p.coeffs)
+    dd, dv = len(rem) - 1, d.degree
+    if dd < dv:
+        raise ExactDivisionError("degree of divisor exceeds dividend")
+    lead = d.coeffs[-1]
+    quot = [0] * (dd - dv + 1)
+    for i in range(dd - dv, -1, -1):
+        c = rem[i + dv]
+        if c == 0:
+            continue
+        if c % lead != 0:
+            raise ExactDivisionError("leading coefficient does not divide")
+        f = c // lead
+        quot[i] = f
+        for j, oc in enumerate(d.coeffs):
+            rem[i + j] -= f * oc
+    if any(rem):
+        raise ExactDivisionError("nonzero remainder in exact division")
+    return QPoly(quot)
+
 
 qpolys = st.lists(st.integers(-3, 3), max_size=4).map(QPoly)
 exps = st.tuples(*(st.integers(0, 2) for _ in range(4)))
@@ -43,15 +73,15 @@ class TestQPolyBasics:
 
     def test_exact_div(self):
         num = QPoly([1, 1]) * QPoly([1, 0, 1])
-        assert num.exact_div(QPoly([1, 1])) == QPoly([1, 0, 1])
+        assert exact_div(num, QPoly([1, 1])) == QPoly([1, 0, 1])
         with pytest.raises(ExactDivisionError):
-            QPoly([1, 1, 1]).exact_div(QPoly([1, 1]))
+            exact_div(QPoly([1, 1, 1]), QPoly([1, 1]))
         with pytest.raises(ZeroDivisionError):
-            Q_ONE.exact_div(Q_ZERO)
+            exact_div(Q_ONE, Q_ZERO)
 
     def test_json_round_trip(self):
         p = QPoly([0, -2, 10 ** 30])
-        assert QPoly.from_json(json.loads(json.dumps(p.to_json()))) == p
+        assert QPoly(map(int, json.loads(json.dumps(p.to_json())))) == p
         assert p.to_json() == ["0", "-2", str(10 ** 30)]
 
     def test_str(self):
@@ -68,11 +98,12 @@ class TestQPrimitives:
             q_integer(-1)
 
     def test_q_factorial(self):
-        assert q_factorial(0) == Q_ONE
-        assert q_factorial(2) == QPoly([1, 1])
-        assert q_factorial(3) == QPoly([1, 2, 2, 1])
+        # [n]! is the q-rising factorial of 1 with n factors
+        assert q_rising(1, 0) == Q_ONE
+        assert q_rising(1, 2) == QPoly([1, 1])
+        assert q_rising(1, 3) == QPoly([1, 2, 2, 1])
         with pytest.raises(ValueError):
-            q_factorial(-2)
+            q_rising(1, -2)
 
     def test_q_binomial(self):
         for n in (-3, 0, 4, 7):
@@ -87,7 +118,7 @@ class TestQPrimitives:
             for k in range(n + 1):
                 p = q_binomial(n, k)
                 assert all(c >= 0 for c in p.coeffs)
-                assert poly_eval_int(p, 1) == binom(n, k)
+                assert p.eval_int(1) == binom(n, k)
 
     def test_q_binomial_counts_word_inversions(self):
         # distribution of inversions over binary words with k zeros
@@ -119,13 +150,13 @@ class TestQPrimitives:
     def test_div_q_integer_undoes_times_q_integer(self, p, n):
         prod = times_q_integer(p, n)
         assert div_q_integer(prod, n).coeffs == p.coeffs
-        assert div_q_integer(prod, n).coeffs == prod.exact_div(q_integer(n)).coeffs
+        assert div_q_integer(prod, n).coeffs == exact_div(prod, q_integer(n)).coeffs
 
     @given(st.lists(st.integers(-3, 3), max_size=8).map(QPoly),
            st.integers(1, 6))
     def test_div_q_integer_agrees_with_exact_div(self, p, n):
         try:
-            want = p.exact_div(q_integer(n))
+            want = exact_div(p, q_integer(n))
         except ExactDivisionError:
             with pytest.raises(ExactDivisionError):
                 div_q_integer(p, n)
@@ -156,12 +187,12 @@ class TestQPrimitives:
                 calls.append(name)
                 return real(*args)
             return method
-        for name in ("__mul__", "__rmul__", "exact_div"):
+        for name in ("__mul__", "__rmul__"):
             monkeypatch.setattr(QPoly, name, counted(name))
         q_binomial.cache_clear()
         value = q_binomial(40, 20)
         assert calls == []
-        assert poly_eval_int(value, 1) == binom(40, 20)
+        assert value.eval_int(1) == binom(40, 20)
         assert value.degree == 20 * 20
 
     def test_q_binomial_cache_is_factorial_ratio(self):
@@ -169,7 +200,7 @@ class TestQPrimitives:
         fact = [Q_ONE]
         for i in range(1, 31):
             fact.append(fact[-1] * q_integer(i))
-        want = {(n, k): fact[n].exact_div(fact[k] * fact[n - k])
+        want = {(n, k): exact_div(fact[n], fact[k] * fact[n - k])
                 if 0 <= k <= n else Q_ZERO
                 for n in range(31) for k in range(-1, n + 2)}
         want.update({(n, k): Q_ONE if k == 0 else Q_ZERO
@@ -192,14 +223,14 @@ class TestQPrimitives:
     def test_q_rising_factorial_ratio(self):
         for n in range(1, 8):
             for m in range(5):
-                ratio = q_factorial(n + m - 1).exact_div(q_factorial(n - 1))
+                ratio = exact_div(q_rising(1, n + m - 1), q_rising(1, n - 1))
                 assert q_rising(n, m) == ratio
 
-    def test_poly_eval_int(self):
-        assert poly_eval_int(QPoly([1, 1, 1]), -1) == 1
-        assert poly_eval_int(QPoly([3, -2, 7]), 1) == 8
-        assert poly_eval_int(q_integer(4), -1) == 0
-        assert poly_eval_int(q_integer(5), -1) == 1
+    def test_eval_int(self):
+        assert QPoly([1, 1, 1]).eval_int(-1) == 1
+        assert QPoly([3, -2, 7]).eval_int(1) == 8
+        assert q_integer(4).eval_int(-1) == 0
+        assert q_integer(5).eval_int(-1) == 1
 
     def test_rising_int(self):
         assert rising_int(7, 0) == 1
@@ -223,9 +254,9 @@ class TestQPrimitives:
         # inversion distribution over all permutations of 40 symbols:
         # degree 780, coefficient sum exactly 40!
         import math
-        p = q_factorial(40)
+        p = q_rising(1, 40)
         assert p.degree == 40 * 39 // 2
-        assert poly_eval_int(p, 1) == math.factorial(40)
+        assert p.eval_int(1) == math.factorial(40)
         assert rising_int(1, 100) == math.factorial(100)
 
     def test_elementary_symmetric(self):
@@ -248,36 +279,19 @@ class TestMPoly:
         assert (ALPHA - ALPHA).is_zero()
         assert MPoly({(1, 0, 0, 0): 0}) == MPoly()
 
-    def test_substitute_partial(self):
-        p = ALPHA + BETA + 2 * R
-        assert p.substitute(alpha=0, beta=1, r=0) == MPoly.from_int(1)
-        assert p.substitute(r=3) == ALPHA + BETA + 6
-        with pytest.raises(ValueError):
-            p.substitute(gamma=1)
-
-    def test_substitute_rational_values(self):
-        p = 2 * ALPHA + BETA
-        assert p.substitute(alpha=Fraction(1, 2)) == BETA + 1
-        with pytest.raises(ValueError):
-            p.substitute(beta=Fraction(1, 3))
-
     def test_evaluate_rational(self):
         p = shifted_factorial(2, X - R, BETA)
         a, b, r, x = Fraction(2, 3), Fraction(-1, 2), Fraction(5), Fraction(7, 4)
         direct = (x - r) * (x - r - b)
-        assert p.evaluate(a, b, r, x) == direct
-
-    def test_constant(self):
-        assert (ALPHA * 0 + 5).constant() == 5
-        with pytest.raises(ValueError):
-            ALPHA.constant()
+        assert evaluate(p, a, b, r, x) == direct
 
     def test_canonical_order_and_json(self):
         p = 2 * R + ALPHA + BETA + ALPHA * BETA
         exps_order = [e for e, _ in p.sorted_terms()]
         assert exps_order == [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
                               (1, 1, 0, 0)]
-        assert MPoly.from_json(json.loads(json.dumps(p.to_json()))) == p
+        assert MPoly({tuple(t["exps"]): int(t["coeff"])
+                      for t in json.loads(json.dumps(p.to_json()))}) == p
 
     def test_str(self):
         assert str(MPoly()) == "0"
@@ -327,7 +341,7 @@ class TestShiftedFactorial:
                (Fraction(0), Fraction(1), Fraction(1, 5), Fraction(4))]
         for a, b, r, x in pts:
             direct = (x - r) * (x - r - b) * (x - r - 2 * b)
-            assert p.evaluate(a, b, r, x) == direct
+            assert evaluate(p, a, b, r, x) == direct
 
 
 class TestRingAxioms:
@@ -374,8 +388,8 @@ class TestRingAxioms:
     @given(qpolys, st.integers(-5, 5))
     def test_eval_is_ring_hom(self, p, t):
         q = QPoly([2, -1, 3])
-        assert poly_eval_int(p * q, t) == poly_eval_int(p, t) * poly_eval_int(q, t)
-        assert poly_eval_int(p + q, t) == poly_eval_int(p, t) + poly_eval_int(q, t)
+        assert (p * q).eval_int(t) == p.eval_int(t) * q.eval_int(t)
+        assert (p + q).eval_int(t) == p.eval_int(t) + q.eval_int(t)
 
 
 def _raw(p):
@@ -435,9 +449,12 @@ class TestSharedRingPlumbing:
     @given(data=st.data())
     def test_equal_values_hash_equal(self, polys, const, rebuild, data):
         a = data.draw(polys)
-        for b in (rebuild(a), type(a).from_json(a.to_json()), a + 0, a * 1):
-            assert a == b
-            assert hash(a) == hash(b)
+        c = data.draw(st.integers(-5, 5))
+        for x, y in ((a, rebuild(a)), (a, a + 0), (a, a * 1), (const(c), c)):
+            assert x == y
+            assert hash(x) == hash(y)
+        assert {c: "value"}.get(const(c)) == "value"
+        assert len({const(c), c}) == 1
 
 
 @pytest.mark.parametrize("cls, base", [(QPoly, QPoly([1, -2, 1])),

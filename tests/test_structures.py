@@ -6,10 +6,11 @@ import pytest
 
 from qcomb import classical
 from qcomb.structures import (CellCapError, CyclePerm, ExtLahDist, LahDist,
-                              SetPartition, StructureError, check_r_distinct,
-                              effective_cap, enum_cycle_perms,
-                              enum_extended_lah, enum_lah, enum_partitions,
-                              set_default_cap, special_elements)
+                              SetPartition, StructureError, effective_cap,
+                              enum_cycle_perms, enum_extended_lah, enum_lah,
+                              enum_partitions, set_default_cap,
+                              special_elements)
+from reference import r_distinct, true_block_count
 
 
 class TestValidators:
@@ -125,7 +126,7 @@ class TestCounts:
                 assert sum(1 for _ in enum_partitions(n, k, 0)) == \
                     classical.stirling2(n, k)
                 assert sum(1 for _ in enum_cycle_perms(n, k, 0)) == \
-                    classical.stirling1(n, k)
+                    classical.stirling1_r(n, k, 0)
                 lah_count = sum(1 for _ in enum_lah(n, k, 0))
                 assert lah_count == classical.lah(n, k)
                 if k >= 1:
@@ -147,14 +148,14 @@ class TestRestrictedValidity:
                 for k in range(n + 1):
                     for pi in enum_partitions(n, k, r):
                         pi.validate()
-                        assert check_r_distinct(pi, r)
+                        assert r_distinct(pi, r)
                         assert len(pi.blocks) == k + r
                     for pm in enum_cycle_perms(n, k, r):
                         pm.validate()
-                        assert check_r_distinct(pm, r)
+                        assert r_distinct(pm, r)
                     for d in enum_lah(n, k, r):
                         d.validate()
-                        assert check_r_distinct(d, r)
+                        assert r_distinct(d, r)
 
     def test_restricted_counts_match_classical(self):
         for n in range(6):
@@ -200,11 +201,11 @@ class TestExtendedLahAgainstFilterGenerator:
         for n in range(7):
             insertion = {}
             for lam in enum_extended_lah(n, None):
-                insertion.setdefault(lam.true_block_count(), set()).add(lam)
+                insertion.setdefault(true_block_count(lam), set()).add(lam)
             filtered = {}
             for lam in _filter_based_extended_lah(n):
                 lam.validate()
-                filtered.setdefault(lam.true_block_count(), set()).add(lam)
+                filtered.setdefault(true_block_count(lam), set()).add(lam)
             assert insertion == filtered, f"n={n}"
 
     def test_counts_match_classical(self):

@@ -19,7 +19,7 @@ from qcomb import classical
 from qcomb.families import (hsu_shiue, lah_q, stirling1_q, stirling2_q,
                             stirling_neg1)
 from qcomb.polyring import (ALPHA, BETA, M_ZERO, MPoly, Q_ONE, Q_ZERO, R,
-                            binom, poly_eval_int, q_binomial, q_integer)
+                            binom, q_binomial, q_integer)
 
 # ---------------------------------------------------------------------------
 # the recursive definitions, as they were in the engines
@@ -142,7 +142,7 @@ TRIANGLES = {
                   lambda n, k, r: ref_hsu_shiue(n, k)),
     "stirling2": (lambda n, k, r: classical.stirling2(n, k),
                   lambda n, k, r: ref_stirling2(n, k)),
-    "stirling1": (lambda n, k, r: classical.stirling1(n, k),
+    "stirling1": (lambda n, k, r: classical.stirling1_r(n, k, 0),
                   lambda n, k, r: ref_stirling1(n, k)),
     "lah": (lambda n, k, r: classical.lah(n, k), lambda n, k, r: ref_lah(n, k)),
     "stirling2_r": (classical.stirling2_r, ref_stirling2_r),
@@ -278,8 +278,8 @@ class TestLargeN:
 
     def test_stirling2_q(self):
         value = stirling2_q(1200, 3)
-        assert poly_eval_int(value, 1) == classical.stirling2(1200, 3)
-        assert poly_eval_int(value, -1) == stirling_neg1("plain", 1200, 3)
+        assert value.eval_int(1) == classical.stirling2(1200, 3)
+        assert value.eval_int(-1) == stirling_neg1("plain", 1200, 3)
 
     def test_restricted_stirling2(self):
         # sum over i of binom(n, i) * S(i, 2) * 1^(n-i), S(i, 2) = 2^(i-1) - 1
