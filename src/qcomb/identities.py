@@ -17,7 +17,9 @@ route), I-BIN-5, I-BIN-7 and the rows of ``_BIN_ROWS`` (I-BIN-1..4) share
 it; I-T4E1..3 are the rows of ``_T4_ROWS`` on one shift sum.  Most terms
 of these sums vanish (87 to 89% on the I-BIN grids), and ``_two_part``
 skips every term with a zero factor before it builds the weight.  Each
-entry declares its grid in ``@_identity``.
+entry declares its grid in ``@_identity``, and its body is a function of
+that grid's parameters by name (m, n, k, r, route); only ``check`` handles
+a cell as a dict.
 
 Reports are deterministic: cells are generated in a fixed order and the
 first mismatching cell is serialized in full.
@@ -150,10 +152,10 @@ class IdentityDef:
     summary: str
     defaults: Ranges
     cells: Callable[[Ranges], Iterator[dict]]
-    evaluate: Callable[[dict], tuple]
+    evaluate: Callable[..., tuple]
     notes: tuple[str, ...] = ()
     # extra counterexample fields for a failing cell
-    diagnose: Callable[[dict], dict] | None = None
+    diagnose: Callable[..., dict] | None = None
 
 
 REGISTRY: dict[str, IdentityDef] = {}
@@ -172,10 +174,10 @@ def _ocell(family: str, n: int, k: int, r: int = 0):
     return _otable(family, n, r).get(k, ZERO[family])
 
 
-def _first_tracked_mismatch(cell: dict) -> dict:
+def _first_tracked_mismatch(n: int, k: int) -> dict:
     """Counterexample field naming the first extended Lah structure whose
     incremental statistics disagree with the direct computation, if any."""
-    for lam, inc in enum_extended_lah_tracked(cell["n"], cell.get("k", 0)):
+    for lam, inc in enum_extended_lah_tracked(n, k):
         if tuple(ext_stats(lam)) != inc:
             return {"stat_mismatch_structure": lam.text()}
     return {}
@@ -203,7 +205,7 @@ def check(identity: str, overrides: Ranges | None = None) -> IdentityReport:
     if not cells:
         return IdentityReport(identity, grid, 0, "skipped", notes=entry.notes)
     for checked, cell in enumerate(cells, 1):
-        lhs, rhs = entry.evaluate(cell)
+        lhs, rhs = entry.evaluate(**cell)
         if lhs != rhs:
             counter = {
                 "params": dict(sorted(cell.items())),
@@ -211,7 +213,7 @@ def check(identity: str, overrides: Ranges | None = None) -> IdentityReport:
                 "rhs": serialize_value(rhs),
             }
             if entry.diagnose is not None:
-                counter.update(entry.diagnose(cell))
+                counter.update(entry.diagnose(**cell))
             return IdentityReport(entry.name, grid, checked, "fail",
                                   counterexample=counter, notes=entry.notes)
     return IdentityReport(entry.name, grid, checked, "pass", notes=entry.notes)
@@ -302,9 +304,10 @@ def _row_sum(fn, n: int, r: int) -> QPoly:
 
 def _identity(name: str, summary: str, defaults: Ranges,
               notes: tuple[str, ...] = (),
-              diagnose: Callable[[dict], dict] | None = None, **grid):
+              diagnose: Callable[..., dict] | None = None, **grid):
     """Register the decorated evaluate function as identity ``name``; its
-    cells are ``_grid`` with the keyword arguments ``grid``."""
+    cells are ``_grid`` with the keyword arguments ``grid``, and evaluate
+    and diagnose take each cell's parameters by name."""
     def register(evaluate):
         REGISTRY[name] = IdentityDef(name, summary, defaults,
                                      partial(_grid, **grid), evaluate, notes,
@@ -325,16 +328,14 @@ _MN7R = {**_MN7, "r": (0, 2)}
 # ---------------------------------------------------------------------------
 
 @_identity("I-SPIVEY", "classical Bell number double sum", _MN10)
-def _spivey(cell):
-    m, n = cell["m"], cell["n"]
+def _spivey(m, n):
     rhs = _two_part(n, range(m + 1), lambda i, j: j ** (n - i) * binom(n, i),
                     lambda j: cl.stirling2(m, j), lambda i, j: cl.bell(i), 0)
     return cl.bell(m + n), rhs
 
 
 @_identity("I-MEZO-1", "restricted Bell number double sum", _MN10R)
-def _mezo1(cell):
-    m, n, r = cell["m"], cell["n"], cell["r"]
+def _mezo1(m, n, r):
     rhs = _two_part(n, range(m + 1),
                     lambda i, j: (j + r) ** (n - i) * binom(n, i),
                     lambda j: cl.stirling2_r(m, j, r), lambda i, j: cl.bell(i),
@@ -344,8 +345,7 @@ def _mezo1(cell):
 
 @_identity("I-MEZO-2",
            "rising factorial double sum over restricted cycle counts", _MN10R)
-def _mezo2(cell):
-    m, n, r = cell["m"], cell["n"], cell["r"]
+def _mezo2(m, n, r):
     rhs = _two_part(n, range(m + 1),
                     lambda i, j: rising_int(m, n - i) * binom(n, i),
                     lambda j: cl.stirling1_r(m, j, r),
@@ -356,12 +356,11 @@ def _mezo2(cell):
 @_identity("I-PE1",
            "restriction shift for partition weights, against enumeration",
            {"n": (0, 8), "r": (0, 2)}, k="n")
-def _pe1(cell):
-    n, k, r = cell["n"], cell["k"], cell["r"]
+def _pe1(n, r, k):
     return _ocell("partitions", n, k, r), stirling2_q(n, k, r)
 
 
-def _p1_weight(m: int, n: int, r: int):
+def _p1_weight(n: int, r: int):
     return lambda i, j: (q_integer(j + r) ** (n - i)
                          * binom(n, i)).shift(i * (j + r))
 
@@ -369,9 +368,8 @@ def _p1_weight(m: int, n: int, r: int):
 @_identity("I-P1E1",
            "two-part product formula for restricted partition weights",
            _MN8R, k="m+n")
-def _p1e1(cell):
-    m, n, r, k = cell["m"], cell["n"], cell["r"], cell["k"]
-    rhs = _two_part(n, range(m + 1), _p1_weight(m, n, r),
+def _p1e1(m, n, r, k):
+    rhs = _two_part(n, range(m + 1), _p1_weight(n, r),
                     lambda j: stirling2_q(m, j, r),
                     lambda i, j: stirling2_q(i, k - j, 0), Q_ZERO)
     return stirling2_q(m + n, k, r), rhs
@@ -379,9 +377,8 @@ def _p1e1(cell):
 
 @_identity("I-P1E2", "two-part product formula for restricted Bell weights",
            _MN8R)
-def _p1e2(cell):
-    m, n, r = cell["m"], cell["n"], cell["r"]
-    rhs = _two_part(n, range(m + 1), _p1_weight(m, n, r),
+def _p1e2(m, n, r):
+    rhs = _two_part(n, range(m + 1), _p1_weight(n, r),
                     lambda j: stirling2_q(m, j, r),
                     lambda i, j: bell_q(i, 0), Q_ZERO)
     return bell_q(m + n, r), rhs
@@ -411,8 +408,7 @@ _BIN_NOTE = ("binomials inside the sums follow the generalized convention "
 def _bin_identity(lhs, ind, sign, left, right):
     (a, b), (s, t), (c, d), (e, f, g) = lhs, sign, left, right
 
-    def evaluate(cell):
-        m, n, k = cell["m"], cell["n"], cell["k"]
+    def evaluate(m, n, k):
         rhs = _two_part(
             n, range(m + 1),
             lambda i, j: (indicator_pair(i, j, n)[ind]
@@ -436,8 +432,7 @@ def _sneg(n: int, k: int, r: int = 0) -> int:
 @_identity("I-BIN-5",
            "q = -1 specialization of the two-part partition formula", _MN10,
            k="m+n")
-def _bin5(cell):
-    m, n, k = cell["m"], cell["n"], cell["k"]
+def _bin5(m, n, k):
     rhs = _two_part(n, range(m + 1),
                     lambda i, j: (indicator_pair(i, j, n).a
                                   * (-1) ** (i * j) * binom(n, i)),
@@ -447,8 +442,7 @@ def _bin5(cell):
 
 @_identity("I-BIN-6", "closed form for partition weights at q = -1",
            {"n": (0, 20)}, k="n")
-def _bin6(cell):
-    n, k = cell["n"], cell["k"]
+def _bin6(n, k):
     return _sneg(n, k), stirling_neg1("plain", n, k)
 
 
@@ -457,8 +451,7 @@ def _bin6(cell):
            notes=("includes the binomial factor over the free elements, "
                   "which the usual statement drops; without it the identity "
                   "fails already at m=0, n=2, k=1",))
-def _bin7(cell):
-    m, n, k = cell["m"], cell["n"], cell["k"]
+def _bin7(m, n, k):
     rhs = _two_part(n, range(m + 1),
                     lambda i, j: (indicator_pair(i, j, n).b
                                   * (-1) ** (i * (j + 1)) * binom(n, i)),
@@ -468,33 +461,27 @@ def _bin7(cell):
 
 @_identity("I-BIN-8", "alternating-sum form of the restricted q = -1 values",
            {"n": (0, 12)}, k="n")
-def _bin8(cell):
-    n, k = cell["n"], cell["k"]
-    lhs = _sneg(n, k, 1)
-    rhs = sum((-1) ** (i + k * (k - 1) // 2) * binom(n, i)
-              * binom_gen(i - k // 2 - 1, i - k)
+def _bin8(n, k):
+    rhs = sum((-1) ** i * binom(n, i) * stirling_neg1("plain", i, k)
               for i in range(k, n + 1))
-    return lhs, rhs
+    return _sneg(n, k, 1), rhs
 
 
 @_identity("I-BIN-9", "closed form for restricted partition weights at q = -1",
            {"n": (0, 20)}, k="n")
-def _bin9(cell):
-    n, k = cell["n"], cell["k"]
+def _bin9(n, k):
     return _sneg(n, k, 1), stirling_neg1("r1", n, k)
 
 
 @_identity("I-LAH-CF", "product closed form versus the two-term recurrence",
            {"n": (1, 20)}, k="n", k_min=1, n_min=1)
-def _lah_cf(cell):
-    n, k = cell["n"], cell["k"]
+def _lah_cf(n, k):
     return lah_q_closed_form(n, k), lah_q(n, k, 0)
 
 
 @_identity("I-LAH-R", "restriction shift for ordered-block counts at q = 1",
            {"n": (0, 8), "r": (0, 3)}, k="n")
-def _lah_r(cell):
-    n, k, r = cell["n"], cell["k"], cell["r"]
+def _lah_r(n, r, k):
     lhs = lah_q(n, k, r).eval_int(1)
     rhs = sum(rising_int(2 * r, i) * binom(n, i) * cl.lah(n - i, k)
               for i in range(n + 1))
@@ -511,8 +498,7 @@ def _p2_weight(m: int, n: int, r: int):
 @_identity("I-P2E1",
            "two-part product formula for restricted ordered-block weights",
            _MN7R, k="m+n")
-def _p2e1(cell):
-    m, n, r, k = cell["m"], cell["n"], cell["r"], cell["k"]
+def _p2e1(m, n, r, k):
     rhs = _two_part(n, range(k + 1), _p2_weight(m, n, r),
                     lambda j: lah_q(m, j, r),
                     lambda i, j: lah_q(i, k - j, 0), Q_ZERO)
@@ -526,9 +512,8 @@ def _p2e1(cell):
                   "the aggregate value at size i as the sum over all block "
                   "counts; the check runs both bounds m and m+n and they "
                   "must agree",))
-def _p2e2(cell):
-    m, n, r = cell["m"], cell["n"], cell["r"]
-    bound = m if cell["route"] == "bound=m" else m + n
+def _p2e2(m, n, r, route):
+    bound = m if route == "bound=m" else m + n
     totals = [_row_sum(lah_q, i, 0) for i in range(n + 1)]
     rhs = _two_part(n, range(bound + 1), _p2_weight(m, n, r),
                     lambda j: lah_q(m, j, r), lambda i, j: totals[i], Q_ZERO)
@@ -539,8 +524,7 @@ def _p2e2(cell):
            {"m": (0, 6), "n": (0, 6), "k": (0, 6)},
            notes=("individual terms carry negative powers of q; both sides "
                   "are lifted by a common power before comparing",))
-def _qbin_corollary(cell):
-    m, n, k = cell["m"], cell["n"], cell["k"]
+def _qbin_corollary(m, n, k):
     exps = [i * (j + m + 1) - 2 * j * (k - j + 1)
             for i in range(1, n + 1) for j in range(1, k + 1)]
     lift = max(0, -min(exps)) if exps else 0
@@ -558,8 +542,7 @@ def _qbin_corollary(cell):
 
 @_identity("I-CQ-REC", "cycle-weight recurrence, against enumeration",
            {"n": (1, 7)}, k="n", n_min=1)
-def _cq_rec(cell):
-    n, k = cell["n"], cell["k"]
+def _cq_rec(n, k):
     lhs = _ocell("perms", n, k)
     rhs = _ocell("perms", n - 1, k - 1) + q_integer(n - 1) * _ocell("perms", n - 1, k)
     return lhs, rhs
@@ -567,8 +550,7 @@ def _cq_rec(cell):
 
 @_identity("I-T3E1", "two-part product formula for restricted cycle weights",
            _MN7R, k="m+n")
-def _t3e1(cell):
-    m, n, r, k = cell["m"], cell["n"], cell["r"], cell["k"]
+def _t3e1(m, n, r, k):
     facs = [q_rising(m + r, n - i) * q_binomial(n, i) for i in range(n + 1)]
     rhs = _two_part(n, range(m + 1), lambda i, j: facs[i],
                     lambda j: stirling1_q(m, j, r),
@@ -584,8 +566,7 @@ def _one_plus_qints(lo: int, count: int) -> QPoly:
 
 
 @_identity("I-T3E2", "summed form of the cycle product formula", _MN7R)
-def _t3e2(cell):
-    m, n, r = cell["m"], cell["n"], cell["r"]
+def _t3e2(m, n, r):
     rhs = sum((q_rising(m + r, n - i) * q_binomial(n, i)
                * _one_plus_qints(0, i) for i in range(n + 1)), Q_ZERO)
     return _one_plus_qints(m + r, n), rhs
@@ -593,15 +574,13 @@ def _t3e2(cell):
 
 @_identity("I-CQ-SUM", "total cycle weight as a product",
            {"n": (0, 8), "r": (0, 3)})
-def _cq_sum(cell):
-    n, r = cell["n"], cell["r"]
+def _cq_sum(n, r):
     return _row_sum(stirling1_q, n, r), _one_plus_qints(r, n)
 
 
 @_identity("I-CQ-SYM", "cycle weights as elementary symmetric polynomials",
            {"n": (0, 10)}, k="n")
-def _cq_sym(cell):
-    n, k = cell["n"], cell["k"]
+def _cq_sym(n, k):
     lhs = stirling1_q(n, k, 0)
     rhs = elementary_symmetric(n - k, [q_integer(i) for i in range(1, n)])
     return lhs, rhs
@@ -631,8 +610,7 @@ _T4_ROWS = [
 
 
 def _t4_identity(engine_fn, factor, binomial, shift, lift):
-    def evaluate(cell):
-        m, n, r, k = cell["m"], cell["n"], cell["r"], cell["k"]
+    def evaluate(m, n, r, k):
         terms = ((factor(m, n - i) * binomial(n, i)
                   * engine_fn(i, k, r).shift(lift(r))).shift(shift(m, r, n, i))
                  for i in range(k, n + 1))
@@ -646,8 +624,7 @@ for _name, _summary, _notes, *_row in _T4_ROWS:
 
 @_identity("I-T4C1", "summed form of the cycle restriction-composition shift",
            _MN7R)
-def _t4c1(cell):
-    m, n, r = cell["m"], cell["n"], cell["r"]
+def _t4c1(m, n, r):
     facs = [(q_rising(m, n - i) * q_binomial(n, i)).shift(r * (n - i))
             for i in range(n + 1)]
     inners = [_one_plus_qints(r, i) for i in range(n + 1)]
@@ -659,8 +636,7 @@ def _t4c1(cell):
 
 @_identity("I-GENREC", "connection constants between shifted factorial bases",
            {"n": (0, 8)})
-def _genrec(cell):
-    n = cell["n"]
+def _genrec(n):
     rhs = sum((hsu_shiue(n, k) * shifted_factorial(k, X - R, BETA)
                for k in range(n + 1)), M_ZERO)
     return shifted_factorial(n, X, -ALPHA), rhs
@@ -668,15 +644,13 @@ def _genrec(cell):
 
 @_identity("I-GENL1", "generalized Stirling numbers as weighted sums",
            {"n": (0, 7)}, diagnose=_first_tracked_mismatch, k="n")
-def _genl1(cell):
-    n, k = cell["n"], cell["k"]
+def _genl1(n, k):
     return hsu_shiue(n, k), _ocell("ext_lah", n, k)
 
 
 @_identity("I-GENL1-REC", "weighted-sum recurrence, against enumeration",
            {"n": (1, 6)}, diagnose=_first_tracked_mismatch, k="n", n_min=1)
-def _genl1_rec(cell):
-    n, k = cell["n"], cell["k"]
+def _genl1_rec(n, k):
     lhs = _ocell("ext_lah", n, k)
     rhs = (_ocell("ext_lah", n - 1, k - 1)
            + (ALPHA * (n - 1) + BETA * k + R) * _ocell("ext_lah", n - 1, k))
@@ -697,8 +671,7 @@ def _t5e1_rhs(m: int, n: int, k: int) -> MPoly:
 @_identity("I-T5E1",
            "two-part product formula for generalized Stirling numbers",
            _MN7, k="m+n")
-def _t5e1(cell):
-    m, n, k = cell["m"], cell["n"], cell["k"]
+def _t5e1(m, n, k):
     return hsu_shiue(m + n, k), _t5e1_rhs(m, n, k)
 
 
@@ -706,9 +679,8 @@ def _t5e1(cell):
            routes=("direct", "sum-over-k"),
            notes=("verified twice: directly with the block-count marker and "
                   "by summing the refined formula over all block counts",))
-def _t5e2(cell):
-    m, n = cell["m"], cell["n"]
-    if cell["route"] == "direct":
+def _t5e2(m, n, route):
+    if route == "direct":
         rhs = _two_part(n, range(m + 1), _t5_weight(m, n),
                         lambda j: X ** j * hsu_shiue(m, j),
                         lambda i, j: gen_bell(i), M_ZERO)

@@ -363,7 +363,7 @@ class TestVerify:
         from qcomb.identities import REGISTRY, IdentityDef, _grid
         REGISTRY["I-BROKEN"] = IdentityDef(
             "I-BROKEN", "deliberately wrong", {"n": (0, 2)},
-            lambda rng: _grid(rng, k="n"), lambda cell: (0, 1))
+            lambda rng: _grid(rng, k="n"), lambda n, k: (0, 1))
         try:
             code, out, _ = run_cli(capsys, "verify", "--identity", "I-BROKEN")
             assert code == 1

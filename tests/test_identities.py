@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 
 import pytest
@@ -85,6 +86,16 @@ def test_cell_sequence_pinned(name):
     assert digest == GRID_PINS[name]
 
 
+@pytest.mark.parametrize("name", EXPECTED_NAMES)
+def test_body_parameters_are_the_cell_keys(name):
+    # check spreads each cell into evaluate and diagnose by name
+    entry = REGISTRY[name]
+    keys = list(next(iter(entry.cells(dict(entry.defaults)))))
+    for fn in (entry.evaluate, entry.diagnose):
+        if fn is not None:
+            assert list(inspect.signature(fn).parameters) == keys
+
+
 class TestIndicatorPair:
     def test_examples(self):
         assert indicator_pair(2, 3, 5) == (1, 0)   # j odd, i != n
@@ -101,18 +112,18 @@ class TestSpotValues:
                   * classical.bell(i) for i in range(2) for j in range(3))
         assert lhs == rhs == 5
         entry = REGISTRY["I-SPIVEY"]
-        got_lhs, got_rhs = entry.evaluate({"m": 2, "n": 1})
+        got_lhs, got_rhs = entry.evaluate(m=2, n=1)
         assert got_lhs == got_rhs == 5
 
     def test_genrec_single_layer(self):
         from qcomb.polyring import X
         entry = REGISTRY["I-GENREC"]
-        lhs, rhs = entry.evaluate({"n": 1})
+        lhs, rhs = entry.evaluate(n=1)
         assert lhs == rhs == X
 
     def test_genl1_small_cell(self):
         entry = REGISTRY["I-GENL1"]
-        lhs, rhs = entry.evaluate({"n": 2, "k": 1})
+        lhs, rhs = entry.evaluate(n=2, k=1)
         assert lhs == rhs
         assert lhs == MPoly({(1, 0, 0, 0): 1, (0, 1, 0, 0): 1, (0, 0, 1, 0): 2})
 
@@ -135,7 +146,7 @@ class TestCheckDriver:
         broken = IdentityDef(
             "I-BROKEN", "deliberately wrong", {"n": (0, 3)},
             lambda rng: _grid(rng, k="n"),
-            lambda cell: (QPoly([1]), QPoly([cell["n"]])))
+            lambda n, k: (QPoly([1]), QPoly([n])))
         REGISTRY["I-BROKEN"] = broken
         try:
             r = check("I-BROKEN")
@@ -156,7 +167,7 @@ class TestCheckDriver:
         from qcomb.structures import enum_extended_lah_tracked
         # fail at (n, k) = (2, 1) only, with statistics that never agree
         entry = dataclasses.replace(
-            REGISTRY["I-GENL1"], evaluate=lambda cell: (cell["k"] == 1, False))
+            REGISTRY["I-GENL1"], evaluate=lambda n, k: (k == 1, False))
         monkeypatch.setitem(REGISTRY, "I-GENL1", entry)
         monkeypatch.setattr(identities, "ext_stats", lambda lam: ())
         r = check("I-GENL1", {"n": (2, 2)})
@@ -268,6 +279,6 @@ class TestQuickSuite:
         cells = [[sorted(cell.items()), serialize_value(lhs),
                   serialize_value(rhs)]
                  for cell in entry.cells({**entry.defaults, **overrides})
-                 for lhs, rhs in [entry.evaluate(cell)]]
+                 for lhs, rhs in [entry.evaluate(**cell)]]
         blob = json.dumps([r.to_json(), cells]).encode()
         assert hashlib.sha256(blob).hexdigest() == REDUCED_PINS[name]

@@ -153,7 +153,7 @@ def mutated_structures(draw, sizes=range(1, 6)):
         if kind == "size":
             n += draw(st.sampled_from((-1, 1)))
         elif kind == "circle":
-            circled.add(draw(st.integers(0, n + 1)))
+            circled.add(draw(st.integers(0, max(n + 1, 0))))
         elif kind == "uncircle" and circled:
             circled.discard(draw(st.sampled_from(sorted(circled))))
         elif b is None or not blocks[b]:
