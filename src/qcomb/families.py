@@ -25,17 +25,23 @@ def _check_nr(name: str, n: int, r: int) -> None:
         raise ValueError(f"{name} requires n, r >= 0, got n={n}, r={r}")
 
 
+def _row_sum(fn, n: int, r: int) -> QPoly:
+    """fn(n, 0, r) + ... + fn(n, n, r): the total weight of row n."""
+    return sum((fn(n, k, r) for k in range(n + 1)), Q_ZERO)
+
+
 def _triangle(zero, one, step):
-    """T(n, k, r), 0 <= k <= n, of the triangle T(0, 0, r) = one(r) and
-    T(n, k, r) = step(n, k, r, T(n-1, k-1, r), T(n-1, k, r)), with
-    T(n-1, -1, r) = zero.  Columns 0..k are filled downward to row n and
-    kept, one set per r, in ``cell.columns``; nothing recurses."""
+    """T(n, k, r) of the triangle T(0, 0, r) = one(r), zero outside
+    0 <= k <= n, and T(n, k, r) = step(n, k, r, T(n-1, k-1, r), T(n-1, k, r)).
+    Columns 0..k are filled downward to row n and kept, one set per r, in
+    ``cell.columns``; nothing recurses.  The engine's lru_cache in front
+    answers a repeated cell, so the kernel looks nothing up before filling."""
     columns: dict[int, list[list]] = {}
 
     def cell(n: int, k: int, r: int):
+        if k < 0 or k > n:
+            return zero
         cols = columns.setdefault(r, [])
-        if k < len(cols) and n < len(cols[k]):
-            return cols[k][n]
         for j in range(k + 1):
             if j == len(cols):
                 cols.append([zero] * j if j else [one(r)])
@@ -67,8 +73,6 @@ def stirling2_q(n: int, k: int, r: int = 0) -> QPoly:
     is dropped.
     """
     _check_nr("stirling2_q", n, r)
-    if k < 0 or k > n:
-        return Q_ZERO
     return _stirling2_q_base(n, k, r)
 
 
@@ -76,10 +80,7 @@ def stirling2_q(n: int, k: int, r: int = 0) -> QPoly:
 def bell_q(n: int, r: int = 0) -> QPoly:
     """Sum of stirling2_q(n, k, r) over all k."""
     _check_nr("bell_q", n, r)
-    total = Q_ZERO
-    for k in range(n + 1):
-        total = total + stirling2_q(n, k, r)
-    return total
+    return _row_sum(stirling2_q, n, r)
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +113,6 @@ def lah_q(n: int, k: int, r: int = 0) -> QPoly:
     lah_q_closed_form.
     """
     _check_nr("lah_q", n, r)
-    if k < 0 or k > n:
-        return Q_ZERO
     return _lah_q_base(n, k, r)
 
 
@@ -133,8 +132,6 @@ def stirling1_q(n: int, k: int, r: int = 0) -> QPoly:
     T(0, 0, r) = 1.
     """
     _check_nr("stirling1_q", n, r)
-    if k < 0 or k > n:
-        return Q_ZERO
     return _stirling1_q_base(n, k, r)
 
 
@@ -173,8 +170,6 @@ def hsu_shiue(n: int, k: int) -> MPoly:
     polynomials in (alpha, beta, r)."""
     if n < 0:
         raise ValueError(f"hsu_shiue requires n >= 0, got {n}")
-    if k < 0 or k > n:
-        return M_ZERO
     return _hsu_shiue_base(n, k, 0)
 
 

@@ -34,9 +34,9 @@ from itertools import product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import classical as cl
-from .families import (PARAMS, TableRow, bell_q, engine, gen_bell,
-                       hsu_shiue, lah_q, lah_q_closed_form, stirling1_q,
-                       stirling2_q, stirling_neg1)
+from .families import (PARAMS, TableRow, _row_sum, bell_q, engine,
+                       gen_bell, hsu_shiue, lah_q, lah_q_closed_form,
+                       stirling1_q, stirling2_q, stirling_neg1)
 from .oracles import ORACLE_FOR_ENGINE, ZERO, oracle_table
 from .polyring import (ALPHA, BETA, M_ZERO, MPoly, Q_ONE, Q_ZERO, QPoly, R,
                        X, binom, binom_gen, elementary_symmetric, q_binomial,
@@ -297,11 +297,6 @@ def _two_part(n: int, js: range, weight, left, right, zero):
     return total
 
 
-def _row_sum(fn, n: int, r: int) -> QPoly:
-    """fn(n, 0, r) + ... + fn(n, n, r): the total weight of row n."""
-    return sum((fn(n, k, r) for k in range(n + 1)), Q_ZERO)
-
-
 def _identity(name: str, summary: str, defaults: Ranges,
               notes: tuple[str, ...] = (),
               diagnose: Callable[..., dict] | None = None, **grid):
@@ -525,18 +520,16 @@ def _p2e2(m, n, r, route):
            notes=("individual terms carry negative powers of q; both sides "
                   "are lifted by a common power before comparing",))
 def _qbin_corollary(m, n, k):
-    exps = [i * (j + m + 1) - 2 * j * (k - j + 1)
-            for i in range(1, n + 1) for j in range(1, k + 1)]
-    lift = max(0, -min(exps)) if exps else 0
+    terms = [(i, j, i * (j + m + 1) - 2 * j * (k - j + 1))
+             for i in range(1, n + 1) for j in range(1, k + 1)]
+    lift = max(0, -min(e for _, _, e in terms)) if terms else 0
     lhs = (q_binomial(m + n, k) * q_binomial(m + n + 1, n)
            - q_binomial(m, k) * q_binomial(k + m + n + 1, n)).shift(lift)
     rhs = Q_ZERO
-    for i in range(1, n + 1):
-        for j in range(1, k + 1):
-            e = i * (j + m + 1) - 2 * j * (k - j + 1)
-            term = (q_binomial(m, j - 1) * q_binomial(k + 1, j)
-                    * q_binomial(i - 1, k - j) * q_binomial(m + n + j - i, n - i))
-            rhs = rhs + term.shift(lift + e)
+    for i, j, e in terms:
+        term = (q_binomial(m, j - 1) * q_binomial(k + 1, j)
+                * q_binomial(i - 1, k - j) * q_binomial(m + n + j - i, n - i))
+        rhs = rhs + term.shift(lift + e)
     return lhs, rhs
 
 

@@ -277,8 +277,9 @@ def q_binomial(n: int, k: int) -> QPoly:
     the product of [n-i+1] / [i] over i = 1..min(k, n-k), one
     times_q_integer and one div_q_integer per step, each linear in the
     degree; every partial product is the Gaussian binomial (n, i), so each
-    division is exact.  The 1024 most recently used values are kept: the
-    shift sums ask for the same rows over and over.
+    division is exact.  The 1024 most recently used values are kept: its
+    callers, lah_q_closed_form and the sums of I-P2E1/2, I-QBIN, I-T3E1/2,
+    I-T4E2/3 and I-T4C1, ask for a few hundred (n, k) pairs over and over.
     """
     if k == 0:
         return Q_ONE

@@ -4,7 +4,7 @@ from qcomb import classical, families
 from qcomb.families import (FAMILIES, bell_q, gen_bell, hsu_shiue, lah_q,
                             lah_q_closed_form, stirling1_q, stirling2_q,
                             stirling_neg1, table_rows)
-from qcomb.polyring import MPoly, Q_ONE, Q_ZERO, QPoly, q_binomial
+from qcomb.polyring import M_ZERO, MPoly, Q_ONE, Q_ZERO, QPoly, q_binomial
 from reference import evaluate
 
 
@@ -185,6 +185,33 @@ class TestClearCaches:
         after = [fn(*args) for fn, args in cells]
         assert after == before
         assert all(a is not b for a, b in zip(after, before))
+
+
+class TestDomain:
+    """The kernel owns the support rule; each engine owns its argument
+    check, whose message names it."""
+
+    @pytest.mark.parametrize("kernel, r, zero", [
+        ("_stirling2_q_base", 1, Q_ZERO), ("_lah_q_base", 1, Q_ZERO),
+        ("_stirling1_q_base", 1, Q_ZERO), ("_hsu_shiue_base", 0, M_ZERO)])
+    def test_kernel_is_zero_outside_the_support(self, kernel, r, zero):
+        families.clear_caches()
+        kernel = getattr(families, kernel)
+        cells = [(2, -1), (2, 3), (0, -1), (0, 1)]
+        for when in ("fresh", "filled"):
+            for n, k in cells:
+                value = kernel(n, k, r)
+                assert type(value) is type(zero) and value == zero, (when, n, k)
+            kernel(6, 1, r)  # columns 0 and 1 now reach row 6
+
+    @pytest.mark.parametrize("name, calls", [
+        ("stirling2_q", [(-1, 0), (2, 1, -1)]), ("lah_q", [(-1, 0), (2, 1, -1)]),
+        ("stirling1_q", [(-1, 0), (2, 1, -1)]), ("bell_q", [(-1,), (2, -1)]),
+        ("hsu_shiue", [(-1, 0)]), ("gen_bell", [(-1,)])])
+    def test_negative_argument_names_the_engine(self, name, calls):
+        for args in calls:
+            with pytest.raises(ValueError, match=f"^{name} requires"):
+                getattr(families, name)(*args)
 
 
 class TestTableRows:
