@@ -58,11 +58,9 @@ def _triangle(zero, one, step):
 # q-Stirling numbers of the second kind and q-Bell numbers
 # ---------------------------------------------------------------------------
 
-# element n+r joins one of the k+r blocks or opens block k+r (stat_w);
-# column 0 has no left term, whose q^(k+r-1) is a negative power at r = 0
-_stirling2_q_base = _triangle(Q_ZERO, lambda r: Q_ONE, lambda n, k, r, left, up: (
-    left.shift(k + r - 1) + times_q_integer(up, k + r) if k
-    else times_q_integer(up, r)))
+# element n+r joins one of the k+r blocks or opens block k+r (stat_w)
+_stirling2_q_base = _triangle(Q_ZERO, lambda r: Q_ONE, lambda n, k, r, left, up:
+                              left.shift(k + r - 1) + times_q_integer(up, k + r))
 
 
 @lru_cache(maxsize=None)
@@ -89,12 +87,10 @@ def bell_q(n: int, r: int = 0) -> QPoly:
 
 # element n+r opens a block, passing all n+k+2r-2 letters and separators
 # of the word (stat_inv_rho), or takes one of the n+k+2r-1 places in the
-# k+r blocks; column 0 has no left term, whose shift is negative at n = 1,
-# r = 0; the r restricted elements alone have statistic r(r-1)
+# k+r blocks; the r restricted elements alone have statistic r(r-1)
 _lah_q_base = _triangle(
-    Q_ZERO, lambda r: Q_ONE.shift(r * (r - 1)), lambda n, k, r, left, up: (
-        left.shift(n + k + 2 * r - 2) + times_q_integer(up, n + k + 2 * r - 1)
-        if k else times_q_integer(up, n + 2 * r - 1)))
+    Q_ZERO, lambda r: Q_ONE.shift(r * (r - 1)), lambda n, k, r, left, up:
+    left.shift(n + k + 2 * r - 2) + times_q_integer(up, n + k + 2 * r - 1))
 
 
 def lah_q_closed_form(n: int, k: int) -> QPoly:

@@ -31,7 +31,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 from . import classical as cl
 from .families import (PARAMS, TableRow, _row_sum, bell_q, engine,
@@ -47,16 +47,11 @@ from .structures import enum_extended_lah_tracked
 Ranges = dict[str, tuple[int, int]]
 
 
-class IndicatorPair(NamedTuple):
-    a: int
-    b: int
-
-
-def indicator_pair(i: int, j: int, n: int) -> IndicatorPair:
-    """Parity indicators weighting the q = -1 double sums."""
+def indicator_pair(i: int, j: int, n: int) -> tuple[int, int]:
+    """Parity indicators (a, b) weighting the q = -1 double sums."""
     a = (1 if j % 2 == 1 else 0) + (1 if j % 2 == 0 and i == n else 0)
     b = (1 if j % 2 == 0 else 0) + (1 if j % 2 == 1 and i == n else 0)
-    return IndicatorPair(a, b)
+    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -322,20 +317,18 @@ _MN7R = {**_MN7, "r": (0, 2)}
 # identity definitions, in source order of the families they involve
 # ---------------------------------------------------------------------------
 
-@_identity("I-SPIVEY", "classical Bell number double sum", _MN10)
-def _spivey(m, n):
-    rhs = _two_part(n, range(m + 1), lambda i, j: j ** (n - i) * binom(n, i),
-                    lambda j: cl.stirling2(m, j), lambda i, j: cl.bell(i), 0)
-    return cl.bell(m + n), rhs
-
-
-@_identity("I-MEZO-1", "restricted Bell number double sum", _MN10R)
 def _mezo1(m, n, r):
     rhs = _two_part(n, range(m + 1),
                     lambda i, j: (j + r) ** (n - i) * binom(n, i),
                     lambda j: cl.stirling2_r(m, j, r), lambda i, j: cl.bell(i),
                     0)
     return cl.bell_r(m + n, r), rhs
+
+
+# Spivey's sum is Mezo's at r = 0
+_identity("I-SPIVEY", "classical Bell number double sum", _MN10)(
+    lambda m, n: _mezo1(m, n, 0))
+_identity("I-MEZO-1", "restricted Bell number double sum", _MN10R)(_mezo1)
 
 
 @_identity("I-MEZO-2",
@@ -424,34 +417,32 @@ def _sneg(n: int, k: int, r: int = 0) -> int:
     return stirling2_q(n, k, r).eval_int(-1)
 
 
-@_identity("I-BIN-5",
-           "q = -1 specialization of the two-part partition formula", _MN10,
-           k="m+n")
-def _bin5(m, n, k):
-    rhs = _two_part(n, range(m + 1),
-                    lambda i, j: (indicator_pair(i, j, n).a
-                                  * (-1) ** (i * j) * binom(n, i)),
-                    lambda j: _sneg(m, j), lambda i, j: _sneg(i, k - j), 0)
-    return _sneg(m + n, k), rhs
+# I-BIN-5 and I-BIN-7 are the q = -1 two-part sums at r = 0 and r = 1, and
+# I-BIN-6 and I-BIN-9 the closed forms of the same two rows
+def _bin_sum(r: int):
+    def evaluate(m, n, k):
+        rhs = _two_part(n, range(m + 1),
+                        lambda i, j: (indicator_pair(i, j, n)[r]
+                                      * (-1) ** (i * (j + r)) * binom(n, i)),
+                        lambda j: _sneg(m, j, r), lambda i, j: _sneg(i, k - j),
+                        0)
+        return _sneg(m + n, k, r), rhs
+    return evaluate
 
 
-@_identity("I-BIN-6", "closed form for partition weights at q = -1",
-           {"n": (0, 20)}, k="n")
-def _bin6(n, k):
-    return _sneg(n, k), stirling_neg1("plain", n, k)
+def _bin_closed(r: int, variant: str):
+    return lambda n, k: (_sneg(n, k, r), stirling_neg1(variant, n, k))
 
 
-@_identity("I-BIN-7", "q = -1 specialization with one restricted element",
-           _MN10, k="m+n",
-           notes=("includes the binomial factor over the free elements, "
-                  "which the usual statement drops; without it the identity "
-                  "fails already at m=0, n=2, k=1",))
-def _bin7(m, n, k):
-    rhs = _two_part(n, range(m + 1),
-                    lambda i, j: (indicator_pair(i, j, n).b
-                                  * (-1) ** (i * (j + 1)) * binom(n, i)),
-                    lambda j: _sneg(m, j, 1), lambda i, j: _sneg(i, k - j), 0)
-    return _sneg(m + n, k, 1), rhs
+_identity("I-BIN-5", "q = -1 specialization of the two-part partition formula",
+          _MN10, k="m+n")(_bin_sum(0))
+_identity("I-BIN-6", "closed form for partition weights at q = -1",
+          {"n": (0, 20)}, k="n")(_bin_closed(0, "plain"))
+_identity("I-BIN-7", "q = -1 specialization with one restricted element",
+          _MN10, k="m+n",
+          notes=("includes the binomial factor over the free elements, "
+                 "which the usual statement drops; without it the identity "
+                 "fails already at m=0, n=2, k=1",))(_bin_sum(1))
 
 
 @_identity("I-BIN-8", "alternating-sum form of the restricted q = -1 values",
@@ -462,14 +453,12 @@ def _bin8(n, k):
     return _sneg(n, k, 1), rhs
 
 
-@_identity("I-BIN-9", "closed form for restricted partition weights at q = -1",
-           {"n": (0, 20)}, k="n")
-def _bin9(n, k):
-    return _sneg(n, k, 1), stirling_neg1("r1", n, k)
+_identity("I-BIN-9", "closed form for restricted partition weights at q = -1",
+          {"n": (0, 20)}, k="n")(_bin_closed(1, "r1"))
 
 
 @_identity("I-LAH-CF", "product closed form versus the two-term recurrence",
-           {"n": (1, 20)}, k="n", k_min=1, n_min=1)
+           {"n": (1, 20)}, k="n", k_min=1)
 def _lah_cf(n, k):
     return lah_q_closed_form(n, k), lah_q(n, k, 0)
 

@@ -158,8 +158,6 @@ class QPoly(_Poly):
 
     def __mul__(self, other: "QPoly | int") -> "QPoly":
         if isinstance(other, int):
-            if other == 0:
-                return Q_ZERO
             return QPoly([other * c for c in self.coeffs])
         if not isinstance(other, QPoly):
             return NotImplemented
@@ -176,11 +174,11 @@ class QPoly(_Poly):
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "QPoly":
-        """Multiply by q**k."""
-        if k < 0:
-            raise ValueError("negative shift")
+        """Multiply by q**k; zero for the zero polynomial, whatever k is."""
         if self.is_zero():
             return Q_ZERO
+        if k < 0:
+            raise ValueError("negative shift")
         return QPoly((0,) * k + self.coeffs)
 
     # -- evaluation and serialization ----------------------------------------

@@ -69,6 +69,12 @@ class TestTable:
             value = QPoly(map(int, row["value"]["coeffs"]))
             assert value == lah_q(row["n"], row["k"], row["r"])
 
+    def test_csv_writes_an_mpoly_in_its_printed_form(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "--family", "hsu_shiue",
+                               "--n", "2", "--k", "1", "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[1] == "hsu_shiue,2,1,,alpha + beta + 2*r"
+
     def test_text_bell(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--family", "bell_q",
                                "--n", "4", "--r", "0", "--format", "text")
@@ -309,6 +315,12 @@ class TestVerify:
         assert code == 0
         assert out == "SKIPPED I-LAH-CF     cells=0 n=0..0\n"
         assert err == ""
+
+    def test_all_refuses_range_overrides(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--all", "--n", "0..2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: range overrides apply to a single --identity\n"
 
     def test_missing_selector(self, capsys):
         code, _, err = run_cli(capsys, "verify")

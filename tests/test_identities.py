@@ -181,6 +181,16 @@ class TestCheckDriver:
         assert r.status == "skipped"
         assert r.cells_checked == 0
 
+    def test_planted_engine_fault_without_stat_mismatch(self, monkeypatch):
+        # the tracked statistics agree, so the diagnosis adds no field
+        real = identities.hsu_shiue
+        monkeypatch.setattr(identities, "hsu_shiue", lambda n, k: (
+            real(n, k) + 1 if (n, k) == (3, 2) else real(n, k)))
+        r = check("I-GENL1")
+        assert r.status == "fail"
+        assert r.counterexample["params"] == {"k": 2, "n": 3}
+        assert sorted(r.counterexample) == ["lhs", "params", "rhs"]
+
 
 @pytest.mark.parametrize("kernel, name", [
     ("_stirling2_q_base", "I-T4E1"), ("_lah_q_base", "I-T4E2"),

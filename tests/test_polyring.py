@@ -70,6 +70,16 @@ class TestQPolyBasics:
     def test_shift(self):
         assert QPoly([1, 1]).shift(2) == QPoly([0, 0, 1, 1])
         assert Q_ZERO.shift(3) == Q_ZERO
+        # q^k * 0 = 0 for every k, negative ones included
+        assert Q_ZERO.shift(-3) == Q_ZERO
+        with pytest.raises(ValueError):
+            QPoly([1, 2]).shift(-1)
+
+    def test_product_by_int_zero(self):
+        p = QPoly([1, -2, 3])
+        for product in (p * 0, 0 * p, Q_ZERO * 5):
+            assert product == Q_ZERO
+            assert not product
 
     def test_exact_div(self):
         num = QPoly([1, 1]) * QPoly([1, 0, 1])
@@ -334,6 +344,10 @@ class TestShiftedFactorial:
 
     def test_single_factor(self):
         assert shifted_factorial(1, X, -ALPHA) == X
+
+    def test_negative_length_is_an_error(self):
+        with pytest.raises(ValueError):
+            shifted_factorial(-1, X, ALPHA)
 
     def test_expansion_matches_pointwise_product(self):
         p = shifted_factorial(3, X - R, BETA)
