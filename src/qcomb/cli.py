@@ -1,9 +1,11 @@
 """Command-line front end: family tables, identity verification, oracle diffs.
 
 Exit codes: 0 success / no check failed (a skipped identity is no failure),
-1 a verification found a counterexample, 2 usage or capacity error, which
-``main`` alone reports, or a stdout closed by its reader, which prints
-nothing.  All results go to stdout, diagnostics to stderr.
+1 a verification found a counterexample, 2 a refused argument, a capacity
+error or any other failure, which ``main`` alone reports as one ``error:``
+line, or a stdout closed by its reader, which prints nothing.  Each
+subcommand renders its whole output, and ``main`` alone writes it to stdout;
+diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -17,11 +19,9 @@ import sys
 
 from . import structures
 from .families import FAMILIES, PARAMS, table_rows
-from .identities import (REGISTRY, check, identity_names, oracle_diff,
-                         table_json)
+from .identities import check, identity_names, oracle_diff, table_json
 from .oracles import ORACLE_FOR_ENGINE
 from .polyring import MPoly, QPoly
-from .structures import CellCapError
 
 # oracle-diff family -> its engine; hsu_shiue goes by its oracle's name
 _DIFF_ENGINE = {"ext_lah" if e == "hsu_shiue" else e: e for e in ORACLE_FOR_ENGINE}
@@ -52,7 +52,7 @@ def _reject_unused_flags(args, params: tuple[str, ...]) -> None:
             raise ValueError(f"{args.family} takes no --{name}")
 
 
-def _emit_table(args) -> int:
+def _run_table(args) -> tuple[int, str]:
     if args.family not in FAMILIES:
         raise ValueError(f"unknown family {args.family!r}; choose from {FAMILIES}")
     _reject_unused_flags(args, PARAMS[args.family])
@@ -60,8 +60,6 @@ def _emit_table(args) -> int:
     k_range = range(args.k[0], args.k[1] + 1) if args.k else None
     r_range = range(args.r[0], args.r[1] + 1) if args.r else None
     rows = list(table_rows(args.family, n_range, k_range, r_range))
-    # the whole table is rendered before the first write, so a value that
-    # cannot be converted leaves stdout empty
     if args.format == "csv":
         out = io.StringIO()
         writer = csv.writer(out)
@@ -71,63 +69,40 @@ def _emit_table(args) -> int:
                              "" if row.k is None else row.k,
                              "" if row.r is None else row.r,
                              _value_csv(row.value)])
-        text = out.getvalue()
-    elif args.format == "json":
-        text = table_json(rows) + "\n"
-    else:
-        lines = []
-        for row in rows:
-            params = [f"n={row.n}"]
-            if row.k is not None:
-                params.append(f"k={row.k}")
-            if row.r is not None:
-                params.append(f"r={row.r}")
-            lines.append(f"{row.family}({', '.join(params)}) = {row.value}\n")
-        text = "".join(lines)
-    # in buffer-sized pieces: CPython's buffered writer returns a short count
-    # without raising when the reader of a pipe leaves during one large write
-    for i in range(0, len(text), io.DEFAULT_BUFFER_SIZE):
-        sys.stdout.write(text[i:i + io.DEFAULT_BUFFER_SIZE])
-    return 0
+        return 0, out.getvalue()
+    if args.format == "json":
+        return 0, table_json(rows) + "\n"
+    lines = []
+    for row in rows:
+        params = [f"n={row.n}"]
+        if row.k is not None:
+            params.append(f"k={row.k}")
+        if row.r is not None:
+            params.append(f"r={row.r}")
+        lines.append(f"{row.family}({', '.join(params)}) = {row.value}\n")
+    return 0, "".join(lines)
 
 
-def _run_verify(args) -> int:
+def _run_verify(args) -> tuple[int, str]:
     overrides = {}
     for name in ("m", "n", "k", "r"):
         rng = getattr(args, name)
         if rng is not None:
             overrides[name] = tuple(rng)
-    if args.all:
-        names = identity_names()
-        if overrides:
-            raise ValueError("range overrides apply to a single --identity")
-    else:
-        if not args.identity:
-            raise ValueError("provide --identity NAME or --all")
-        if args.identity not in REGISTRY:
-            raise ValueError(f"unknown identity {args.identity!r}")
-        names = [args.identity]
-
-    reports = []
-    for name in names:
-        reports.append(check(name, overrides or None))
+    if args.all and overrides:
+        raise ValueError("range overrides apply to a single --identity")
+    if not (args.all or args.identity):
+        raise ValueError("provide --identity NAME or --all")
+    names = identity_names() if args.all else [args.identity]
+    reports = [check(name, overrides or None) for name in names]
+    code = 1 if any(r.status == "fail" for r in reports) else 0
     if args.format == "json":
-        json.dump([r.to_json_obj() for r in reports], sys.stdout,
-                  indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    else:
-        for r in reports:
-            print(r.summary_line())
-    return 1 if any(r.status == "fail" for r in reports) else 0
+        return code, json.dumps([r.to_json_obj() for r in reports],
+                                indent=2, sort_keys=True) + "\n"
+    return code, "".join(r.summary_line() + "\n" for r in reports)
 
 
-def _diff_cells(args) -> list[tuple[int, int]]:
-    n_lo, n_hi = args.n
-    r_lo, r_hi = args.r if args.r else (0, 0)
-    return [(n, r) for n in range(n_lo, n_hi + 1) for r in range(r_lo, r_hi + 1)]
-
-
-def _run_oracle_diff(args) -> int:
+def _run_oracle_diff(args) -> tuple[int, str]:
     if args.family not in DIFF_FAMILIES:
         raise ValueError(
             f"unknown family {args.family!r}; choose from {DIFF_FAMILIES}")
@@ -136,19 +111,19 @@ def _run_oracle_diff(args) -> int:
     engine_family = _DIFF_ENGINE[args.family]
     # every family takes the oracle's restriction r
     _reject_unused_flags(args, ("r", *PARAMS[engine_family]))
-    cells = _diff_cells(args)
+    r_lo, r_hi = args.r or (0, 0)
+    cells = [(n, r) for n in range(args.n[0], args.n[1] + 1)
+             for r in range(r_lo, r_hi + 1)]
     mismatches = [m for n, r in cells
                   for m in oracle_diff(engine_family, n, r, args.k)]
+    code = 1 if mismatches else 0
     if args.format == "json":
-        json.dump(mismatches, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    else:
-        for m in mismatches:
-            print(f"MISMATCH {args.family} {m['params']}: "
-                  f"engine={m['engine']} oracle={m['oracle']}")
-        print(f"{len(mismatches)} mismatching cell(s) over {len(cells)} "
-              f"(n, r) cell(s) of {args.family}")
-    return 0 if not mismatches else 1
+        return code, json.dumps(mismatches, indent=2, sort_keys=True) + "\n"
+    lines = [f"MISMATCH {args.family} {m['params']}: "
+             f"engine={m['engine']} oracle={m['oracle']}\n" for m in mismatches]
+    lines.append(f"{len(mismatches)} mismatching cell(s) over {len(cells)} "
+                 f"(n, r) cell(s) of {args.family}\n")
+    return code, "".join(lines)
 
 
 def _range_arg(text: str) -> tuple[int, int]:
@@ -158,8 +133,18 @@ def _range_arg(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses an argument by raising, so that main reports it in one line."""
+    def error(self, message):
+        raise ValueError(message)
+
+
+_COMMANDS = {"table": _run_table, "verify": _run_verify,
+             "oracle-diff": _run_oracle_diff}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qcomb",
         description="Exact q-analogue tables and identity verification.")
     cap_help = ("max structures per enumeration cell "
@@ -204,29 +189,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.cell_cap is not None:
             structures.set_default_cap(
                 structures.parse_cap(args.cell_cap, "--cell-cap"))
-        if args.command == "table":
-            code = _emit_table(args)
-        elif args.command == "verify":
-            code = _run_verify(args)
-        else:
-            code = _run_oracle_diff(args)
+        # rendered in full first, so a failure leaves stdout empty
+        code, text = _COMMANDS[args.command](args)
+        # in buffer-sized pieces: CPython's buffered writer returns a short
+        # count without raising when the reader of a pipe leaves during one
+        # large write
+        for i in range(0, len(text), io.DEFAULT_BUFFER_SIZE):
+            sys.stdout.write(text[i:i + io.DEFAULT_BUFFER_SIZE])
         sys.stdout.flush()  # a closed pipe raises here, not at shutdown
         return code
-    except (CellCapError, ValueError, MemoryError, OverflowError) as exc:
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # the reader is gone: send the flush at shutdown to the null device
         # so that it prints nothing either
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        return 2
+    except Exception as exc:
+        message = str(exc) or ("out of memory" if isinstance(exc, MemoryError)
+                               else type(exc).__name__)
+        print(f"error: {message}", file=sys.stderr)
         return 2
     finally:
         structures.set_default_cap(None)

@@ -181,7 +181,7 @@ def _first_tracked_mismatch(n: int, k: int) -> dict:
 def check(identity: str, overrides: Ranges | None = None) -> IdentityReport:
     """Run one registered identity over its grid and report the outcome."""
     if identity not in REGISTRY:
-        raise KeyError(f"unknown identity {identity!r}")
+        raise ValueError(f"unknown identity {identity!r}")
     entry = REGISTRY[identity]
     ranges = dict(entry.defaults)
     overrides = overrides or {}

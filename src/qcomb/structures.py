@@ -9,11 +9,11 @@ each cycle starts with its minimum.
 Every family grows on one insertion tree: element t goes into each legal
 slot of each structure on [t-1], so each structure is one leaf, reached in a
 deterministic order.  Each slot also says what t adds to the family's
-statistic; the enumerators build and validate the leaves, and all four
-oracles only count them.  The r-restricted variants make each of 1..r open
-its own block or cycle.  The tests check that restriction, and count the
-true blocks of an extended Lah distribution, with helpers of their own in
-``tests/reference.py``.
+statistic; the enumerators build the leaves, and all four oracles only count
+them.  Only the extended Lah enumerators validate what they yield.  The tests
+validate the other three, and check the r-restriction (each of 1..r opens its
+own block or cycle) and the true blocks of an extended Lah distribution with
+helpers of their own in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ def set_default_cap(cap: int | None) -> None:
     """Install a process-wide cap, taking precedence over the environment;
     None removes it."""
     global _cap_override
-    if cap is not None and not (isinstance(cap, int) and cap >= 0):
+    if cap is not None and (isinstance(cap, bool)
+                            or not (isinstance(cap, int) and cap >= 0)):
         raise ValueError(f"cap must be a non-negative integer or None, got {cap!r}")
     _cap_override = cap
 

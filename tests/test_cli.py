@@ -326,11 +326,10 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify")
         assert code == 2
 
-    def test_default_grids_is_gone(self):
+    def test_default_grids_is_gone(self, capsys):
         # every identity runs on its default grid unless a range flag is given
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--all", "--default-grids"])
-        assert exc.value.code == 2
+        assert run_cli(capsys, "verify", "--all", "--default-grids") == (
+            2, "", "error: unrecognized arguments: --default-grids\n")
 
     def test_all_passes_one_line_per_identity(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--all")
@@ -366,10 +365,9 @@ class TestVerify:
         ("verify", "--identity", "I-CQ-SYM"),
         ("oracle-diff", "--family", "lah_q", "--n", "0..2"),
     ])
-    def test_jobs_is_not_an_option(self, command):
-        with pytest.raises(SystemExit) as exc:
-            main([*command, "--jobs", "2"])
-        assert exc.value.code == 2
+    def test_jobs_is_not_an_option(self, capsys, command):
+        assert run_cli(capsys, *command, "--jobs", "2") == (
+            2, "", "error: unrecognized arguments: --jobs 2\n")
 
     def test_counterexample_exit_code(self, capsys):
         from qcomb.identities import REGISTRY, IdentityDef, _grid
@@ -536,13 +534,59 @@ class TestCellCap:
 
 
 def test_main_is_the_only_error_exit():
-    """Every other function raises; main alone writes the one error line to
-    stderr and returns 2."""
+    """Every other function raises or returns its rendered output; main alone
+    writes stdout, writes the one error line to stderr and returns 2."""
     for fn in ast.walk(ast.parse(inspect.getsource(cli))):
         if isinstance(fn, ast.FunctionDef) and fn.name != "main":
             for node in ast.walk(fn):
                 assert not (isinstance(node, ast.Attribute)
-                            and node.attr == "stderr"), fn.name
+                            and node.attr in ("stdout", "stderr")), fn.name
                 assert not (isinstance(node, ast.Return)
                             and isinstance(node.value, ast.Constant)
                             and node.value.value == 2), fn.name
+                if isinstance(node, ast.Call):
+                    called = ast.unparse(node.func)
+                    assert called not in ("print", "json.dump"), fn.name
+
+
+@pytest.mark.parametrize("target, exc, argv, err", [
+    ("check", RuntimeError("boom"), ("verify", "--identity", "I-SPIVEY"),
+     "error: boom\n"),
+    ("table_rows", KeyError("x"), ("table", "--family", "bell_q", "--n", "2"),
+     "error: 'x'\n"),
+    # an empty message names the exception; only MemoryError is out of memory
+    ("oracle_diff", ZeroDivisionError(),
+     ("oracle-diff", "--family", "lah_q", "--n", "2"),
+     "error: ZeroDivisionError\n"),
+], ids=["check", "table_rows", "oracle_diff"])
+def test_any_internal_failure_is_one_error_line(capsys, monkeypatch, target,
+                                                exc, argv, err):
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, target, fail)
+    assert run_cli(capsys, *argv) == (2, "", err)
+
+
+@pytest.mark.parametrize("argv, first", [
+    (("table", "--family", "bell_q", "--n", "5..2"),
+     "error: argument --n: invalid range '5..2'\n"),
+    (("table", "--family", "bell_q", "--n", "2", "--no-such"),
+     "error: unrecognized arguments: --no-such\n"),
+    (("table", "--n", "2"),
+     "error: the following arguments are required: --family\n"),
+    (("verify", "--all", "--format", "xml"),
+     "error: argument --format: invalid choice: 'xml'"),
+], ids=["bad-range", "unknown-option", "missing-family", "bad-choice"])
+def test_argparse_refusal_is_one_error_line(capsys, argv, first):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(first) and err.count("\n") == 1
+    assert err.endswith("\n")
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: qcomb")

@@ -25,7 +25,7 @@ class TestRegistry:
         assert identity_names() == EXPECTED_NAMES
 
     def test_unknown_identity(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown identity"):
             check("NO-SUCH")
 
     def test_unknown_override_parameter(self):

@@ -271,6 +271,15 @@ class TestCellCap:
         assert effective_cap() == 123       # nothing was installed
         assert sum(1 for _ in enum_partitions(1, None)) == 1
 
+    def test_bool_cap_rejected(self, monkeypatch, cell_cap):
+        # a bool is an int to isinstance, but True is no cap
+        monkeypatch.setenv("QCOMB_MAX_ENUM", "123")
+        for bad in (True, False):
+            with pytest.raises(ValueError, match="cap must be"):
+                cell_cap(bad)
+        assert effective_cap() == 123       # nothing was installed
+        assert sum(1 for _ in enum_partitions(3, None)) == 5
+
     @pytest.mark.parametrize("value", ["-5", "abc", "1.5", ""])
     def test_bad_env_cap_names_the_variable(self, monkeypatch, value):
         monkeypatch.setenv("QCOMB_MAX_ENUM", value)
