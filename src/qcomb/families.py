@@ -219,7 +219,7 @@ FAMILIES = tuple(PARAMS)
 
 def engine(family: str) -> Callable:
     """The engine function of a family, looked up by name on each call, so
-    that a rebinding of the module attribute is seen."""
+    that the tables, oracle-diff and every identity see a rebound engine."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     return globals()[family]

@@ -2,24 +2,25 @@
 
 Every entry pins one identity between number families as an exact equality
 of integers, QPoly or MPoly values and checks it cell by cell over an
-inclusive parameter grid.  The engines fill stirling2_q, lah_q and
-stirling1_q for every r by one recurrence in n, so the shift sums that
-I-T4E1, I-T4E2 and I-T4E3 state are independent of them; only the cells
-with m = 0 (108 of the 360 default cells of each) reduce to X = X.  I-PE1
+inclusive parameter grid.  Every body looks up ``families.<engine>`` when
+its cell runs, as the tables and oracle-diff do, so one rebinding of an
+engine there reaches every identity, table and diff that calls it.  The
+engines fill stirling2_q, lah_q and stirling1_q for every r by one
+recurrence in n, so the shift sums of I-T4E1..3 are independent of them;
+only their cells with m = 0 (108 of 360 each) reduce to X = X.  I-PE1
 checks the restricted values against the partition oracle, I-LAH-R against
-the classical Lah counts, and oracle-diff (acceptance criterion 1) against
-every enumeration oracle.
+the classical Lah counts, and oracle-diff against every enumeration oracle.
 
 ``_two_part`` is the two-part product formula of Spivey and Mezo,
 F(m+n, k) = sum_i sum_j C(n, i) w(i, j) F(m, j) G(i, k-j).  I-SPIVEY,
-I-MEZO-1/2, I-P1E1/2, I-P2E1/2, I-T3E1, I-T4C1, I-T5E1, I-T5E2 (direct
-route), I-BIN-5, I-BIN-7 and the rows of ``_BIN_ROWS`` (I-BIN-1..4) share
-it; I-T4E1..3 are the rows of ``_T4_ROWS`` on one shift sum.  Most terms
-of these sums vanish (87 to 89% on the I-BIN grids), and ``_two_part``
-skips every term with a zero factor before it builds the weight.  Each
-entry declares its grid in ``@_identity``, and its body is a function of
-that grid's parameters by name (m, n, k, r, route); only ``check`` handles
-a cell as a dict.
+I-MEZO-1/2, I-P1E2, I-P2E2, I-T4C1, I-T5E1/2, I-BIN-5/7 and the rows of
+``_BIN_ROWS`` (I-BIN-1..4) call it; so does ``_product``, its refined form
+on one q-triangle, which is I-P1E1, I-P2E1 and I-T3E1.  I-T4E1..3 are the
+rows of ``_T4_ROWS`` on one shift sum.  Most terms of these sums vanish (87
+to 89% on the I-BIN grids), and ``_two_part`` skips every term with a zero
+factor before it builds the weight.  Each entry declares its grid in
+``@_identity``, and its body is a function of that grid's parameters by
+name (m, n, k, r, route); only ``check`` handles a cell as a dict.
 
 Reports are deterministic: cells are generated in a fixed order and the
 first mismatching cell is serialized in full.
@@ -33,10 +34,9 @@ from functools import lru_cache, partial
 from itertools import product
 from typing import Callable, Iterable, Iterator
 
-from . import classical as cl
-from .families import (PARAMS, TableRow, _row_sum, bell_q, engine,
-                       gen_bell, hsu_shiue, lah_q, lah_q_closed_form,
-                       stirling1_q, stirling2_q, stirling_neg1)
+from . import classical as cl, families
+from .families import (PARAMS, TableRow, _row_sum, engine, lah_q_closed_form,
+                       stirling_neg1)
 from .oracles import ORACLE_FOR_ENGINE, ZERO, oracle_table
 from .polyring import (ALPHA, BETA, M_ZERO, MPoly, Q_ONE, Q_ZERO, QPoly, R,
                        X, binom, binom_gen, elementary_symmetric, q_binomial,
@@ -292,6 +292,17 @@ def _two_part(n: int, js: range, weight, left, right, zero):
     return total
 
 
+def _product(family: str, weight):
+    """The refined two-part product formula of one q-triangle F = family:
+    F(m+n, k, r) = sum_i sum_j weight(m, n, r)(i, j) F(m, j, r) F(i, k-j, 0)."""
+    def evaluate(m, n, r, k):
+        fn = engine(family)
+        return fn(m + n, k, r), _two_part(
+            n, range(m + 1), weight(m, n, r), lambda j: fn(m, j, r),
+            lambda i, j: fn(i, k - j, 0), Q_ZERO)
+    return evaluate
+
+
 def _identity(name: str, summary: str, defaults: Ranges,
               notes: tuple[str, ...] = (),
               diagnose: Callable[..., dict] | None = None, **grid):
@@ -345,31 +356,25 @@ def _mezo2(m, n, r):
            "restriction shift for partition weights, against enumeration",
            {"n": (0, 8), "r": (0, 2)}, k="n")
 def _pe1(n, r, k):
-    return _ocell("partitions", n, k, r), stirling2_q(n, k, r)
+    return _ocell("partitions", n, k, r), families.stirling2_q(n, k, r)
 
 
-def _p1_weight(n: int, r: int):
+def _p1_weight(m: int, n: int, r: int):
     return lambda i, j: (q_integer(j + r) ** (n - i)
                          * binom(n, i)).shift(i * (j + r))
 
 
-@_identity("I-P1E1",
-           "two-part product formula for restricted partition weights",
-           _MN8R, k="m+n")
-def _p1e1(m, n, r, k):
-    rhs = _two_part(n, range(m + 1), _p1_weight(n, r),
-                    lambda j: stirling2_q(m, j, r),
-                    lambda i, j: stirling2_q(i, k - j, 0), Q_ZERO)
-    return stirling2_q(m + n, k, r), rhs
+_identity("I-P1E1", "two-part product formula for restricted partition weights",
+          _MN8R, k="m+n")(_product("stirling2_q", _p1_weight))
 
 
 @_identity("I-P1E2", "two-part product formula for restricted Bell weights",
            _MN8R)
 def _p1e2(m, n, r):
-    rhs = _two_part(n, range(m + 1), _p1_weight(n, r),
-                    lambda j: stirling2_q(m, j, r),
-                    lambda i, j: bell_q(i, 0), Q_ZERO)
-    return bell_q(m + n, r), rhs
+    rhs = _two_part(n, range(m + 1), _p1_weight(m, n, r),
+                    lambda j: families.stirling2_q(m, j, r),
+                    lambda i, j: families.bell_q(i, 0), Q_ZERO)
+    return families.bell_q(m + n, r), rhs
 
 
 # I-BIN-1..4 read binom(m+n-k-a, k-b) = sum_i sum_j ind(i, j)
@@ -414,7 +419,7 @@ for _name, _summary, *_row in _BIN_ROWS:
 
 
 def _sneg(n: int, k: int, r: int = 0) -> int:
-    return stirling2_q(n, k, r).eval_int(-1)
+    return families.stirling2_q(n, k, r).eval_int(-1)
 
 
 # I-BIN-5 and I-BIN-7 are the q = -1 two-part sums at r = 0 and r = 1, and
@@ -460,13 +465,13 @@ _identity("I-BIN-9", "closed form for restricted partition weights at q = -1",
 @_identity("I-LAH-CF", "product closed form versus the two-term recurrence",
            {"n": (1, 20)}, k="n", k_min=1)
 def _lah_cf(n, k):
-    return lah_q_closed_form(n, k), lah_q(n, k, 0)
+    return lah_q_closed_form(n, k), families.lah_q(n, k, 0)
 
 
 @_identity("I-LAH-R", "restriction shift for ordered-block counts at q = 1",
            {"n": (0, 8), "r": (0, 3)}, k="n")
 def _lah_r(n, r, k):
-    lhs = lah_q(n, k, r).eval_int(1)
+    lhs = families.lah_q(n, k, r).eval_int(1)
     rhs = sum(rising_int(2 * r, i) * binom(n, i) * cl.lah(n - i, k)
               for i in range(n + 1))
     return lhs, rhs
@@ -479,14 +484,9 @@ def _p2_weight(m: int, n: int, r: int):
     return weight
 
 
-@_identity("I-P2E1",
-           "two-part product formula for restricted ordered-block weights",
-           _MN7R, k="m+n")
-def _p2e1(m, n, r, k):
-    rhs = _two_part(n, range(k + 1), _p2_weight(m, n, r),
-                    lambda j: lah_q(m, j, r),
-                    lambda i, j: lah_q(i, k - j, 0), Q_ZERO)
-    return lah_q(m + n, k, r), rhs
+_identity("I-P2E1",
+          "two-part product formula for restricted ordered-block weights",
+          _MN7R, k="m+n")(_product("lah_q", _p2_weight))
 
 
 @_identity("I-P2E2", "summed form of the ordered-block product formula",
@@ -498,10 +498,11 @@ def _p2e1(m, n, r, k):
                   "must agree",))
 def _p2e2(m, n, r, route):
     bound = m if route == "bound=m" else m + n
-    totals = [_row_sum(lah_q, i, 0) for i in range(n + 1)]
+    totals = [_row_sum(families.lah_q, i, 0) for i in range(n + 1)]
     rhs = _two_part(n, range(bound + 1), _p2_weight(m, n, r),
-                    lambda j: lah_q(m, j, r), lambda i, j: totals[i], Q_ZERO)
-    return _row_sum(lah_q, m + n, r), rhs
+                    lambda j: families.lah_q(m, j, r), lambda i, j: totals[i],
+                    Q_ZERO)
+    return _row_sum(families.lah_q, m + n, r), rhs
 
 
 @_identity("I-QBIN", "Gaussian binomial identity from the ordered-block formula",
@@ -530,14 +531,13 @@ def _cq_rec(n, k):
     return lhs, rhs
 
 
-@_identity("I-T3E1", "two-part product formula for restricted cycle weights",
-           _MN7R, k="m+n")
-def _t3e1(m, n, r, k):
+def _t3_weight(m: int, n: int, r: int):
     facs = [q_rising(m + r, n - i) * q_binomial(n, i) for i in range(n + 1)]
-    rhs = _two_part(n, range(m + 1), lambda i, j: facs[i],
-                    lambda j: stirling1_q(m, j, r),
-                    lambda i, j: stirling1_q(i, k - j, 0), Q_ZERO)
-    return stirling1_q(m + n, k, r), rhs
+    return lambda i, j: facs[i]
+
+
+_identity("I-T3E1", "two-part product formula for restricted cycle weights",
+          _MN7R, k="m+n")(_product("stirling1_q", _t3_weight))
 
 
 def _one_plus_qints(lo: int, count: int) -> QPoly:
@@ -557,13 +557,13 @@ def _t3e2(m, n, r):
 @_identity("I-CQ-SUM", "total cycle weight as a product",
            {"n": (0, 8), "r": (0, 3)})
 def _cq_sum(n, r):
-    return _row_sum(stirling1_q, n, r), _one_plus_qints(r, n)
+    return _row_sum(families.stirling1_q, n, r), _one_plus_qints(r, n)
 
 
 @_identity("I-CQ-SYM", "cycle weights as elementary symmetric polynomials",
            {"n": (0, 10)}, k="n")
 def _cq_sym(n, k):
-    lhs = stirling1_q(n, k, 0)
+    lhs = families.stirling1_q(n, k, 0)
     rhs = elementary_symmetric(n - k, [q_integer(i) for i in range(1, n)])
     return lhs, rhs
 
@@ -579,24 +579,25 @@ _T4_ROWS = [
      ("the partition-weight identity holds for the statistic that includes "
       "the restricted blocks' fixed r-choose-2 contribution; both sides are "
       "lifted accordingly before comparing engine values",),
-     stirling2_q, lambda m, e: q_integer(m) ** e, binom,
+     "stirling2_q", lambda m, e: q_integer(m) ** e, binom,
      lambda m, r, n, i: m * (i + r) + m * (m - 1) // 2,
      lambda x: x * (x - 1) // 2),
     ("I-T4E2", "restriction-composition shift for ordered-block weights",
-     (), lah_q, lambda m, e: q_rising(2 * m, e), q_binomial,
+     (), "lah_q", lambda m, e: q_rising(2 * m, e), q_binomial,
      lambda m, r, n, i: m * (2 * i + 2 * r + m - 1), lambda x: 0),
     ("I-T4E3", "restriction-composition shift for cycle weights",
-     (), stirling1_q, q_rising, q_binomial,
+     (), "stirling1_q", q_rising, q_binomial,
      lambda m, r, n, i: r * (n - i), lambda x: 0),
 ]
 
 
-def _t4_identity(engine_fn, factor, binomial, shift, lift):
+def _t4_identity(family, factor, binomial, shift, lift):
     def evaluate(m, n, r, k):
+        fn = engine(family)
         terms = ((factor(m, n - i) * binomial(n, i)
-                  * engine_fn(i, k, r).shift(lift(r))).shift(shift(m, r, n, i))
+                  * fn(i, k, r).shift(lift(r))).shift(shift(m, r, n, i))
                  for i in range(k, n + 1))
-        return engine_fn(n, k, m + r).shift(lift(m + r)), sum(terms, Q_ZERO)
+        return fn(n, k, m + r).shift(lift(m + r)), sum(terms, Q_ZERO)
     return evaluate
 
 
@@ -611,15 +612,15 @@ def _t4c1(m, n, r):
             for i in range(n + 1)]
     inners = [_one_plus_qints(r, i) for i in range(n + 1)]
     rhs = _two_part(n, range(m + 1), lambda i, j: facs[i],
-                    lambda j: stirling1_q(m, j, r), lambda i, j: inners[i],
-                    Q_ZERO)
+                    lambda j: families.stirling1_q(m, j, r),
+                    lambda i, j: inners[i], Q_ZERO)
     return _one_plus_qints(r, m + n), rhs
 
 
 @_identity("I-GENREC", "connection constants between shifted factorial bases",
            {"n": (0, 8)})
 def _genrec(n):
-    rhs = sum((hsu_shiue(n, k) * shifted_factorial(k, X - R, BETA)
+    rhs = sum((families.hsu_shiue(n, k) * shifted_factorial(k, X - R, BETA)
                for k in range(n + 1)), M_ZERO)
     return shifted_factorial(n, X, -ALPHA), rhs
 
@@ -627,7 +628,7 @@ def _genrec(n):
 @_identity("I-GENL1", "generalized Stirling numbers as weighted sums",
            {"n": (0, 7)}, diagnose=_first_tracked_mismatch, k="n")
 def _genl1(n, k):
-    return hsu_shiue(n, k), _ocell("ext_lah", n, k)
+    return families.hsu_shiue(n, k), _ocell("ext_lah", n, k)
 
 
 @_identity("I-GENL1-REC", "weighted-sum recurrence, against enumeration",
@@ -646,15 +647,15 @@ def _t5_weight(m: int, n: int):
 
 def _t5e1_rhs(m: int, n: int, k: int) -> MPoly:
     return _two_part(n, range(m + 1), _t5_weight(m, n),
-                     lambda j: hsu_shiue(m, j),
-                     lambda i, j: hsu_shiue(i, k - j), M_ZERO)
+                     lambda j: families.hsu_shiue(m, j),
+                     lambda i, j: families.hsu_shiue(i, k - j), M_ZERO)
 
 
 @_identity("I-T5E1",
            "two-part product formula for generalized Stirling numbers",
            _MN7, k="m+n")
 def _t5e1(m, n, k):
-    return hsu_shiue(m + n, k), _t5e1_rhs(m, n, k)
+    return families.hsu_shiue(m + n, k), _t5e1_rhs(m, n, k)
 
 
 @_identity("I-T5E2", "generalized Bell polynomial product formula", _MN7,
@@ -664,9 +665,9 @@ def _t5e1(m, n, k):
 def _t5e2(m, n, route):
     if route == "direct":
         rhs = _two_part(n, range(m + 1), _t5_weight(m, n),
-                        lambda j: X ** j * hsu_shiue(m, j),
-                        lambda i, j: gen_bell(i), M_ZERO)
+                        lambda j: X ** j * families.hsu_shiue(m, j),
+                        lambda i, j: families.gen_bell(i), M_ZERO)
     else:  # sum the refined formula over the block-count marker
         rhs = sum((X ** k * _t5e1_rhs(m, n, k) for k in range(m + n + 1)),
                   M_ZERO)
-    return gen_bell(m + n), rhs
+    return families.gen_bell(m + n), rhs

@@ -183,8 +183,8 @@ class TestCheckDriver:
 
     def test_planted_engine_fault_without_stat_mismatch(self, monkeypatch):
         # the tracked statistics agree, so the diagnosis adds no field
-        real = identities.hsu_shiue
-        monkeypatch.setattr(identities, "hsu_shiue", lambda n, k: (
+        real = families.hsu_shiue
+        monkeypatch.setattr(families, "hsu_shiue", lambda n, k: (
             real(n, k) + 1 if (n, k) == (3, 2) else real(n, k)))
         r = check("I-GENL1")
         assert r.status == "fail"
