@@ -16,8 +16,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
+from . import polyring
 from .polyring import (ALPHA, BETA, M_ZERO, MPoly, Q_ONE, Q_ZERO, QPoly, R, X,
-                       binom_gen, q_binomial, q_rising, times_q_integer)
+                       binom_gen, times_q_integer, times_q_rising)
 
 
 def _check_nr(name: str, n: int, r: int) -> None:
@@ -98,7 +99,8 @@ def lah_q_closed_form(n: int, k: int) -> QPoly:
     zero for k > n, as lah_q is."""
     if k > n:
         return Q_ZERO
-    return (q_rising(k + 1, n - k) * q_binomial(n - 1, k - 1)).shift(k * (k - 1))
+    return times_q_rising(polyring.q_binomial(n - 1, k - 1), k + 1,
+                          n - k).shift(k * (k - 1))
 
 
 @lru_cache(maxsize=None)
@@ -184,7 +186,7 @@ def gen_bell(n: int) -> MPoly:
 # kernel columns; held here, not looked up by name, so a
 # re-bound module attribute cannot hide one of them
 _CACHES = (stirling2_q, bell_q, lah_q, stirling1_q, hsu_shiue, gen_bell,
-           q_binomial)
+           polyring.q_binomial)
 _KERNELS = (_stirling2_q_base, _lah_q_base, _stirling1_q_base, _hsu_shiue_base)
 
 

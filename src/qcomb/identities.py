@@ -18,7 +18,10 @@ I-MEZO-1/2, I-P1E2, I-P2E2, I-T4C1, I-T5E1/2, I-BIN-5/7 and the rows of
 on one q-triangle, which is I-P1E1, I-P2E1 and I-T3E1.  I-T4E1..3 are the
 rows of ``_T4_ROWS`` on one shift sum.  Most terms of these sums vanish (87
 to 89% on the I-BIN grids), and ``_two_part`` skips every term with a zero
-factor before it builds the weight.  Each entry declares its grid in
+factor before it builds the weight; for each j it sums over i first and
+multiplies by left(j), the m-part, once.  Every q-rising product in these
+bodies takes ``times_q_rising``, and every q-binomial is looked up as
+``polyring.q_binomial`` when its cell runs.  Each entry declares its grid in
 ``@_identity``, and its body is a function of that grid's parameters by
 name (m, n, k, r, route); only ``check`` handles a cell as a dict.
 
@@ -34,13 +37,14 @@ from functools import lru_cache, partial
 from itertools import product
 from typing import Callable, Iterable, Iterator
 
-from . import classical as cl, families
+from . import classical as cl, families, polyring
 from .families import (PARAMS, TableRow, _row_sum, engine, lah_q_closed_form,
                        stirling_neg1)
 from .oracles import ORACLE_FOR_ENGINE, ZERO, oracle_table
 from .polyring import (ALPHA, BETA, M_ZERO, MPoly, Q_ONE, Q_ZERO, QPoly, R,
-                       X, binom, binom_gen, elementary_symmetric, q_binomial,
-                       q_integer, q_rising, rising_int, shifted_factorial)
+                       X, binom, binom_gen, elementary_symmetric, q_integer,
+                       rising_int, shifted_factorial, times_q_integer,
+                       times_q_rising)
 from .stats import ext_stats
 from .structures import enum_extended_lah_tracked
 
@@ -276,19 +280,25 @@ def _two_part(n: int, js: range, weight, left, right, zero):
     """Sum of weight(i, j) * left(j) * right(i, j) over i = 0..n and j in js.
 
     This is the two-part product formula F(m+n, k) = sum_i sum_j C(n, i)
-    w(i, j) F(m, j) G(i, k-j): left is the m-part, computed once per j;
-    right is the i-part and weight carries the binomial and the weight.
-    A term with a zero factor is exactly zero, so it is skipped: j drops
-    out where left(j) is zero, and weight(i, j) is called only where
+    w(i, j) F(m, j) G(i, k-j): left is the m-part, right is the i-part and
+    weight carries the binomial and the weight.  For each j the sum over i
+    of weight(i, j) * right(i, j) is taken first and multiplied by left(j)
+    once.  A term with a zero factor is exactly zero, so it is skipped: j
+    drops out where left(j) is zero, and weight(i, j) is called only where
     right(i, j) is nonzero too.  An all-zero sum is ``zero`` itself.
     """
-    lefts = [(j, value) for j in js if (value := left(j))]
     total = zero
-    for i in range(n + 1):
-        for j, value in lefts:
+    for j in js:
+        value = left(j)
+        if not value:
+            continue
+        inner = zero
+        for i in range(n + 1):
             other = right(i, j)
             if other:
-                total = total + weight(i, j) * value * other
+                inner = inner + weight(i, j) * other
+        if inner:
+            total = total + inner * value
     return total
 
 
@@ -480,7 +490,8 @@ def _lah_r(n, r, k):
 def _p2_weight(m: int, n: int, r: int):
     def weight(i, j):
         base = j + m + 2 * r
-        return (q_rising(base, n - i) * q_binomial(n, i)).shift(i * base)
+        return times_q_rising(polyring.q_binomial(n, i), base,
+                              n - i).shift(i * base)
     return weight
 
 
@@ -513,12 +524,13 @@ def _qbin_corollary(m, n, k):
     terms = [(i, j, i * (j + m + 1) - 2 * j * (k - j + 1))
              for i in range(1, n + 1) for j in range(1, k + 1)]
     lift = max(0, -min(e for _, _, e in terms)) if terms else 0
-    lhs = (q_binomial(m + n, k) * q_binomial(m + n + 1, n)
-           - q_binomial(m, k) * q_binomial(k + m + n + 1, n)).shift(lift)
+    qb = polyring.q_binomial
+    lhs = (qb(m + n, k) * qb(m + n + 1, n)
+           - qb(m, k) * qb(k + m + n + 1, n)).shift(lift)
     rhs = Q_ZERO
     for i, j, e in terms:
-        term = (q_binomial(m, j - 1) * q_binomial(k + 1, j)
-                * q_binomial(i - 1, k - j) * q_binomial(m + n + j - i, n - i))
+        term = (qb(m, j - 1) * qb(k + 1, j)
+                * qb(i - 1, k - j) * qb(m + n + j - i, n - i))
         rhs = rhs + term.shift(lift + e)
     return lhs, rhs
 
@@ -532,7 +544,8 @@ def _cq_rec(n, k):
 
 
 def _t3_weight(m: int, n: int, r: int):
-    facs = [q_rising(m + r, n - i) * q_binomial(n, i) for i in range(n + 1)]
+    facs = [times_q_rising(polyring.q_binomial(n, i), m + r, n - i)
+            for i in range(n + 1)]
     return lambda i, j: facs[i]
 
 
@@ -541,15 +554,17 @@ _identity("I-T3E1", "two-part product formula for restricted cycle weights",
 
 
 def _one_plus_qints(lo: int, count: int) -> QPoly:
+    """The product of 1 + [ell] over ell = lo..lo+count-1, each factor
+    taken as p + p * [ell] in one linear step."""
     p = Q_ONE
     for ell in range(lo, lo + count):
-        p = p * (Q_ONE + q_integer(ell))
+        p = p + times_q_integer(p, ell)
     return p
 
 
 @_identity("I-T3E2", "summed form of the cycle product formula", _MN7R)
 def _t3e2(m, n, r):
-    rhs = sum((q_rising(m + r, n - i) * q_binomial(n, i)
+    rhs = sum((times_q_rising(polyring.q_binomial(n, i), m + r, n - i)
                * _one_plus_qints(0, i) for i in range(n + 1)), Q_ZERO)
     return _one_plus_qints(m + r, n), rhs
 
@@ -570,32 +585,33 @@ def _cq_sym(n, k):
 
 # I-T4E1..3 read engine(n, k, m+r) = sum_i factor(m, n-i) * binomial(n, i)
 # * engine(i, k, r) * q^shift(m, r, n, i), over i = k..n, since engine(i, k, r)
-# vanishes for i < k.  I-T4E1 is stated for the block-position statistic
-# with the restricted blocks' fixed contribution included; engine values
-# drop that r-choose-2 constant, so both sides are lifted by q^lift, the
-# last column (zero in the other two rows).
+# vanishes for i < k; a row's factor takes the polynomial it multiplies, and
+# its binomial is named in polyring.  I-T4E1 is stated for the
+# block-position statistic with the restricted blocks' fixed contribution
+# included; engine values drop that r-choose-2 constant, so both sides are
+# lifted by q^lift, the last column (zero in the other two rows).
 _T4_ROWS = [
     ("I-T4E1", "restriction-composition shift for partition weights",
      ("the partition-weight identity holds for the statistic that includes "
       "the restricted blocks' fixed r-choose-2 contribution; both sides are "
       "lifted accordingly before comparing engine values",),
-     "stirling2_q", lambda m, e: q_integer(m) ** e, binom,
+     "stirling2_q", lambda p, m, e: q_integer(m) ** e * p, "binom",
      lambda m, r, n, i: m * (i + r) + m * (m - 1) // 2,
      lambda x: x * (x - 1) // 2),
     ("I-T4E2", "restriction-composition shift for ordered-block weights",
-     (), "lah_q", lambda m, e: q_rising(2 * m, e), q_binomial,
+     (), "lah_q", lambda p, m, e: times_q_rising(p, 2 * m, e), "q_binomial",
      lambda m, r, n, i: m * (2 * i + 2 * r + m - 1), lambda x: 0),
     ("I-T4E3", "restriction-composition shift for cycle weights",
-     (), "stirling1_q", q_rising, q_binomial,
+     (), "stirling1_q", lambda p, m, e: times_q_rising(p, m, e), "q_binomial",
      lambda m, r, n, i: r * (n - i), lambda x: 0),
 ]
 
 
 def _t4_identity(family, factor, binomial, shift, lift):
     def evaluate(m, n, r, k):
-        fn = engine(family)
-        terms = ((factor(m, n - i) * binomial(n, i)
-                  * fn(i, k, r).shift(lift(r))).shift(shift(m, r, n, i))
+        fn, binom_fn = engine(family), getattr(polyring, binomial)
+        terms = (factor(binom_fn(n, i) * fn(i, k, r).shift(lift(r)), m,
+                        n - i).shift(shift(m, r, n, i))
                  for i in range(k, n + 1))
         return fn(n, k, m + r).shift(lift(m + r)), sum(terms, Q_ZERO)
     return evaluate
@@ -608,8 +624,8 @@ for _name, _summary, _notes, *_row in _T4_ROWS:
 @_identity("I-T4C1", "summed form of the cycle restriction-composition shift",
            _MN7R)
 def _t4c1(m, n, r):
-    facs = [(q_rising(m, n - i) * q_binomial(n, i)).shift(r * (n - i))
-            for i in range(n + 1)]
+    facs = [times_q_rising(polyring.q_binomial(n, i), m,
+                           n - i).shift(r * (n - i)) for i in range(n + 1)]
     inners = [_one_plus_qints(r, i) for i in range(n + 1)]
     rhs = _two_part(n, range(m + 1), lambda i, j: facs[i],
                     lambda j: families.stirling1_q(m, j, r),

@@ -276,8 +276,10 @@ def q_binomial(n: int, k: int) -> QPoly:
     times_q_integer and one div_q_integer per step, each linear in the
     degree; every partial product is the Gaussian binomial (n, i), so each
     division is exact.  The 1024 most recently used values are kept: its
-    callers, lah_q_closed_form and the sums of I-P2E1/2, I-QBIN, I-T3E1/2,
-    I-T4E2/3 and I-T4C1, ask for a few hundred (n, k) pairs over and over.
+    callers, families.lah_q_closed_form (I-LAH-CF) and the sums of
+    I-P2E1/2, I-QBIN, I-T3E1/2, I-T4E2/3 and I-T4C1, ask for a few hundred
+    (n, k) pairs over and over.  Each of them looks it up here, as
+    ``polyring.q_binomial``, when it runs.
     """
     if k == 0:
         return Q_ONE
@@ -289,14 +291,20 @@ def q_binomial(n: int, k: int) -> QPoly:
     return p
 
 
-def q_rising(n: int, m: int) -> QPoly:
-    """q-rising factorial: product of the q-integers n, n+1, ..., n+m-1."""
-    if n < 0 or m < 0:
-        raise ValueError(f"q_rising requires n, m >= 0, got ({n}, {m})")
-    p = Q_ONE
-    for i in range(n, n + m):
+def times_q_rising(p: QPoly, a: int, m: int) -> QPoly:
+    """p * q_rising(a, m) in m times_q_integer steps, each linear in the
+    degree, instead of a schoolbook product."""
+    if a < 0 or m < 0:
+        raise ValueError(
+            f"a q-rising factorial requires a, m >= 0, got ({a}, {m})")
+    for i in range(a, a + m):
         p = times_q_integer(p, i)
     return p
+
+
+def q_rising(n: int, m: int) -> QPoly:
+    """q-rising factorial: product of the q-integers n, n+1, ..., n+m-1."""
+    return times_q_rising(Q_ONE, n, m)
 
 
 def elementary_symmetric(j: int, items: Sequence[QPoly]) -> QPoly:

@@ -1,8 +1,11 @@
 """Reference helpers that the tests compare the package against.
 
 None of them is part of qcomb: they read a value or a structure from
-outside, through its public fields only.
+outside, through its public fields only, and the q-products below take
+every factor as a schoolbook ``QPoly.__mul__``.
 """
+
+from qcomb.polyring import Q_ONE, q_integer
 
 
 def evaluate(p, alpha, beta, r, x):
@@ -21,3 +24,19 @@ def true_block_count(lam):
     """Blocks of an extended Lah distribution, less the one that a circled
     1 opens."""
     return len(lam.base.blocks) - (1 in lam.circled)
+
+
+def q_rising(a, m):
+    """Schoolbook product of the q-integers a, a+1, ..., a+m-1."""
+    p = Q_ONE
+    for i in range(a, a + m):
+        p = p * q_integer(i)
+    return p
+
+
+def one_plus_qints(lo, count):
+    """Schoolbook product of 1 + [ell] over ell = lo..lo+count-1."""
+    p = Q_ONE
+    for ell in range(lo, lo + count):
+        p = p * (Q_ONE + q_integer(ell))
+    return p

@@ -5,13 +5,15 @@ calls that engine, as it reaches the tables and oracle-diff.
 The mutants add 1 to one cell of one engine.  Each q-triangle gets one at
 r = 0, 1 and 2, because some identities read only one r: I-BIN-5/6,
 I-LAH-CF and I-CQ-SYM catch only the r = 0 mutant, I-BIN-8/9 only the
-r = 1 one.  q_binomial is a polyring helper, imported by name, and not
-an engine; faults in the kernel columns have a test of their own.
+r = 1 one.  q_binomial is a polyring helper, not an engine, but every
+caller in families and identities looks up ``polyring.q_binomial`` when it
+runs, so one fault planted there reaches all of them too.  Faults in the
+kernel columns have a test of their own.
 """
 
 import pytest
 
-from qcomb import families, identities
+from qcomb import families, identities, polyring
 from qcomb.identities import check, identity_names, oracle_diff
 from qcomb.oracles import ORACLE_FOR_ENGINE
 
@@ -42,6 +44,10 @@ CALLS = {
     "I-T5E2": {"hsu_shiue", "gen_bell"},
 }
 
+# the identities that call polyring.q_binomial on their default grids
+Q_BINOMIAL_CALLERS = {"I-LAH-CF", "I-P2E1", "I-P2E2", "I-QBIN", "I-T3E1",
+                      "I-T3E2", "I-T4E2", "I-T4E3", "I-T4C1"}
+
 MUTANTS = ([(family, (3, 2, r)) for family in ("stirling2_q", "lah_q",
                                                "stirling1_q")
             for r in range(3)]
@@ -58,9 +64,11 @@ def fresh_caches():
 
 def test_identities_bind_no_engine():
     assert set(families.PARAMS) & set(vars(identities)) == set()
+    assert "q_binomial" not in vars(identities)
+    assert "q_binomial" not in vars(families)
     held = [value for row in identities._T4_ROWS for value in row
-            if callable(value)
-            and getattr(value, "__module__", None) == families.__name__]
+            if callable(value) and getattr(value, "__module__", None)
+            in (families.__name__, polyring.__name__)]
     assert held == []
 
 
@@ -116,3 +124,25 @@ def test_every_planted_fault_is_caught(monkeypatch, fresh_caches):
     # every identity catches a fault in each engine it calls
     assert {(name, family) for name, engines in CALLS.items()
             for family in engines} - caught == set()
+
+
+def test_q_binomial_callers(monkeypatch, fresh_caches):
+    callers = set()
+    real = polyring.q_binomial
+
+    def spy(n, k):
+        callers.add(name)
+        return real(n, k)
+
+    monkeypatch.setattr(polyring, "q_binomial", spy)
+    for name in identity_names():
+        families.clear_caches()
+        check(name)
+    assert callers == Q_BINOMIAL_CALLERS
+
+
+def test_q_binomial_fault_is_caught_by_every_caller(monkeypatch,
+                                                    fresh_caches):
+    monkeypatch.setattr(polyring, "q_binomial",
+                        _mutant(polyring.q_binomial, (4, 2)))
+    assert {name for name in Q_BINOMIAL_CALLERS if not _fails(name)} == set()

@@ -4,11 +4,13 @@ import inspect
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qcomb import classical, families, identities
 from qcomb.identities import (REGISTRY, check, identity_names,
                               indicator_pair, serialize_value)
 from qcomb.polyring import MPoly, QPoly, binom
+from reference import one_plus_qints
 
 EXPECTED_NAMES = [
     "I-SPIVEY", "I-MEZO-1", "I-MEZO-2", "I-PE1", "I-P1E1", "I-P1E2",
@@ -126,6 +128,16 @@ class TestSpotValues:
         lhs, rhs = entry.evaluate(n=2, k=1)
         assert lhs == rhs
         assert lhs == MPoly({(1, 0, 0, 0): 1, (0, 1, 0, 0): 1, (0, 0, 1, 0): 2})
+
+
+@settings(deadline=None)
+@given(st.integers(0, 12), st.integers(0, 10))
+@example(0, 0)
+@example(0, 6)
+@example(5, 0)
+def test_one_plus_qints_is_schoolbook_product(lo, count):
+    assert (identities._one_plus_qints(lo, count).coeffs
+            == one_plus_qints(lo, count).coeffs)
 
 
 class TestCheckDriver:

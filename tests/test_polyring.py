@@ -4,14 +4,14 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qcomb.polyring import (ALPHA, BETA, ExactDivisionError, MPoly, Q, Q_ONE,
                             Q_ZERO, QPoly, R, X, binom, binom_gen,
                             div_q_integer, elementary_symmetric, q_binomial,
                             q_integer, q_rising, rising_int, shifted_factorial,
-                            times_q_integer)
-from reference import evaluate
+                            times_q_integer, times_q_rising)
+from reference import evaluate, q_rising as schoolbook_q_rising
 
 
 def exact_div(p, d):
@@ -229,6 +229,27 @@ class TestQPrimitives:
         assert q_rising(2, 2) == QPoly([1, 2, 2, 1])
         with pytest.raises(ValueError):
             q_rising(1, -1)
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=12).map(QPoly),
+           st.integers(0, 12), st.integers(0, 8))
+    @example(Q_ZERO, 3, 4)
+    @example(QPoly([2, -1, 5]), 0, 3)
+    @example(QPoly([2, -1, 5]), 4, 0)
+    def test_times_q_rising_is_schoolbook_product(self, p, a, m):
+        assert (times_q_rising(p, a, m).coeffs
+                == (p * schoolbook_q_rising(a, m)).coeffs)
+        assert q_rising(a, m).coeffs == schoolbook_q_rising(a, m).coeffs
+
+    def test_times_q_rising_edges(self):
+        assert times_q_rising(Q_ZERO, 2, 3) == Q_ZERO
+        assert times_q_rising(QPoly([3, -1]), 0, 2) == Q_ZERO
+        assert times_q_rising(QPoly([3, -1]), 5, 0) == QPoly([3, -1])
+        for a, m in ((-1, 2), (2, -1), (-1, 0)):
+            with pytest.raises(ValueError):
+                times_q_rising(Q_ONE, a, m)
+            with pytest.raises(ValueError):
+                q_rising(a, m)
 
     def test_q_rising_factorial_ratio(self):
         for n in range(1, 8):

@@ -71,7 +71,7 @@ def test_weight_only_where_both_factors_are_nonzero(case):
     n, js, weight, left, right, zero = case
     calls = []
     _call(_two_part, *case, calls=calls)
-    assert calls == [(i, j) for i in range(n + 1) for j in js
+    assert calls == [(i, j) for j in js for i in range(n + 1)
                      if left[j] and right[i, j]]
 
 

@@ -20,6 +20,7 @@ from qcomb.families import (hsu_shiue, lah_q, stirling1_q, stirling2_q,
                             stirling_neg1)
 from qcomb.polyring import (ALPHA, BETA, M_ZERO, MPoly, Q_ONE, Q_ZERO, R,
                             binom, q_binomial, q_integer)
+from reference import q_rising as schoolbook_q_rising
 
 # ---------------------------------------------------------------------------
 # the recursive definitions, as they were in the engines
@@ -159,13 +160,7 @@ RESTRICTED = ("stirling2_r", "stirling1_r", "lah_r")
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def ref_q_rising(a, m):
-    """Schoolbook product of the q-integers a, a+1, ..., a+m-1."""
-    p = Q_ONE
-    for i in range(a, a + m):
-        p = p * q_integer(i)
-    return p
+ref_q_rising = lru_cache(maxsize=None)(schoolbook_q_rising)
 
 
 def ref_shift_stirling2_q(n, k, r):
