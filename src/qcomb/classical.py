@@ -18,8 +18,9 @@ from typing import Callable
 def _triangle(weight: Callable[[int, int, int], int]):
     """T(n, k, r) of the triangle T(0, 0, r) = 1, zero outside 0 <= k <= n,
     and T(n, k, r) = T(n-1, k-1, r) + weight(n, k, r) * T(n-1, k, r).
-    Columns 0..k are filled downward to row n and kept, one set per r;
-    nothing recurses."""
+    T(n, k, r) depends only on the cells (m, j) with j <= k and
+    m - j <= n - k, so column j is filled downward only to row j + n - k
+    and kept, one set per r; nothing recurses."""
     columns: dict[int, list[list[int]]] = {}
 
     def cell(n: int, k: int, r: int) -> int:
@@ -32,7 +33,7 @@ def _triangle(weight: Callable[[int, int, int], int]):
             if j == len(cols):
                 cols.append([0] * j if j else [1])
             col = cols[j]
-            for m in range(len(col), n + 1):
+            for m in range(len(col), n - k + j + 1):
                 left = cols[j - 1][m - 1] if j else 0
                 col.append(left + weight(m, j, r) * col[m - 1])
         return cols[k][n]

@@ -65,9 +65,7 @@ def _run_table(args) -> tuple[int, str]:
         writer = csv.writer(out)
         writer.writerow(["family", "n", "k", "r", "value"])
         for row in rows:
-            writer.writerow([row.family, row.n,
-                             "" if row.k is None else row.k,
-                             "" if row.r is None else row.r,
+            writer.writerow([row.family, row.n, row.k, row.r,
                              _value_csv(row.value)])
         return 0, out.getvalue()
     if args.format == "json":
@@ -91,6 +89,8 @@ def _run_verify(args) -> tuple[int, str]:
             overrides[name] = tuple(rng)
     if args.all and overrides:
         raise ValueError("range overrides apply to a single --identity")
+    if args.all and args.identity:
+        raise ValueError("--all runs every identity and takes no --identity")
     if not (args.all or args.identity):
         raise ValueError("provide --identity NAME or --all")
     names = identity_names() if args.all else [args.identity]

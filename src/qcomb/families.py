@@ -34,9 +34,11 @@ def _row_sum(fn, n: int, r: int) -> QPoly:
 def _triangle(zero, one, step):
     """T(n, k, r) of the triangle T(0, 0, r) = one(r), zero outside
     0 <= k <= n, and T(n, k, r) = step(n, k, r, T(n-1, k-1, r), T(n-1, k, r)).
-    Columns 0..k are filled downward to row n and kept, one set per r, in
-    ``cell.columns``; nothing recurses.  The engine's lru_cache in front
-    answers a repeated cell, so the kernel looks nothing up before filling."""
+    T(n, k, r) depends only on the cells (m, j) with j <= k and
+    m - j <= n - k, so column j is filled downward only to row j + n - k;
+    the columns are kept, one set per r, in ``cell.columns``, and nothing
+    recurses.  The engine's lru_cache in front answers a repeated cell, so
+    the kernel looks nothing up before filling."""
     columns: dict[int, list[list]] = {}
 
     def cell(n: int, k: int, r: int):
@@ -47,7 +49,7 @@ def _triangle(zero, one, step):
             if j == len(cols):
                 cols.append([zero] * j if j else [one(r)])
             col = cols[j]
-            for m in range(len(col), n + 1):
+            for m in range(len(col), n - k + j + 1):
                 left = cols[j - 1][m - 1] if j else zero
                 col.append(step(m, j, r, left, col[m - 1]))
         return cols[k][n]
@@ -176,10 +178,7 @@ def gen_bell(n: int) -> MPoly:
     """Generalized Bell polynomial: sum of hsu_shiue(n, k) * x^k."""
     if n < 0:
         raise ValueError(f"gen_bell requires n >= 0, got {n}")
-    total = M_ZERO
-    for k in range(n + 1):
-        total = total + hsu_shiue(n, k) * X ** k
-    return total
+    return sum((hsu_shiue(n, k) * X ** k for k in range(n + 1)), M_ZERO)
 
 
 # every kept value: the six engine caches, the q-binomial cache and the

@@ -13,10 +13,12 @@ the classical Lah counts, and oracle-diff against every enumeration oracle.
 
 ``_two_part`` is the two-part product formula of Spivey and Mezo,
 F(m+n, k) = sum_i sum_j C(n, i) w(i, j) F(m, j) G(i, k-j).  I-SPIVEY,
-I-MEZO-1/2, I-P1E2, I-P2E2, I-T4C1, I-T5E1/2, I-BIN-5/7 and the rows of
-``_BIN_ROWS`` (I-BIN-1..4) call it; so does ``_product``, its refined form
-on one q-triangle, which is I-P1E1, I-P2E1 and I-T3E1.  I-T4E1..3 are the
-rows of ``_T4_ROWS`` on one shift sum.  Most terms of these sums vanish (87
+I-MEZO-1/2, I-P1E2, I-P2E2, I-T4C1, I-T5E2 and the rows of ``_BIN_ROWS``
+(I-BIN-1..4) call it; so does ``_product``, its refined form on one
+triangle G = F and the only body of that form: I-P1E1, I-P2E1 and I-T3E1
+on the q-triangles, I-BIN-5/7 at q = -1 and I-T5E1 (summed over k in
+I-T5E2) on the Hsu-Shiue numbers.  I-T4E1..3 are the rows of
+``_T4_ROWS`` on one shift sum.  Most terms of these sums vanish (87
 to 89% on the I-BIN grids), and ``_two_part`` skips every term with a zero
 factor before it builds the weight; for each j it sums over i first and
 multiplies by left(j), the m-part, once.  Every q-rising product in these
@@ -40,7 +42,7 @@ from typing import Callable, Iterable, Iterator
 from . import classical as cl, families, polyring
 from .families import (PARAMS, TableRow, _row_sum, engine, lah_q_closed_form,
                        stirling_neg1)
-from .oracles import ORACLE_FOR_ENGINE, ZERO, oracle_table
+from .oracles import ORACLE_FOR_ENGINE, ZERO, oracle, oracle_table
 from .polyring import (ALPHA, BETA, M_ZERO, MPoly, Q_ONE, Q_ZERO, QPoly, R,
                        X, binom, binom_gen, elementary_symmetric, q_integer,
                        rising_int, shifted_factorial, times_q_integer,
@@ -235,8 +237,7 @@ def oracle_diff(family: str, n: int, r: int = 0,
     if lo == 0 and hi >= n:
         table = oracle_table(oracle_family, n, r)
     else:
-        table = {kk: v for k in range(lo, hi + 1) for kk, v
-                 in oracle_table(oracle_family, n, r, only_k=k).items()}
+        table = {k: oracle(oracle_family, n, k, r) for k in range(lo, hi + 1)}
     zero = ZERO[oracle_family]
     cells = ([{"n": n, "k": k, "r": r} for k in range(lo, hi + 1)]
              if "k" in names else [{"n": n, "r": r}])
@@ -302,14 +303,15 @@ def _two_part(n: int, js: range, weight, left, right, zero):
     return total
 
 
-def _product(family: str, weight):
-    """The refined two-part product formula of one q-triangle F = family:
-    F(m+n, k, r) = sum_i sum_j weight(m, n, r)(i, j) F(m, j, r) F(i, k-j, 0)."""
+def _product(triangle, weight, zero=Q_ZERO):
+    """The refined two-part product formula of one triangle F = triangle(),
+    taken when the cell runs: F(m+n, k, r) = sum_i sum_j weight(m, n, r)(i, j)
+    * F(m, j, r) * F(i, k-j, 0)."""
     def evaluate(m, n, r, k):
-        fn = engine(family)
+        fn = triangle()
         return fn(m + n, k, r), _two_part(
             n, range(m + 1), weight(m, n, r), lambda j: fn(m, j, r),
-            lambda i, j: fn(i, k - j, 0), Q_ZERO)
+            lambda i, j: fn(i, k - j, 0), zero)
     return evaluate
 
 
@@ -375,7 +377,7 @@ def _p1_weight(m: int, n: int, r: int):
 
 
 _identity("I-P1E1", "two-part product formula for restricted partition weights",
-          _MN8R, k="m+n")(_product("stirling2_q", _p1_weight))
+          _MN8R, k="m+n")(_product(partial(engine, "stirling2_q"), _p1_weight))
 
 
 @_identity("I-P1E2", "two-part product formula for restricted Bell weights",
@@ -434,15 +436,8 @@ def _sneg(n: int, k: int, r: int = 0) -> int:
 
 # I-BIN-5 and I-BIN-7 are the q = -1 two-part sums at r = 0 and r = 1, and
 # I-BIN-6 and I-BIN-9 the closed forms of the same two rows
-def _bin_sum(r: int):
-    def evaluate(m, n, k):
-        rhs = _two_part(n, range(m + 1),
-                        lambda i, j: (indicator_pair(i, j, n)[r]
-                                      * (-1) ** (i * (j + r)) * binom(n, i)),
-                        lambda j: _sneg(m, j, r), lambda i, j: _sneg(i, k - j),
-                        0)
-        return _sneg(m + n, k, r), rhs
-    return evaluate
+_bin_sum = _product(lambda: _sneg, lambda m, n, r: lambda i, j: (
+    indicator_pair(i, j, n)[r] * (-1) ** (i * (j + r)) * binom(n, i)), 0)
 
 
 def _bin_closed(r: int, variant: str):
@@ -450,14 +445,15 @@ def _bin_closed(r: int, variant: str):
 
 
 _identity("I-BIN-5", "q = -1 specialization of the two-part partition formula",
-          _MN10, k="m+n")(_bin_sum(0))
+          _MN10, k="m+n")(lambda m, n, k: _bin_sum(m, n, 0, k))
 _identity("I-BIN-6", "closed form for partition weights at q = -1",
           {"n": (0, 20)}, k="n")(_bin_closed(0, "plain"))
 _identity("I-BIN-7", "q = -1 specialization with one restricted element",
           _MN10, k="m+n",
           notes=("includes the binomial factor over the free elements, "
                  "which the usual statement drops; without it the identity "
-                 "fails already at m=0, n=2, k=1",))(_bin_sum(1))
+                 "fails already at m=0, n=2, k=1",))(
+    lambda m, n, k: _bin_sum(m, n, 1, k))
 
 
 @_identity("I-BIN-8", "alternating-sum form of the restricted q = -1 values",
@@ -497,7 +493,7 @@ def _p2_weight(m: int, n: int, r: int):
 
 _identity("I-P2E1",
           "two-part product formula for restricted ordered-block weights",
-          _MN7R, k="m+n")(_product("lah_q", _p2_weight))
+          _MN7R, k="m+n")(_product(partial(engine, "lah_q"), _p2_weight))
 
 
 @_identity("I-P2E2", "summed form of the ordered-block product formula",
@@ -550,7 +546,7 @@ def _t3_weight(m: int, n: int, r: int):
 
 
 _identity("I-T3E1", "two-part product formula for restricted cycle weights",
-          _MN7R, k="m+n")(_product("stirling1_q", _t3_weight))
+          _MN7R, k="m+n")(_product(partial(engine, "stirling1_q"), _t3_weight))
 
 
 def _one_plus_qints(lo: int, count: int) -> QPoly:
@@ -656,22 +652,16 @@ def _genl1_rec(n, k):
     return lhs, rhs
 
 
-def _t5_weight(m: int, n: int):
+def _t5_weight(m: int, n: int, r: int):
     return lambda i, j: (binom(n, i) * shifted_factorial(
         n - i, ALPHA * m + BETA * j, -ALPHA))
 
 
-def _t5e1_rhs(m: int, n: int, k: int) -> MPoly:
-    return _two_part(n, range(m + 1), _t5_weight(m, n),
-                     lambda j: families.hsu_shiue(m, j),
-                     lambda i, j: families.hsu_shiue(i, k - j), M_ZERO)
-
-
-@_identity("I-T5E1",
-           "two-part product formula for generalized Stirling numbers",
-           _MN7, k="m+n")
-def _t5e1(m, n, k):
-    return families.hsu_shiue(m + n, k), _t5e1_rhs(m, n, k)
+# hsu_shiue's r is a variable of its polynomials, so F(n, k, r) ignores r
+_t5e1 = _product(lambda: lambda n, k, r: families.hsu_shiue(n, k), _t5_weight,
+                 M_ZERO)
+_identity("I-T5E1", "two-part product formula for generalized Stirling numbers",
+          _MN7, k="m+n")(lambda m, n, k: _t5e1(m, n, 0, k))
 
 
 @_identity("I-T5E2", "generalized Bell polynomial product formula", _MN7,
@@ -680,10 +670,10 @@ def _t5e1(m, n, k):
                   "by summing the refined formula over all block counts",))
 def _t5e2(m, n, route):
     if route == "direct":
-        rhs = _two_part(n, range(m + 1), _t5_weight(m, n),
+        rhs = _two_part(n, range(m + 1), _t5_weight(m, n, 0),
                         lambda j: X ** j * families.hsu_shiue(m, j),
                         lambda i, j: families.gen_bell(i), M_ZERO)
     else:  # sum the refined formula over the block-count marker
-        rhs = sum((X ** k * _t5e1_rhs(m, n, k) for k in range(m + n + 1)),
+        rhs = sum((X ** k * _t5e1(m, n, 0, k)[1] for k in range(m + n + 1)),
                   M_ZERO)
     return families.gen_bell(m + n), rhs

@@ -44,3 +44,12 @@ def test_ext_lah_base_cases():
     for n in range(8):
         assert classical.ext_lah_count(n, 0) == math.factorial(n)
     assert classical.ext_lah_count(2, 1) == 4
+
+
+def test_kernel_fills_only_the_cells_a_request_needs():
+    # T(12, 9) reads the cells (m, j) with j <= 9 and m - j <= 3 alone
+    calls = []
+    cell = classical._triangle(lambda n, k, r: calls.append((n, k)) or 1)
+    cell(12, 9, 0)
+    assert sorted(calls) == [(m, j) for m in range(1, 13) for j in range(10)
+                             if 0 <= m - j <= 3]

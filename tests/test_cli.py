@@ -322,6 +322,10 @@ class TestVerify:
         assert out == ""
         assert err == "error: range overrides apply to a single --identity\n"
 
+    def test_all_refuses_identity(self, capsys):
+        assert run_cli(capsys, "verify", "--all", "--identity", "I-BIN-6") == (
+            2, "", "error: --all runs every identity and takes no --identity\n")
+
     def test_missing_selector(self, capsys):
         code, _, err = run_cli(capsys, "verify")
         assert code == 2

@@ -187,6 +187,17 @@ class TestClearCaches:
         assert all(a is not b for a, b in zip(after, before))
 
 
+def test_kernel_fills_only_the_cells_a_request_needs():
+    # T(n, k) reads the cells (m, j) with j <= k and m - j <= n - k, so a
+    # diagonal cell fills one cell per column; the first j entries of column
+    # j are the zero above the support, not filled
+    families.clear_caches()
+    lah_q(40, 40)
+    columns = families._lah_q_base.columns
+    assert list(columns) == [0]
+    assert sum(len(col) - j for j, col in enumerate(columns[0])) == 41
+
+
 class TestDomain:
     """The kernel owns the support rule; each engine owns its argument
     check, whose message names it."""
@@ -202,7 +213,7 @@ class TestDomain:
             for n, k in cells:
                 value = kernel(n, k, r)
                 assert type(value) is type(zero) and value == zero, (when, n, k)
-            kernel(6, 1, r)  # columns 0 and 1 now reach row 6
+            kernel(6, 1, r)  # column 0 now reaches row 5 and column 1 row 6
 
     @pytest.mark.parametrize("name, calls", [
         ("stirling2_q", [(-1, 0), (2, 1, -1)]), ("lah_q", [(-1, 0), (2, 1, -1)]),

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qcomb
-from qcomb import classical
+from qcomb import classical, families
 from qcomb.families import (hsu_shiue, lah_q, stirling1_q, stirling2_q,
                             stirling_neg1)
 from qcomb.polyring import (ALPHA, BETA, M_ZERO, MPoly, Q_ONE, Q_ZERO, R,
@@ -266,6 +266,41 @@ def test_cells_out_of_order():
         if name in SHIFT_SUMS or name == "hsu_shiue":
             want = [v.to_json() for v in want]
         assert values == want, name
+
+
+def _fresh(kernel):
+    families.clear_caches()
+    return getattr(families, kernel)
+
+
+# kernel -> (a fresh kernel, its reference), both taking (n, k, r); the
+# classical weights are those of qcomb.classical
+FRESH_KERNELS = {
+    "stirling2_q": (lambda: _fresh("_stirling2_q_base"), ref_shift_stirling2_q),
+    "lah_q": (lambda: _fresh("_lah_q_base"), ref_shift_lah_q),
+    "stirling1_q": (lambda: _fresh("_stirling1_q_base"), ref_shift_stirling1_q),
+    "hsu_shiue": (lambda: _fresh("_hsu_shiue_base"),
+                  lambda n, k, r: ref_hsu_shiue(n, k)),
+    "stirling2_r": (lambda: classical._triangle(lambda n, k, r: k + r),
+                    ref_stirling2_r),
+    "stirling1_r": (lambda: classical._triangle(lambda n, k, r: n + r - 1),
+                    ref_stirling1_r),
+    "lah_r": (lambda: classical._triangle(lambda n, k, r: n + k + 2 * r - 1),
+              ref_lah_r),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(FRESH_KERNELS)),
+       st.lists(st.tuples(st.integers(0, 16), st.integers(-1, 17),
+                          st.integers(0, 3)), min_size=1, max_size=8))
+def test_partial_fills_in_any_order(name, requests):
+    """A kernel fills each column only as far down as one request needs, so
+    a later request may extend some columns and not others."""
+    fresh, ref = FRESH_KERNELS[name]
+    kernel = fresh()
+    for n, k, r in requests:
+        assert kernel(n, k, r) == ref(n, k, r), (name, requests, (n, k, r))
 
 
 class TestLargeN:
