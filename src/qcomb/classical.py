@@ -60,7 +60,7 @@ def lah(n: int, k: int) -> int:
 
 
 def bell(n: int) -> int:
-    return sum(stirling2(n, k) for k in range(n + 1))
+    return bell_r(n, 0)
 
 
 def bell_r(n: int, r: int) -> int:

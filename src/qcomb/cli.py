@@ -189,6 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    found = structures._cap_override  # put back when the request ends
     try:
         args = build_parser().parse_args(argv)
         if args.cell_cap is not None:
@@ -216,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {message}", file=sys.stderr)
         return 2
     finally:
-        structures.set_default_cap(None)
+        structures.set_default_cap(found)
 
 
 if __name__ == "__main__":

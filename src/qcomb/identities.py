@@ -11,21 +11,22 @@ only their cells with m = 0 (108 of 360 each) reduce to X = X.  I-PE1
 checks the restricted values against the partition oracle, I-LAH-R against
 the classical Lah counts, and oracle-diff against every enumeration oracle.
 
-``_two_part`` is the two-part product formula of Spivey and Mezo,
-F(m+n, k) = sum_i sum_j C(n, i) w(i, j) F(m, j) G(i, k-j).  I-SPIVEY,
-I-MEZO-1/2, I-P1E2, I-P2E2, I-T4C1, I-T5E2 and the rows of ``_BIN_ROWS``
-(I-BIN-1..4) call it; so does ``_product``, its refined form on one
-triangle G = F and the only body of that form: I-P1E1, I-P2E1 and I-T3E1
-on the q-triangles, I-BIN-5/7 at q = -1 and I-T5E1 (summed over k in
-I-T5E2) on the Hsu-Shiue numbers.  I-T4E1..3 are the rows of
-``_T4_ROWS`` on one shift sum.  Most terms of these sums vanish (87
-to 89% on the I-BIN grids), and ``_two_part`` skips every term with a zero
-factor before it builds the weight; for each j it sums over i first and
-multiplies by left(j), the m-part, once.  Every q-rising product in these
-bodies takes ``times_q_rising``, and every q-binomial is looked up as
+``_two_part`` is the two-part product formula of Spivey and Mezo, F(m+n, k) =
+sum_i sum_j C(n, i) w(i, j) F(m, j) G(i, k-j).  I-SPIVEY, I-MEZO-1/2, I-P1E2,
+I-P2E2, I-T4C1, I-T5E2 and the rows of ``_BIN_ROWS`` (I-BIN-1..4) call it; so
+does ``_product``, its refined form on one triangle G = F and the only body of
+that form: I-P1E1, I-P2E1 and I-T3E1 on the q-triangles, I-BIN-5/7 at q = -1
+and I-T5E1 (summed over k in I-T5E2) on the Hsu-Shiue numbers.  I-T4E1..3 are
+the rows of ``_T4_ROWS`` on one shift sum, I-T3E2 reads its factors from
+``_t3_weight`` (I-T3E1's), and ``_oracle_rec`` checks I-CQ-REC and
+I-GENL1-REC, an enumerated cell against its two-term recurrence.  Most terms
+of these sums vanish (87 to 89% on the I-BIN grids), and ``_two_part`` skips
+every term with a zero factor before it builds the weight; for each j it sums
+over i first and multiplies by left(j), the m-part, once.  Every q-rising
+product takes ``times_q_rising``, and every q-binomial is looked up as
 ``polyring.q_binomial`` when its cell runs.  Each entry declares its grid in
-``@_identity``, and its body is a function of that grid's parameters by
-name (m, n, k, r, route); only ``check`` handles a cell as a dict.
+``@_identity``; its body takes that grid's parameters by name (m, n, k, r,
+route), and only ``check`` handles a cell as a dict.
 
 Reports are deterministic: cells are generated in a fixed order and the
 first mismatching cell is serialized in full.
@@ -173,6 +174,12 @@ def _otable(family: str, n: int, r: int):
 
 def _ocell(family: str, n: int, k: int, r: int = 0):
     return _otable(family, n, r).get(k, ZERO[family])
+
+
+def _oracle_rec(family: str, weight):
+    """Enumerated T(n, k) against T(n-1, k-1) + weight(n, k) * T(n-1, k)."""
+    return lambda n, k: (_ocell(family, n, k), _ocell(family, n - 1, k - 1)
+                         + weight(n, k) * _ocell(family, n - 1, k))
 
 
 def _first_tracked_mismatch(n: int, k: int) -> dict:
@@ -531,12 +538,9 @@ def _qbin_corollary(m, n, k):
     return lhs, rhs
 
 
-@_identity("I-CQ-REC", "cycle-weight recurrence, against enumeration",
-           {"n": (1, 7)}, k="n", n_min=1)
-def _cq_rec(n, k):
-    lhs = _ocell("perms", n, k)
-    rhs = _ocell("perms", n - 1, k - 1) + q_integer(n - 1) * _ocell("perms", n - 1, k)
-    return lhs, rhs
+_identity("I-CQ-REC", "cycle-weight recurrence, against enumeration",
+          {"n": (1, 7)}, k="n", n_min=1)(
+    _oracle_rec("perms", lambda n, k: q_integer(n - 1)))
 
 
 def _t3_weight(m: int, n: int, r: int):
@@ -560,8 +564,8 @@ def _one_plus_qints(lo: int, count: int) -> QPoly:
 
 @_identity("I-T3E2", "summed form of the cycle product formula", _MN7R)
 def _t3e2(m, n, r):
-    rhs = sum((times_q_rising(polyring.q_binomial(n, i), m + r, n - i)
-               * _one_plus_qints(0, i) for i in range(n + 1)), Q_ZERO)
+    weight = _t3_weight(m, n, r)
+    rhs = sum((weight(i, 0) * _one_plus_qints(0, i) for i in range(n + 1)), Q_ZERO)
     return _one_plus_qints(m + r, n), rhs
 
 
@@ -643,13 +647,9 @@ def _genl1(n, k):
     return families.hsu_shiue(n, k), _ocell("ext_lah", n, k)
 
 
-@_identity("I-GENL1-REC", "weighted-sum recurrence, against enumeration",
-           {"n": (1, 6)}, diagnose=_first_tracked_mismatch, k="n", n_min=1)
-def _genl1_rec(n, k):
-    lhs = _ocell("ext_lah", n, k)
-    rhs = (_ocell("ext_lah", n - 1, k - 1)
-           + (ALPHA * (n - 1) + BETA * k + R) * _ocell("ext_lah", n - 1, k))
-    return lhs, rhs
+_identity("I-GENL1-REC", "weighted-sum recurrence, against enumeration",
+          {"n": (1, 6)}, diagnose=_first_tracked_mismatch, k="n", n_min=1)(
+    _oracle_rec("ext_lah", lambda n, k: ALPHA * (n - 1) + BETA * k + R))
 
 
 def _t5_weight(m: int, n: int, r: int):

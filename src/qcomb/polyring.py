@@ -32,15 +32,26 @@ class ExactDivisionError(ArithmeticError):
 class _Poly:
     """Ring plumbing shared by QPoly and MPoly.
 
-    A subclass defines the hot operators (+, *, unary -, is_zero) itself and
-    supplies ``ONE``, ``_coerce`` (its value of an int or of itself, and
-    NotImplemented for any other operand) and ``_data()`` (the canonical
-    contents that decide equality).  Only ints and the carrier's own type
-    mix with a carrier; anything else is a TypeError, never an inexact or
-    nested polynomial.
+    A carrier supplies ``ONE``, ``from_int`` (its constant of an int),
+    ``_data()`` (the canonical contents that decide equality, empty for
+    zero) and its hot operators (+, *, unary -).  Only ints and the
+    carrier's own type mix with a carrier; anything else is a TypeError,
+    never an inexact or nested polynomial.
     """
 
     __slots__ = ()
+
+    @classmethod
+    def _coerce(cls, value):
+        """The value itself, from_int of an int, otherwise NotImplemented."""
+        if isinstance(value, cls):
+            return value
+        if isinstance(value, int):
+            return cls.from_int(value)
+        return NotImplemented
+
+    def is_zero(self) -> bool:
+        return not self._data()
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -74,7 +85,7 @@ class _Poly:
         return self._data() == other._data()
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self._data())
 
 
 def _signed_sum(terms: Iterable[tuple[int, str]]) -> str:
@@ -115,10 +126,11 @@ class QPoly(_Poly):
             cs.pop()
         self.coeffs = tuple(cs)
 
-    # -- basic queries ------------------------------------------------------
+    @classmethod
+    def from_int(cls, value: int) -> "QPoly":
+        return cls((value,))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    # -- basic queries ------------------------------------------------------
 
     @property
     def degree(self) -> int:
@@ -126,14 +138,6 @@ class QPoly(_Poly):
         return len(self.coeffs) - 1
 
     # -- ring operations ----------------------------------------------------
-
-    @staticmethod
-    def _coerce(value: "QPoly | int") -> "QPoly":
-        if isinstance(value, QPoly):
-            return value
-        if isinstance(value, int):
-            return QPoly((value,))
-        return NotImplemented
 
     def _data(self) -> tuple[int, ...]:
         return self.coeffs
@@ -175,7 +179,7 @@ class QPoly(_Poly):
 
     def shift(self, k: int) -> "QPoly":
         """Multiply by q**k; zero for the zero polynomial, whatever k is."""
-        if self.is_zero():
+        if not self.coeffs:
             return Q_ZERO
         if k < 0:
             raise ValueError("negative shift")
@@ -391,18 +395,7 @@ class MPoly(_Poly):
             raise ValueError(f"negative exponent in monomial {exps}")
         return cls({exps: coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     # -- ring operations ----------------------------------------------------
-
-    @staticmethod
-    def _coerce(value: "MPoly | int") -> "MPoly":
-        if isinstance(value, MPoly):
-            return value
-        if isinstance(value, int):
-            return MPoly.from_int(value)
-        return NotImplemented
 
     def _data(self) -> dict[tuple[int, int, int, int], int]:
         return self.terms

@@ -1,4 +1,5 @@
-"""Regenerate tests/golden.json from the current program.
+"""Regenerate tests/golden.json and tests/golden_faults.json from the
+current program.
 
     PYTHONPATH=src python3 tests/golden.py
 
@@ -13,6 +14,13 @@ argparse words its own refusals, and the wording differs between Python
 versions, so for the calls in ``REFUSALS`` the digest takes the fixed text
 "one error line" in place of a stderr that is one line starting "error: ".
 Calls whose outcome depends on the machine's memory are left out.
+
+golden_faults.json holds the sha256 of ``check(name).to_json()`` for each
+planted fault of ``MUTANTS`` and each identity of ``CALLS`` that calls the
+faulty engine, and for the ``q_binomial`` fault and each of
+``Q_BINOMIAL_CALLERS``, the engine caches cleared before each check.
+tests/test_engine_route.py runs these faults and compares each report's
+digest as it goes.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ import sys
 from pathlib import Path
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
+FAULTS_PATH = Path(__file__).with_name("golden_faults.json")
 
 _TABLES = ("stirling2_q", "stirling1_q", "lah_q", "bell_q", "hsu_shiue",
            "gen_bell")
@@ -143,12 +152,98 @@ def digests() -> dict[str, dict[str, str]]:
     }
 
 
+# identity -> the engines it calls on its default grid
+CALLS = {
+    "I-PE1": {"stirling2_q"},
+    "I-P1E1": {"stirling2_q"},
+    "I-P1E2": {"stirling2_q", "bell_q"},
+    "I-BIN-5": {"stirling2_q"},
+    "I-BIN-6": {"stirling2_q"},
+    "I-BIN-7": {"stirling2_q"},
+    "I-BIN-8": {"stirling2_q"},
+    "I-BIN-9": {"stirling2_q"},
+    "I-LAH-CF": {"lah_q"},
+    "I-LAH-R": {"lah_q"},
+    "I-P2E1": {"lah_q"},
+    "I-P2E2": {"lah_q"},
+    "I-T3E1": {"stirling1_q"},
+    "I-CQ-SUM": {"stirling1_q"},
+    "I-CQ-SYM": {"stirling1_q"},
+    "I-T4E1": {"stirling2_q"},
+    "I-T4E2": {"lah_q"},
+    "I-T4E3": {"stirling1_q"},
+    "I-T4C1": {"stirling1_q"},
+    "I-GENREC": {"hsu_shiue"},
+    "I-GENL1": {"hsu_shiue"},
+    "I-T5E1": {"hsu_shiue"},
+    "I-T5E2": {"hsu_shiue", "gen_bell"},
+}
+
+# the identities that call polyring.q_binomial on their default grids
+Q_BINOMIAL_CALLERS = {"I-LAH-CF", "I-P2E1", "I-P2E2", "I-QBIN", "I-T3E1",
+                      "I-T3E2", "I-T4E2", "I-T4E3", "I-T4C1"}
+
+# one-cell faults: (engine, the arguments whose value gains 1)
+MUTANTS = ([(family, (3, 2, r)) for family in ("stirling2_q", "lah_q",
+                                               "stirling1_q")
+            for r in range(3)]
+           + [("bell_q", (4, r)) for r in range(3)]
+           + [("hsu_shiue", (3, 2)), ("gen_bell", (3,))])
+# the arguments at which the planted q_binomial gains 1
+Q_BINOMIAL_AT = (4, 2)
+
+
+def mutant(real, at):
+    """``real`` with 1 added to its value at the arguments ``at``."""
+    def fn(*args):
+        value = real(*args)
+        return value + 1 if args == at else value
+    return fn
+
+
+def fault_key(fault: str, at: tuple, name: str) -> str:
+    """The golden_faults.json key of identity ``name`` under one fault."""
+    return f"{fault}{at} {name}"
+
+
+def report_digest(name: str):
+    """(report, the sha256 of its JSON) of ``check(name)``, the engine
+    caches cleared first."""
+    from qcomb import families, identities
+    families.clear_caches()
+    report = identities.check(name)
+    return report, hashlib.sha256(report.to_json().encode()).hexdigest()
+
+
+def fault_digests() -> dict[str, str]:
+    """Fault key -> report digest, each fault planted in turn."""
+    from qcomb import families, polyring
+    runs = [(families, family, at,
+             [name for name, engines in CALLS.items() if family in engines])
+            for family, at in MUTANTS]
+    runs.append((polyring, "q_binomial", Q_BINOMIAL_AT,
+                 sorted(Q_BINOMIAL_CALLERS)))
+    out = {}
+    for module, attr, at, names in runs:
+        real = getattr(module, attr)
+        setattr(module, attr, mutant(real, at))
+        try:
+            for name in names:
+                out[fault_key(attr, at, name)] = report_digest(name)[1]
+        finally:
+            setattr(module, attr, real)
+    return out
+
+
 def main() -> int:
     from qcomb import structures
     os.environ.pop(structures.CELL_CAP_ENV, None)
     golden = digests()
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1) + "\n")
     print(f"{sum(map(len, golden.values()))} digests written to {GOLDEN_PATH}")
+    faults = fault_digests()
+    FAULTS_PATH.write_text(json.dumps(faults, indent=1) + "\n")
+    print(f"{len(faults)} digests written to {FAULTS_PATH}")
     return 0
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qcomb
-from qcomb import cli, families
+from qcomb import cli, families, structures
 from qcomb.cli import main, parse_range
 from qcomb.families import TableRow
 from qcomb.identities import serialize_value, table_json
@@ -535,6 +535,18 @@ class TestCellCap:
                                "--family", "lah_q", "--n", "0")
         assert code == 2
         assert "above the cap 0" in err
+
+    # lah_q(3, k) for k = 0..3 holds 13 structures: above 5, below 10**6
+    @pytest.mark.parametrize("flag, want", [((), 2),
+                                            (("--cell-cap", "1000000"), 0)])
+    def test_main_puts_back_the_cap_it_found(self, capsys, cell_cap, flag,
+                                             want):
+        cell_cap(5)
+        code, _, err = run_cli(capsys, *flag, "oracle-diff", "--family",
+                               "lah_q", "--n", "3")
+        assert code == want
+        assert ("above the cap 5" in err) == (want == 2)
+        assert structures.effective_cap() == 5
 
 
 def test_main_is_the_only_error_exit():

@@ -11,48 +11,17 @@ runs, so one fault planted there reaches all of them too.  Faults in the
 kernel columns have a test of their own.
 """
 
-import pytest
+import json
 
+import golden
+import pytest
+from golden import CALLS, MUTANTS, Q_BINOMIAL_AT, Q_BINOMIAL_CALLERS, mutant
 from qcomb import families, identities, polyring
 from qcomb.identities import check, identity_names, oracle_diff
 from qcomb.oracles import ORACLE_FOR_ENGINE
 
-# identity -> the engines it calls on its default grid
-CALLS = {
-    "I-PE1": {"stirling2_q"},
-    "I-P1E1": {"stirling2_q"},
-    "I-P1E2": {"stirling2_q", "bell_q"},
-    "I-BIN-5": {"stirling2_q"},
-    "I-BIN-6": {"stirling2_q"},
-    "I-BIN-7": {"stirling2_q"},
-    "I-BIN-8": {"stirling2_q"},
-    "I-BIN-9": {"stirling2_q"},
-    "I-LAH-CF": {"lah_q"},
-    "I-LAH-R": {"lah_q"},
-    "I-P2E1": {"lah_q"},
-    "I-P2E2": {"lah_q"},
-    "I-T3E1": {"stirling1_q"},
-    "I-CQ-SUM": {"stirling1_q"},
-    "I-CQ-SYM": {"stirling1_q"},
-    "I-T4E1": {"stirling2_q"},
-    "I-T4E2": {"lah_q"},
-    "I-T4E3": {"stirling1_q"},
-    "I-T4C1": {"stirling1_q"},
-    "I-GENREC": {"hsu_shiue"},
-    "I-GENL1": {"hsu_shiue"},
-    "I-T5E1": {"hsu_shiue"},
-    "I-T5E2": {"hsu_shiue", "gen_bell"},
-}
-
-# the identities that call polyring.q_binomial on their default grids
-Q_BINOMIAL_CALLERS = {"I-LAH-CF", "I-P2E1", "I-P2E2", "I-QBIN", "I-T3E1",
-                      "I-T3E2", "I-T4E2", "I-T4E3", "I-T4C1"}
-
-MUTANTS = ([(family, (3, 2, r)) for family in ("stirling2_q", "lah_q",
-                                               "stirling1_q")
-            for r in range(3)]
-           + [("bell_q", (4, r)) for r in range(3)]
-           + [("hsu_shiue", (3, 2)), ("gen_bell", (3,))])
+# every report under a planted fault, pinned by tests/golden.py
+FAULT_DIGESTS = json.loads(golden.FAULTS_PATH.read_text())
 
 
 @pytest.fixture
@@ -91,25 +60,33 @@ def test_each_identity_calls_the_engines_of_the_map(monkeypatch, fresh_caches):
     assert {name: engines for name, engines in runs if engines} == CALLS
 
 
-def _mutant(real, at):
-    def engine(*args):
-        value = real(*args)
-        return value + 1 if args == at else value
-    return engine
+def _fails(fault, at, name, digests):
+    """Whether check(name) fails; its report's digest goes into digests."""
+    report, digest = golden.report_digest(name)
+    digests[golden.fault_key(fault, at, name)] = digest
+    return report.status == "fail"
 
 
-def _fails(name):
-    families.clear_caches()
-    return check(name).status == "fail"
+def _changed(digests):
+    return [key for key, value in digests.items()
+            if FAULT_DIGESTS.get(key) != value]
+
+
+def test_fault_digests_cover_every_planted_fault():
+    keys = [golden.fault_key(family, at, name) for family, at in MUTANTS
+            for name, engines in CALLS.items() if family in engines]
+    keys += [golden.fault_key("q_binomial", Q_BINOMIAL_AT, name)
+             for name in sorted(Q_BINOMIAL_CALLERS)]
+    assert keys == list(FAULT_DIGESTS)
 
 
 def test_every_planted_fault_is_caught(monkeypatch, fresh_caches):
-    caught, uncaught, unseen_by_oracle = set(), [], []
+    caught, uncaught, unseen_by_oracle, digests = set(), [], [], {}
     for family, at in MUTANTS:
         monkeypatch.setattr(families, family,
-                            _mutant(getattr(families, family), at))
+                            mutant(getattr(families, family), at))
         catchers = {name for name, engines in CALLS.items()
-                    if family in engines and _fails(name)}
+                    if family in engines and _fails(family, at, name, digests)}
         if family in ORACLE_FOR_ENGINE:
             families.clear_caches()
             r = dict(zip(("n", *families.PARAMS[family]), at)).get("r", 0)
@@ -121,6 +98,7 @@ def test_every_planted_fault_is_caught(monkeypatch, fresh_caches):
             uncaught.append((family, at))
     assert uncaught == []
     assert unseen_by_oracle == []
+    assert _changed(digests) == []
     # every identity catches a fault in each engine it calls
     assert {(name, family) for name, engines in CALLS.items()
             for family in engines} - caught == set()
@@ -144,5 +122,8 @@ def test_q_binomial_callers(monkeypatch, fresh_caches):
 def test_q_binomial_fault_is_caught_by_every_caller(monkeypatch,
                                                     fresh_caches):
     monkeypatch.setattr(polyring, "q_binomial",
-                        _mutant(polyring.q_binomial, (4, 2)))
-    assert {name for name in Q_BINOMIAL_CALLERS if not _fails(name)} == set()
+                        mutant(polyring.q_binomial, Q_BINOMIAL_AT))
+    digests = {}
+    assert {name for name in Q_BINOMIAL_CALLERS
+            if not _fails("q_binomial", Q_BINOMIAL_AT, name, digests)} == set()
+    assert _changed(digests) == []

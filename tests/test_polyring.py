@@ -444,9 +444,20 @@ CARRIERS = [
 
 @pytest.mark.parametrize("polys, const, rebuild", CARRIERS)
 class TestSharedRingPlumbing:
-    """Subtraction, powers, equality, truth and hashing are written once for
-    both carriers; each is checked against the carrier's own +, *, unary -
-    and is_zero, the reference they are built on."""
+    """Coercion, subtraction, powers, equality, truth and hashing are
+    written once for both carriers; each is checked against the carrier's
+    own +, *, unary - and stored contents, the reference they are built
+    on."""
+
+    @given(data=st.data())
+    def test_an_int_coerces_to_its_constant(self, polys, const, rebuild,
+                                            data):
+        a, c = data.draw(polys), data.draw(st.integers(-5, 5))
+        cls = type(a)
+        assert _raw(cls.from_int(c)) == _raw(const(c))
+        assert _raw(a + c) == _raw(a + const(c))
+        assert cls._coerce(a) is a
+        assert cls._coerce(1.5) is NotImplemented
 
     @given(data=st.data())
     def test_subtraction(self, polys, const, rebuild, data):
@@ -479,7 +490,8 @@ class TestSharedRingPlumbing:
     @given(data=st.data())
     def test_truth_is_nonzero(self, polys, const, rebuild, data):
         a = data.draw(polys)
-        assert bool(a) == (not a.is_zero())
+        assert a.is_zero() is (len(_raw(a)) == 0)
+        assert bool(a) is not a.is_zero()
 
     @given(data=st.data())
     def test_equal_values_hash_equal(self, polys, const, rebuild, data):
