@@ -16,6 +16,7 @@ import io
 import json
 import os
 import sys
+from functools import lru_cache
 
 from . import structures
 from .families import FAMILIES, PARAMS, table_rows
@@ -143,7 +144,11 @@ _COMMANDS = {"table": _run_table, "verify": _run_verify,
              "oracle-diff": _run_oracle_diff}
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves
+    it as it was, so every call of main reuses the one that the first
+    call built."""
     parser = _Parser(
         prog="qcomb",
         description="Exact q-analogue tables and identity verification.")

@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
 from . import polyring
-from .polyring import (ALPHA, BETA, M_ZERO, MPoly, Q_ONE, Q_ZERO, QPoly, R, X,
+from .polyring import (ALPHA, BETA, M_ZERO, MPoly, Q_ONE, Q_ZERO, QPoly, R,
                        binom_gen, times_q_integer, times_q_rising)
 
 
@@ -175,10 +175,20 @@ def hsu_shiue(n: int, k: int) -> MPoly:
 
 @lru_cache(maxsize=None)
 def gen_bell(n: int) -> MPoly:
-    """Generalized Bell polynomial: sum of hsu_shiue(n, k) * x^k."""
+    """Generalized Bell polynomial: sum of hsu_shiue(n, k) * x^k.
+
+    Built in one pass with no product: each term of hsu_shiue(n, k) adds
+    its coefficient at its exponents with k more in x.  Terms of different
+    k that meet are summed, and MPoly drops the zeros.
+    """
     if n < 0:
         raise ValueError(f"gen_bell requires n >= 0, got {n}")
-    return sum((hsu_shiue(n, k) * X ** k for k in range(n + 1)), M_ZERO)
+    terms: dict[tuple[int, int, int, int], int] = {}
+    for k in range(n + 1):
+        for (a, b, c, x), coeff in hsu_shiue(n, k).terms.items():
+            e = (a, b, c, x + k)
+            terms[e] = terms.get(e, 0) + coeff
+    return MPoly(terms)
 
 
 # every kept value: the six engine caches, the q-binomial cache and the

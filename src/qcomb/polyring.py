@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import accumulate
-from operator import sub
+from operator import add, sub
 from typing import Iterable, Sequence
 
 
@@ -150,10 +150,7 @@ class QPoly(_Poly):
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(out)
+        return QPoly(map(add, a, b + (0,) * (len(a) - len(b))))
 
     __radd__ = __add__
 
@@ -433,9 +430,11 @@ class MPoly(_Poly):
 
     def sorted_terms(self) -> list[tuple[tuple[int, int, int, int], int]]:
         """Terms in graded-lexicographic order on (alpha, beta, r, x):
-        degree first, then alpha before beta before r before x."""
-        return sorted(self.terms.items(),
-                      key=lambda kv: (sum(kv[0]), tuple(-e for e in kv[0])))
+        degree first, then alpha before beta before r before x.  That is
+        the descending order of (-degree, exponents), as the exponent
+        tuples are distinct."""
+        return sorted(self.terms.items(), key=lambda kv: (-sum(kv[0]), kv[0]),
+                      reverse=True)
 
     def to_json(self) -> list[dict]:
         return [{"exps": list(e), "coeff": str(c)} for e, c in self.sorted_terms()]

@@ -209,34 +209,49 @@ def special_elements(delta: LahDist) -> frozenset[int]:
 # lists the slots of t on the current groups (blocks or cycles, as lists of
 # labels) in output order, as (i, pos, label, inc): label goes to position
 # pos of group i, where i == len(groups) opens a new group, and the family's
-# statistic grows by inc.  The label is t, or -t for a circled t.
+# statistic grows by inc.  The label is t, or -t for a circled t.  The
+# policies of the families with restricted elements return only the slot
+# that opens a new group, built alone, when asked for opening_only.
 
-def _partition_slots(t: int, groups: list[list[int]]) -> list[tuple]:
+def _partition_slots(t: int, groups: list[list[int]],
+                     opening_only: bool = False) -> list[tuple]:
     # stat_w: t in block i (counted from 0) adds i
     g = len(groups)
-    return [(i, len(b), t, i) for i, b in enumerate(groups)] + [(g, 0, t, g)]
+    opening = [(g, 0, t, g)]
+    if opening_only:
+        return opening
+    return [(i, len(b), t, i) for i, b in enumerate(groups)] + opening
 
 
-def _cycle_slots(t: int, groups: list[list[int]]) -> list[tuple]:
+def _cycle_slots(t: int, groups: list[list[int]],
+                 opening_only: bool = False) -> list[tuple]:
     # stat_inv_c: t, the running maximum, placed before p letters of the
     # joined word adds p
+    opening = [(len(groups), 0, t, 0)]
+    if opening_only:
+        return opening
     slots = []
     rest = t - 1                         # letters from cycle i on
     for i, c in enumerate(groups):
         slots += [(i, pos, t, rest - pos) for pos in range(1, len(c) + 1)]
         rest -= len(c)
-    return slots + [(len(groups), 0, t, 0)]
+    return slots + opening
 
 
-def _lah_slots(t: int, groups: list[list[int]]) -> list[tuple]:
+def _lah_slots(t: int, groups: list[list[int]],
+               opening_only: bool = False) -> list[tuple]:
     # stat_inv_rho: the same rule on the word of the blocks in reverse order
-    # with 0 separators, where a new block comes first
+    # with 0 separators, where a new block comes first, so it passes all
+    # t - 1 letters and len(groups) separators
+    opening = [(len(groups), 0, t, t - 1 + len(groups))]
+    if opening_only:
+        return opening
     slots = []
     behind = 0                           # letters of the word after block i
     for i, b in enumerate(groups):
         slots += [(i, pos, t, behind + len(b) - pos) for pos in range(len(b) + 1)]
         behind += len(b) + 1
-    return slots + [(len(groups), 0, t, behind)]
+    return slots + opening
 
 
 def _ext_lah_slots(base: int):
@@ -317,10 +332,9 @@ def _insertion_tree(size: int, k: int | None, r: int, slots,
     that end in the cell, one leaf each.
     """
     def node_slots(t: int, key: int) -> list[tuple]:
-        out = slots(t, groups)
+        # each of 1..r opens its own group: only that slot is built
+        out = slots(t, groups, opening_only=True) if t <= r else slots(t, groups)
         g = len(groups)
-        if t <= r:
-            out = [s for s in out if s[0] == g]
         if k is not None:
             # t and each later element open at most one counted group
             out = [s for s in out

@@ -2,10 +2,12 @@
 
 None of them is part of qcomb: they read a value or a structure from
 outside, through its public fields only, and the q-products below take
-every factor as a schoolbook ``QPoly.__mul__``.
+every factor as a schoolbook ``QPoly.__mul__``.  The last three are the
+bodies that the package's faster paths replaced, kept as they were.
 """
 
-from qcomb.polyring import Q_ONE, q_integer
+from qcomb import families
+from qcomb.polyring import M_ZERO, Q_ONE, QPoly, X, q_integer
 
 
 def evaluate(p, alpha, beta, r, x):
@@ -40,3 +42,28 @@ def one_plus_qints(lo, count):
     for ell in range(lo, lo + count):
         p = p * (Q_ONE + q_integer(ell))
     return p
+
+
+def gen_bell(n):
+    """Sum of families.hsu_shiue(n, k) * x^k, one MPoly product and one
+    sum per k; hsu_shiue is looked up when it runs, as gen_bell does."""
+    return sum((families.hsu_shiue(n, k) * X ** k for k in range(n + 1)),
+               M_ZERO)
+
+
+def qpoly_add(p, s):
+    """Schoolbook sum of two QPoly values, one coefficient at a time."""
+    a, b = p.coeffs, s.coeffs
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return QPoly(out)
+
+
+def sorted_terms(p):
+    """The terms of an MPoly in graded-lexicographic order, sorted on
+    (degree, the negated exponents)."""
+    return sorted(p.terms.items(),
+                  key=lambda kv: (sum(kv[0]), tuple(-e for e in kv[0])))

@@ -606,3 +606,24 @@ def test_help_still_exits_0(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: qcomb")
+
+
+def test_one_parser_serves_every_call_as_a_fresh_one_would(capsys,
+                                                           monkeypatch):
+    # a refusal, a call under --cell-cap 10 and a plain call, in turn, on
+    # the one parser: the cap of the second must not reach the third
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.delenv(structures.CELL_CAP_ENV, raising=False)
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(qcomb.__file__).resolve().parents[1])}
+    calls = [(("table", "--family", "bell_q", "--n", "5..2"), 2),
+             (("--cell-cap", "10", "oracle-diff", "--family", "lah_q",
+               "--n", "0..5"), 2),
+             (("oracle-diff", "--family", "lah_q", "--n", "0..5"), 0)]
+    for argv, code in calls:
+        alone = subprocess.run([sys.executable, "-m", "qcomb.cli", *argv],
+                               capture_output=True, env=env, timeout=60)
+        assert run_cli(capsys, *argv) == (code, alone.stdout.decode(),
+                                          alone.stderr.decode())
+        assert alone.returncode == code
+    assert cli.build_parser.cache_info().currsize == 1

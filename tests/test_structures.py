@@ -4,7 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from qcomb import classical
+from qcomb import classical, structures
+from qcomb.oracles import oracle_table
 from qcomb.structures import (CellCapError, CyclePerm, ExtLahDist, LahDist,
                               SetPartition, StructureError, effective_cap,
                               enum_cycle_perms, enum_extended_lah, enum_lah,
@@ -321,3 +322,29 @@ class TestOutputOrder:
     def test_extended_lah(self):
         cells = [(f"{n}", enum_extended_lah(n, None)) for n in range(7)]
         assert _stream_digest(cells) == self.PINNED["enum_extended_lah"]
+
+
+@pytest.mark.parametrize("family, enum", [("partitions", "enum_partitions"),
+                                          ("perms", "enum_cycle_perms"),
+                                          ("lah", "enum_lah")])
+def test_restricted_levels_build_slots_linear_in_r(monkeypatch, family, enum):
+    # each of 1..r opens its own group, so its level builds that one slot
+    real = structures._SLOTS[family]
+    built = []
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        built.append(len(out))
+        return out
+
+    monkeypatch.setitem(structures._SLOTS, family, spy)
+    monkeypatch.setattr(structures, real.__name__, spy)
+
+    def slots_built(r):
+        built.clear()
+        oracle_table(family, 1, r)
+        list(getattr(structures, enum)(1, None, r))
+        return sum(built)
+
+    a, b, c = map(slots_built, (100, 200, 400))
+    assert c - b == 2 * (b - a) > 0
