@@ -30,7 +30,8 @@ DIFF_FAMILIES = tuple(_DIFF_ENGINE)
 
 
 def parse_range(text: str) -> tuple[int, int]:
-    """Inclusive range 'a..b' or a single value 'a'."""
+    """Inclusive range 'a..b' or a single value 'a', with b < sys.maxsize,
+    so that range(a, b + 1) has a length that a Python sequence can take."""
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
         lo, hi = int(lo_s), int(hi_s)
@@ -38,6 +39,8 @@ def parse_range(text: str) -> tuple[int, int]:
         lo = hi = int(text)
     if lo < 0 or hi < lo:
         raise ValueError(f"invalid range {text!r}")
+    if hi >= sys.maxsize:
+        raise ValueError(f"range bound {hi} is above {sys.maxsize - 1}")
     return lo, hi
 
 

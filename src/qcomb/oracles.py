@@ -33,14 +33,13 @@ def _weights(base: int, c: Counter) -> MPoly:
 
 
 # family -> the slot policy of one (n, r) cell and the value of one bucket
-# of its folded statistics.  1..r always open the first r blocks, a fixed
-# r-choose-2 of the block-position statistic; the restricted family's
-# polynomials count the free elements only, so that constant is dropped.
+# of its folded statistics.  The walk counts the free elements only; the
+# restricted q-Lah polynomials also count the r(r-1) inversions of the
+# prefix, so its fold starts that many exponents below zero.
 _FOLDS = {
-    "partitions": lambda n, r: (_SLOTS["partitions"],
-                                partial(_qpoly, r * (r - 1) // 2)),
+    "partitions": lambda n, r: (_SLOTS["partitions"], partial(_qpoly, 0)),
     "perms": lambda n, r: (_SLOTS["perms"], partial(_qpoly, 0)),
-    "lah": lambda n, r: (_SLOTS["lah"], partial(_qpoly, 0)),
+    "lah": lambda n, r: (_SLOTS["lah"], partial(_qpoly, -r * (r - 1))),
     "ext_lah": lambda n, r: (_ext_lah_slots(n + 1), partial(_weights, n + 1)),
 }
 ORACLE_FAMILIES = tuple(_FOLDS)
@@ -60,18 +59,16 @@ def oracle_table(family: str, n: int, r: int = 0,
     enumeration pass; restrict to one k with only_k."""
     if family not in ORACLE_FAMILIES:
         raise ValueError(f"unknown oracle family {family!r}")
-    if not _cell(family, n, only_k, r):
+    groups = _cell(family, n, only_k, r)
+    if groups is None:
         return {}
     slots, value = _FOLDS[family](n, r)
     counts: defaultdict[int, Counter] = defaultdict(Counter)
-    groups: list[list[int]] = []
-    if n + r == 0:
-        counts[0][0] = 1                 # the empty structure
+    if n == 0:
+        counts[0][0] = 1                 # the prefix alone
     else:
-        for stat, key, last in _insertion_tree(n + r, only_k, r, slots, groups):
-            g = len(groups)
-            stay, grow = counts[key], counts[key + 1]
-            for i, _pos, label, inc in last:
-                # the tree's own key rule: a circled 1 opens no counted block
-                (grow if i == g and label > 0 else stay)[stat + inc] += 1
+        for stat, key, last in _insertion_tree(n, only_k, slots, groups):
+            folds = counts[key], counts[key + 1]
+            for _i, _pos, _label, inc, opens in last:
+                folds[opens][stat + inc] += 1
     return {kk: value(c) for kk, c in counts.items() if c}

@@ -6,14 +6,15 @@ distributions with circled special elements).  Blocks and cycles are always
 stored ordered by increasing minimum, which one shared validator checks;
 each cycle starts with its minimum.
 
-Every family grows on one insertion tree: element t goes into each legal
-slot of each structure on [t-1], so each structure is one leaf, reached in a
-deterministic order.  Each slot also says what t adds to the family's
-statistic; the enumerators build the leaves, and all four oracles only count
-them.  Only the extended Lah enumerators validate what they yield.  The tests
-validate the other three, and check the r-restriction (each of 1..r opens its
-own block or cycle) and the true blocks of an extended Lah distribution with
-helpers of their own in ``tests/reference.py``.
+Every family grows on one insertion tree from the restricted prefix [[1],
+..., [r]]: element t goes into each legal slot of each structure on [t-1],
+so each structure is one leaf, reached in a deterministic order.  Each slot
+also says what t adds to the family's statistic and whether it opens a group
+that k counts; the enumerators build the leaves, and all four oracles only
+count them.  Only the extended Lah enumerators validate what they yield.
+The tests validate the other three, and check the r-restriction and the
+true blocks of an extended Lah distribution with helpers of their own in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -207,66 +208,53 @@ def special_elements(delta: LahDist) -> frozenset[int]:
 # A structure on [t] is a structure on [t-1] with t placed in one slot, so
 # each structure is the leaf of exactly one insertion path.  A slot policy
 # lists the slots of t on the current groups (blocks or cycles, as lists of
-# labels) in output order, as (i, pos, label, inc): label goes to position
-# pos of group i, where i == len(groups) opens a new group, and the family's
-# statistic grows by inc.  The label is t, or -t for a circled t.  The
-# policies of the families with restricted elements return only the slot
-# that opens a new group, built alone, when asked for opening_only.
+# labels) in output order, as (i, pos, label, inc, opens): label goes to
+# position pos of group i, where i == len(groups) opens a new group, the
+# family's statistic grows by inc, and opens is 1 when the slot opens a group
+# that k counts.  The label is t, or -t for a circled t.
 
-def _partition_slots(t: int, groups: list[list[int]],
-                     opening_only: bool = False) -> list[tuple]:
+def _partition_slots(t: int, groups: list[list[int]]) -> list[tuple]:
     # stat_w: t in block i (counted from 0) adds i
     g = len(groups)
-    opening = [(g, 0, t, g)]
-    if opening_only:
-        return opening
-    return [(i, len(b), t, i) for i, b in enumerate(groups)] + opening
+    return [(i, len(b), t, i, 0) for i, b in enumerate(groups)] + [(g, 0, t, g, 1)]
 
 
-def _cycle_slots(t: int, groups: list[list[int]],
-                 opening_only: bool = False) -> list[tuple]:
+def _cycle_slots(t: int, groups: list[list[int]]) -> list[tuple]:
     # stat_inv_c: t, the running maximum, placed before p letters of the
     # joined word adds p
-    opening = [(len(groups), 0, t, 0)]
-    if opening_only:
-        return opening
     slots = []
     rest = t - 1                         # letters from cycle i on
     for i, c in enumerate(groups):
-        slots += [(i, pos, t, rest - pos) for pos in range(1, len(c) + 1)]
+        slots += [(i, pos, t, rest - pos, 0) for pos in range(1, len(c) + 1)]
         rest -= len(c)
-    return slots + opening
+    return slots + [(len(groups), 0, t, 0, 1)]
 
 
-def _lah_slots(t: int, groups: list[list[int]],
-               opening_only: bool = False) -> list[tuple]:
+def _lah_slots(t: int, groups: list[list[int]]) -> list[tuple]:
     # stat_inv_rho: the same rule on the word of the blocks in reverse order
     # with 0 separators, where a new block comes first, so it passes all
     # t - 1 letters and len(groups) separators
-    opening = [(len(groups), 0, t, t - 1 + len(groups))]
-    if opening_only:
-        return opening
     slots = []
     behind = 0                           # letters of the word after block i
     for i, b in enumerate(groups):
-        slots += [(i, pos, t, behind + len(b) - pos) for pos in range(len(b) + 1)]
+        slots += [(i, pos, t, behind + len(b) - pos, 0) for pos in range(len(b) + 1)]
         behind += len(b) + 1
-    return slots + opening
+    return slots + [(len(groups), 0, t, t - 1 + len(groups), 1)]
 
 
 def _ext_lah_slots(base: int):
     """Slot policy of extended Lah distributions; the statistic packs
     nrec + base * rec_star + base**2 * circ."""
     def slots(t: int, groups: list[list[int]]) -> list[tuple]:
-        out = [(len(groups), 0, t, 0)]                       # a new true block
+        out = [(len(groups), 0, t, 0, 1)]                    # a new true block
         for i, b in enumerate(groups):                       # right after an element
-            out += [(i, pos, t, 1) for pos in range(1, len(b) + 1)]
-        out += [(i, 0, t, base) for i, b in enumerate(groups)
+            out += [(i, pos, t, 1, 0) for pos in range(1, len(b) + 1)]
+        out += [(i, 0, t, base, 0) for i, b in enumerate(groups)
                 if b[0] != -1]                               # in front of a true block
         if t == 1:                                           # circled 1 opens a block
-            out.append((0, 0, -1, base * base))              # that is not true
+            out.append((0, 0, -1, base * base, 0))           # that is not true
         elif groups:                                         # circled, at the very end
-            out.append((len(groups) - 1, len(groups[-1]), -t, base * base))
+            out.append((len(groups) - 1, len(groups[-1]), -t, base * base, 0))
         return out
     return slots
 
@@ -288,22 +276,23 @@ _CELLS = {
 }
 
 
-def _cell(family: str, n: int, k: int | None, r: int) -> bool:
-    """Check one cell's arguments and its size against the cap; False when k
-    is out of range."""
+def _cell(family: str, n: int, k: int | None, r: int) -> list[list[int]] | None:
+    """Check one cell's arguments and its size against the cap, and return
+    the prefix [[1], ..., [r]] that its walk starts from; None when k is out
+    of range."""
     name, count = _CELLS[family]
     if n < 0 or r < 0:
         raise ValueError(f"{name} requires n, r >= 0, got ({n}, {r})")
     if family == "ext_lah" and r:
         raise ValueError("ext_lah oracle requires r = 0")
     if k is not None and not 0 <= k <= n:
-        return False
+        return None
     ks = range(n + 1) if k is None else (k,)
     estimate, cap = sum(count(n, kk, r) for kk in ks), effective_cap()
     if estimate > cap:
         raise CellCapError((family, n, k, None if family == "ext_lah" else r),
                            estimate, cap)
-    return True
+    return [[j] for j in range(1, r + 1)]
 
 
 def _place(groups: list[list[int]], i: int, pos: int, label: int) -> None:
@@ -320,33 +309,34 @@ def _unplace(groups: list[list[int]], i: int, pos: int) -> None:
         del groups[i][pos]
 
 
-def _insertion_tree(size: int, k: int | None, r: int, slots,
+def _insertion_tree(n: int, k: int | None, slots,
                     groups: list[list[int]]) -> Iterator[tuple[int, int, list]]:
-    """Walk the insertion tree of one cell of [size], size >= 1, depth first
-    on an explicit stack, so no cell size can overflow the Python stack.
+    """Walk the insertion tree of one cell of n >= 1 free elements, depth
+    first on an explicit stack, so no cell size can overflow the Python stack.
 
-    ``groups`` starts empty and holds the current prefix.  At each node with
-    1..size-1 placed, yields (stat, key, last): the statistic so far, the
-    number of groups k counts (all but those of 1..r, which each open their
-    own, and a block opened by a circled 1), and the slots of element size
-    that end in the cell, one leaf each.
+    ``groups`` starts as the prefix [[1], ..., [r]], the restricted elements
+    each in a group of its own that neither k nor the statistic counts, and
+    holds the current structure.  The walk places r+1..r+n.  At each node
+    with r+1..r+n-1 placed, it yields (stat, key, last): the statistic so
+    far, the number of groups k counts, and the slots of element r+n that end
+    in the cell, one leaf each.
     """
+    r = len(groups)
+    size = r + n
+
     def node_slots(t: int, key: int) -> list[tuple]:
-        # each of 1..r opens its own group: only that slot is built
-        out = slots(t, groups, opening_only=True) if t <= r else slots(t, groups)
-        g = len(groups)
+        out = slots(t, groups)
         if k is not None:
             # t and each later element open at most one counted group
-            out = [s for s in out
-                   if 0 <= k - key - (s[0] == g and s[2] > 0) <= size - t]
+            out = [s for s in out if 0 <= k - key - s[4] <= size - t]
         return out
 
-    if size == 1:
-        yield 0, -r, node_slots(1, -r)
+    if n == 1:
+        yield 0, 0, node_slots(size, 0)
         return
-    # frames[t-1] places element t: the slots it has left, the key and
+    # frames[j] places element r+1+j: the slots it has left, the key and
     # statistic before it, and the slot it occupies (None before the first)
-    frames = [[iter(node_slots(1, -r)), -r, 0, None]]
+    frames = [[iter(node_slots(r + 1, 0)), 0, 0, None]]
     while frames:
         frame = frames[-1]
         slots_left, key, stat, taken = frame
@@ -356,28 +346,29 @@ def _insertion_tree(size: int, k: int | None, r: int, slots,
         if slot is None:
             frames.pop()
             continue
-        i, pos, label, inc = slot
-        grown = key + (i == len(groups) and label > 0)
+        i, pos, label, inc, opens = slot
+        grown = key + opens
         _place(groups, i, pos, label)
-        if len(frames) + 1 == size:
+        if len(frames) + 1 == n:
             yield stat + inc, grown, node_slots(size, grown)
         else:
-            frames.append([iter(node_slots(len(frames) + 1, grown)), grown,
+            frames.append([iter(node_slots(r + len(frames) + 1, grown)), grown,
                            stat + inc, None])
 
 
 def _leaves(family: str, n: int, k: int | None, r: int,
             slots) -> Iterator[tuple[list[list[int]], int]]:
     """Check one cell, then yield (groups, stat) for each structure in it:
-    its blocks or cycles, valid until the next leaf, and its statistic."""
-    if not _cell(family, n, k, r):
+    its blocks or cycles, valid until the next leaf, and the statistic of
+    its free elements."""
+    groups = _cell(family, n, k, r)
+    if groups is None:
         return
-    groups: list[list[int]] = []
-    if n + r == 0:
-        yield groups, 0
+    if n == 0:
+        yield groups, 0                  # the prefix alone
         return
-    for stat, _key, last in _insertion_tree(n + r, k, r, slots, groups):
-        for i, pos, label, inc in last:
+    for stat, _key, last in _insertion_tree(n, k, slots, groups):
+        for i, pos, label, inc, _opens in last:
             _place(groups, i, pos, label)
             yield groups, stat + inc
             _unplace(groups, i, pos)

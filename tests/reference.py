@@ -22,6 +22,13 @@ def r_distinct(structure, r):
     return all(sum(e <= r for e in g) <= 1 for g in structure[1])
 
 
+def opens_counted_group(slot, groups):
+    """1 iff an insertion slot (i, pos, label, ...) on groups opens a group
+    that k counts: a new group, unless its label is a circled 1 (-1)."""
+    i, _pos, label = slot[:3]
+    return int(i == len(groups) and label > 0)
+
+
 def true_block_count(lam):
     """Blocks of an extended Lah distribution, less the one that a circled
     1 opens."""

@@ -36,6 +36,9 @@ class TestParseRange:
             parse_range("5..2")
         with pytest.raises(ValueError):
             parse_range("-1..2")
+        assert parse_range(f"0..{sys.maxsize - 1}") == (0, sys.maxsize - 1)
+        with pytest.raises(ValueError, match="is above"):
+            parse_range(f"0..{sys.maxsize}")
 
 
 class TestTable:
@@ -103,11 +106,11 @@ class TestTable:
         # [r]^1 asks for a list of 10^18 coefficients, 8 * 10^18 bytes that
         # no 64-bit address space can map: MemoryError, no memory touched
         ("stirling2_q", "1000000000000000000", "out of memory"),
-        # a length past the index range: OverflowError
-        ("stirling2_q", "10000000000000000000",
-         "cannot fit 'int' into an index-sized integer"),
-        ("lah_q", "10000000000000000000",
-         "cannot fit 'int' into an index-sized integer"),
+        # a bound past the length of any sequence: refused by parse_range
+        *(pytest.param(family, "10000000000000000000",
+                       f"argument --r: range bound 10000000000000000000 is "
+                       f"above {sys.maxsize - 1}", id=f"{family}-10**19")
+          for family in ("stirling2_q", "lah_q")),
     ])
     def test_huge_r_is_one_error_line(self, capsys, family, r, message):
         code, out, err = run_cli(capsys, "table", "--family", family,
@@ -115,6 +118,25 @@ class TestTable:
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--m", "verify --identity I-SPIVEY --m 0..99999999999999999999 --n 0"),
+        ("--n", "table --family bell_q --n 99999999999999999999"),
+        ("--k", "table --family stirling2_q --n 5 --k 0..99999999999999999999"),
+    ], ids=["m", "n", "k"])
+    def test_huge_range_bound_is_one_error_line(self, flag, argv):
+        # these ran on without end, or failed naming no flag; each runs in a
+        # child under a timeout, so a request that runs on fails the test
+        src = str(Path(qcomb.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcomb.cli", *argv.split()],
+            capture_output=True, env={**os.environ, "PYTHONPATH": src},
+            timeout=30)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.decode() == (
+            f"error: argument {flag}: range bound 99999999999999999999 is "
+            f"above {sys.maxsize - 1}\n")
 
     @pytest.mark.parametrize("argv", [
         ("table", "--family", "hsu_shiue", "--n", "2", "--r", "1"),

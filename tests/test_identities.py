@@ -188,6 +188,19 @@ class TestCheckDriver:
         assert r.counterexample["params"] == {"k": 1, "n": 2}
         assert r.counterexample["stat_mismatch_structure"] == first.text()
 
+    def test_streams_its_grid(self, monkeypatch):
+        # the first cell fails, so check must not ask its grid for more
+        def cells(ranges):
+            yield {"n": 0}
+            raise AssertionError("the grid was read past its first cell")
+
+        monkeypatch.setitem(REGISTRY, "I-STREAM", identities.IdentityDef(
+            "I-STREAM", "fails at its first cell", {"n": (0, 1)}, cells,
+            lambda n: (0, 1)))
+        r = check("I-STREAM")
+        assert (r.status, r.cells_checked) == ("fail", 1)
+        assert r.counterexample["params"] == {"n": 0}
+
     def test_skipped_on_empty_grid(self):
         r = check("I-BIN-6", {"n": (5, 4)})
         assert r.status == "skipped"

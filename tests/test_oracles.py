@@ -14,7 +14,7 @@ from qcomb.polyring import MPoly, QPoly
 from qcomb.stats import ext_stats, stat_inv_c, stat_inv_rho, stat_w
 from qcomb.structures import (CellCapError, enum_cycle_perms,
                               enum_extended_lah, enum_lah, enum_partitions)
-from reference import true_block_count
+from reference import r_distinct, true_block_count
 
 
 class TestOracleExamples:
@@ -96,6 +96,27 @@ def reference_table(family, n, r=0, only_k=None):
         buckets.setdefault(len(groups) - r, Counter())[stat(s)] += 1
     return {kk: QPoly([c[v] for v in range(max(c) + 1)])
             for kk, c in buckets.items()}
+
+
+@pytest.mark.parametrize("family, enum, stat", [
+    ("partitions", enum_partitions, stat_w),
+    ("perms", enum_cycle_perms, stat_inv_c),
+    ("lah", enum_lah, stat_inv_rho)])
+def test_restricted_cells_are_filtered_unrestricted_cells(family, enum, stat):
+    # a reference that never starts from the prefix: the r = 0 stream of
+    # [n+r] filtered by the restriction, and its direct statistics, less the
+    # C(r, 2) that 1..r add to stat_w
+    for r in range(5):
+        shift = r * (r - 1) // 2 if family == "partitions" else 0
+        for n in range(8 - r):
+            expected = {}
+            for k in range(n + 1):
+                kept = [s for s in enum(n + r, k + r, 0) if r_distinct(s, r)]
+                assert list(enum(n, k, r)) == kept, (family, n, k, r)
+                c = Counter(stat(s) - shift for s in kept)
+                if c:
+                    expected[k] = QPoly([c[v] for v in range(max(c) + 1)])
+            assert oracle_table(family, n, r) == expected, (family, n, r)
 
 
 CLASSICAL = {"partitions": classical.stirling2_r, "perms": classical.stirling1_r,

@@ -118,17 +118,20 @@ class TestIncrementalAgainstDirect:
 
     def test_slot_increments_match_direct_statistics(self):
         # the oracles see only each cell's distribution of the statistic;
-        # this pins the statistic the insertion tree folds at every leaf
+        # this pins the statistic the insertion tree folds at every leaf,
+        # which counts the free elements r+1..n+r after the prefix
         direct = {"partitions": (SetPartition, stat_w),
                   "perms": (CyclePerm, stat_inv_c),
                   "lah": (LahDist, stat_inv_rho)}
         for family, (cls, stat) in direct.items():
             for r in range(3):
+                prefix = cls(r, tuple((j,) for j in range(1, r + 1)))
                 for n in range(7 - r):
                     for groups, folded in _leaves(family, n, None, r,
                                                   _SLOTS[family]):
                         s = cls(n + r, tuple(map(tuple, groups)))
-                        assert folded == stat(s), (family, r, s.text())
+                        assert stat(prefix) + folded == stat(s), \
+                            (family, r, s.text())
 
 
 class TestRecordLowIndependence:

@@ -11,7 +11,7 @@ from qcomb.structures import (CellCapError, CyclePerm, ExtLahDist, LahDist,
                               enum_cycle_perms, enum_extended_lah, enum_lah,
                               enum_partitions, set_default_cap,
                               special_elements)
-from reference import r_distinct, true_block_count
+from reference import opens_counted_group, r_distinct, true_block_count
 
 
 class TestValidators:
@@ -322,6 +322,27 @@ class TestOutputOrder:
     def test_extended_lah(self):
         cells = [(f"{n}", enum_extended_lah(n, None)) for n in range(7)]
         assert _stream_digest(cells) == self.PINNED["enum_extended_lah"]
+
+
+@pytest.mark.parametrize("family", ["partitions", "perms", "lah", "ext_lah"])
+def test_every_slot_declares_whether_it_opens_a_counted_group(family):
+    # each slot's opens against the rule the tree once derived from the slot,
+    # on every structure of size up to 6
+    for m in range(7):
+        if family == "ext_lah":
+            slots = structures._ext_lah_slots(m + 2)
+            shapes = [[[-e if e in lam.circled else e for e in b]
+                       for b in lam.base.blocks]
+                      for lam in enum_extended_lah(m, None)]
+        else:
+            slots = structures._SLOTS[family]
+            enum = {"partitions": enum_partitions, "perms": enum_cycle_perms,
+                    "lah": enum_lah}[family]
+            shapes = [list(map(list, s[1])) for s in enum(m, None)]
+        for groups in shapes:
+            for slot in slots(m + 1, groups):
+                assert slot[4] == opens_counted_group(slot, groups), \
+                    (family, groups, slot)
 
 
 @pytest.mark.parametrize("family, enum", [("partitions", "enum_partitions"),
