@@ -37,7 +37,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import product
 from typing import Callable, Iterable, Iterator
 
 from . import classical as cl, families, polyring
@@ -262,6 +261,18 @@ def oracle_diff(family: str, n: int, r: int = 0,
 # the grid, the shared bodies and the registration decorator
 # ---------------------------------------------------------------------------
 
+def _lazy_product(spans: list[range]) -> Iterator[tuple[int, ...]]:
+    """The tuples of ``itertools.product(*spans)``, in its order, reading
+    each range as it goes instead of copying every range first."""
+    if not spans:
+        yield ()
+        return
+    head, *rest = spans
+    for value in head:
+        for tail in _lazy_product(rest):
+            yield (value, *tail)
+
+
 def _grid(ranges: Ranges, k: str | None = None, k_min: int = 0,
           n_min: int = 0, routes: tuple[str, ...] = ()) -> Iterator[dict]:
     """Product of the ranged parameters in their declared order, clipped by
@@ -270,7 +281,9 @@ def _grid(ranges: Ranges, k: str | None = None, k_min: int = 0,
     names = [name for name in ranges if name != "m+n"]
     window = ranges.get("m+n")
     spans = [range(lo, hi + 1) for lo, hi in (ranges[name] for name in names)]
-    for values in product(*spans):
+    if not all(spans):
+        return
+    for values in _lazy_product(spans):
         cell = dict(zip(names, values))
         if window and not window[0] <= cell["m"] + cell["n"] <= window[1]:
             continue

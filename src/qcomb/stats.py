@@ -10,6 +10,7 @@ compare the fold against.  All functions are pure.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .polyring import MPoly
@@ -99,7 +100,19 @@ def ext_stats(lam: ExtLahDist) -> ExtStats:
     return ExtStats(nrec, rec_star, len(circled))
 
 
+@lru_cache(maxsize=1024)
+def _monomial(nrec: int, rec_star: int, circ: int) -> MPoly:
+    """The monomial alpha^nrec * beta^rec_star * r^circ, shared by every
+    structure with these counts; the counts are never negative."""
+    return MPoly({(nrec, rec_star, circ, 0): 1})
+
+
 def weight(lam: ExtLahDist) -> MPoly:
-    """Weight monomial alpha^nrec * beta^rec_star * r^circ."""
-    st = ext_stats(lam)
-    return MPoly.from_monomial(e_alpha=st.nrec, e_beta=st.rec_star, e_r=st.circ)
+    """Weight monomial alpha^nrec * beta^rec_star * r^circ, looked up in a
+    bounded table of the most recently used monomials.
+
+    >>> lam = ExtLahDist(LahDist(5, ((1, 2, 5), (4, 3))), frozenset({2}))
+    >>> print(weight(lam.validate()))
+    alpha*beta*r
+    """
+    return _monomial(*ext_stats(lam))

@@ -137,31 +137,42 @@ class ExtLahDist(NamedTuple):
         return self.base.n
 
     def validate(self) -> "ExtLahDist":
-        special, starts = _scan(self.base)
-        for e in self.circled:
-            if e not in special:
-                raise StructureError(f"circled element {e} is not special")
-            if (e in starts) != (e == 1):        # 1 lies in blocks[0]
-                raise StructureError(f"circled element {e} starts a block" if e > 1
-                                     else "circled 1 does not start its block")
+        """Check the base distribution and, in the same scan, the circling
+        rules: each circled element is special, and a circled 1 starts its
+        block.  The first illegal circled element, in the order the set
+        iterates, names the error.
+
+        >>> ExtLahDist(LahDist(3, ((1, 3), (2,))), frozenset({3})).validate()
+        Traceback (most recent call last):
+          ...
+        qcomb.structures.StructureError: circled element 3 is not special
+        """
+        special, legal = _scan(self.base, self.circled)
+        if legal < len(self.circled):
+            for e in self.circled:
+                if e not in special:
+                    raise StructureError(f"circled element {e} is not special")
+                if e == 1 and self.base.blocks[0][0] != 1:
+                    raise StructureError("circled 1 does not start its block")
         return self
 
     def text(self) -> str:
         return _text(self.base.blocks, self.circled)
 
 
-def _scan(structure) -> tuple[frozenset[int], set[int]]:
+def _scan(structure, circled=frozenset()) -> tuple[list[int], int]:
     """Check that the groups of a structure (n, groups) are nonempty, cover
     [n] exactly once and come in order of increasing minimum, in one
-    left-to-right scan, and return what the scan finds when the groups are
-    read as the blocks of a Lah distribution: its special elements and its
-    block starts."""
+    left-to-right scan.  Read the groups as the blocks of a Lah
+    distribution: return its special elements, in increasing order, and how
+    many of the elements ``circled`` the same scan finds legally circled
+    (special, and 1 only at the start of its block, which is blocks[0])."""
     n, blocks = structure
     if n < 0:
         raise StructureError(f"negative size {n}")
     seen = bytearray(n + 2)              # seen[n + 1] stays 0 and stops low
     special = []
-    starts = set()
+    legal = 0
     low = 1                              # the least element not yet seen
     last = 0                             # the minimum of the previous block
     try:
@@ -169,7 +180,6 @@ def _scan(structure) -> tuple[frozenset[int], set[int]]:
             if not b:
                 raise StructureError("empty group")
             mn = b[0]                    # the minimum of the block so far
-            starts.add(mn)
             for e in b:
                 if not 0 < e <= n or seen[e]:
                     raise StructureError(
@@ -182,6 +192,8 @@ def _scan(structure) -> tuple[frozenset[int], set[int]]:
                     # this block are larger: e is its minimum iff e == mn
                     if e == 1 or e != mn:
                         special.append(e)
+                        if e in circled and (e > 1 or b[0] == 1):
+                            legal += 1
                     while seen[low]:
                         low += 1
             if mn < last:
@@ -191,7 +203,7 @@ def _scan(structure) -> tuple[frozenset[int], set[int]]:
         raise StructureError(f"malformed groups: {exc}") from exc
     if low <= n:
         raise StructureError("groups do not cover the ground set exactly once")
-    return frozenset(special), starts
+    return special, legal
 
 
 def special_elements(delta: LahDist) -> frozenset[int]:
@@ -199,7 +211,7 @@ def special_elements(delta: LahDist) -> frozenset[int]:
     block minimum and is preceded by all smaller elements in the
     left-to-right scan of the blocks.  delta must be valid: an invalid one
     raises StructureError."""
-    return _scan(delta)[0]
+    return frozenset(_scan(delta)[0])
 
 
 # ---------------------------------------------------------------------------

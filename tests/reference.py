@@ -2,12 +2,14 @@
 
 None of them is part of qcomb: they read a value or a structure from
 outside, through its public fields only, and the q-products below take
-every factor as a schoolbook ``QPoly.__mul__``.  The last three are the
+every factor as a schoolbook ``QPoly.__mul__``.  The last six are the
 bodies that the package's faster paths replaced, kept as they were.
 """
 
 from qcomb import families
-from qcomb.polyring import M_ZERO, Q_ONE, QPoly, X, q_integer
+from qcomb.polyring import M_ZERO, MPoly, Q_ONE, QPoly, X, q_integer
+from qcomb.stats import ext_stats
+from qcomb.structures import StructureError
 
 
 def evaluate(p, alpha, beta, r, x):
@@ -74,3 +76,62 @@ def sorted_terms(p):
     (degree, the negated exponents)."""
     return sorted(p.terms.items(),
                   key=lambda kv: (sum(kv[0]), tuple(-e for e in kv[0])))
+
+
+def scan_with_starts(structure):
+    """The structure scan that also built the block starts: (frozenset of
+    the special elements, set of the block starts)."""
+    n, blocks = structure
+    if n < 0:
+        raise StructureError(f"negative size {n}")
+    seen = bytearray(n + 2)              # seen[n + 1] stays 0 and stops low
+    special = []
+    starts = set()
+    low = 1                              # the least element not yet seen
+    last = 0                             # the minimum of the previous block
+    try:
+        for b in blocks:
+            if not b:
+                raise StructureError("empty group")
+            mn = b[0]                    # the minimum of the block so far
+            starts.add(mn)
+            for e in b:
+                if not 0 < e <= n or seen[e]:
+                    raise StructureError(
+                        "groups do not cover the ground set exactly once")
+                seen[e] = 1
+                if e < mn:
+                    mn = e
+                if e == low:
+                    if e == 1 or e != mn:
+                        special.append(e)
+                    while seen[low]:
+                        low += 1
+            if mn < last:
+                raise StructureError("groups not ordered by increasing minimum")
+            last = mn
+    except TypeError as exc:             # say, an element that is not an int
+        raise StructureError(f"malformed groups: {exc}") from exc
+    if low <= n:
+        raise StructureError("groups do not cover the ground set exactly once")
+    return frozenset(special), starts
+
+
+def validate_ext_lah(lam):
+    """ExtLahDist.validate as it checked the circles after the scan, against
+    the special elements and the block starts."""
+    special, starts = scan_with_starts(lam.base)
+    for e in lam.circled:
+        if e not in special:
+            raise StructureError(f"circled element {e} is not special")
+        if (e in starts) != (e == 1):        # 1 lies in blocks[0]
+            raise StructureError(f"circled element {e} starts a block" if e > 1
+                                 else "circled 1 does not start its block")
+    return lam
+
+
+def weight(lam):
+    """The weight monomial of an extended Lah distribution, built afresh by
+    MPoly.from_monomial for each structure."""
+    st = ext_stats(lam)
+    return MPoly.from_monomial(e_alpha=st.nrec, e_beta=st.rec_star, e_r=st.circ)

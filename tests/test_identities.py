@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import tracemalloc
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -200,6 +202,23 @@ class TestCheckDriver:
         r = check("I-STREAM")
         assert (r.status, r.cells_checked) == ("fail", 1)
         assert r.counterexample["params"] == {"n": 0}
+
+    def test_grid_reads_its_ranges_lazily(self):
+        # itertools.product copied each range first: 382 MB at 10**7 wide
+        tracemalloc.start()
+        try:
+            cells = identities._grid({"m": (0, 10**9), "n": (0, 0)})
+            assert next(cells) == {"m": 0, "n": 0}
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(-1, 3)),
+                    max_size=4))
+    def test_lazy_product_keeps_the_order_of_product(self, bounds):
+        spans = [range(lo, hi + 1) for lo, hi in bounds]
+        assert list(identities._lazy_product(spans)) == list(product(*spans))
 
     def test_skipped_on_empty_grid(self):
         r = check("I-BIN-6", {"n": (5, 4)})

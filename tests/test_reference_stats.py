@@ -2,8 +2,10 @@
 
 ref_record_lows and ref_ext_stats below are the earlier ext_stats, which
 built the uncircled sublist of each block and scanned its record lows; they
-stay here as the reference.  MPoly.from_monomial, which weight builds its
-monomial with, is checked against the constructor it calls.
+stay here as the reference.  weight, which looks its monomial up in a
+bounded table, is checked against ``reference.weight``, which built each
+one with MPoly.from_monomial, and from_monomial against the constructor it
+calls.
 """
 
 from typing import Sequence
@@ -11,6 +13,7 @@ from typing import Sequence
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import reference
 from qcomb.polyring import MPoly
 from qcomb.stats import ExtStats, ext_stats, weight
 from qcomb.structures import ExtLahDist, LahDist, enum_extended_lah
@@ -59,6 +62,7 @@ def test_statistics_match_the_reference_for_n_up_to_7():
         for lam in enum_extended_lah(n, None):
             assert ext_stats(lam) == ref_ext_stats(lam), lam.text()
             assert weight(lam) == ref_weight(lam), lam.text()
+            assert weight(lam) == reference.weight(lam), lam.text()
             count += 1
     assert count == 146048
 

@@ -4,14 +4,21 @@ The three per-family group validators, ExtLahDist.validate and the two-dict
 special_elements below are the earlier code, kept as the reference: on
 valid structures and on mutated ones, the shared validator and the one-pass
 scan must accept and reject exactly the same inputs and find the same
-special elements.
+special elements.  ``reference.validate_ext_lah`` is the validator that
+checked the circles after the scan, against a set of block starts; the one
+scan that checks them as it goes must raise the same message for the same
+structure.
 """
+
+import re
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from qcomb.structures import (CyclePerm, ExtLahDist, LahDist, SetPartition,
-                              StructureError, special_elements)
+                              StructureError, enum_lah, special_elements)
 
 
 def ref_validate_partition(pi):
@@ -160,10 +167,10 @@ MUTATIONS = (_swap, _drop, _duplicate, _move, _reorder, _toggle, _empty)
 
 
 @st.composite
-def structures_(draw):
-    """A valid structure of one of the four families, then up to three
-    random mutations of it."""
-    cls = draw(st.sampled_from(list(REFERENCE)))
+def structures_(draw, classes=tuple(REFERENCE)):
+    """A valid structure of one of the families ``classes``, then up to
+    three random mutations of it."""
+    cls = draw(st.sampled_from(classes))
     n = draw(st.integers(0, 7))
     word = draw(st.permutations(range(1, n + 1)))
     cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
@@ -223,3 +230,58 @@ def test_negative_size_is_rejected(cls, n):
                  else cls(n, ()))
     assert not _accepts(cls.validate, structure)
     assert not _accepts(REFERENCE[cls], structure)
+
+
+def _message(validate, structure):
+    """None if validate accepts the structure, else its error message."""
+    try:
+        validate(structure)
+    except StructureError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(structures_((ExtLahDist,)))
+def test_ext_lah_validate_raises_as_the_scan_with_block_starts(lam):
+    expected = _message(reference.validate_ext_lah, lam)
+    assert _message(ExtLahDist.validate, lam) == expected
+    if _message(reference.scan_with_starts, lam.base) is None:
+        assert special_elements(lam.base) == reference.scan_with_starts(lam.base)[0]
+
+
+def test_ext_lah_mutations_reach_every_message():
+    """The strategy above reaches each circling message and a structural
+    one, so its message comparison is not one-sided."""
+    messages = set()
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(structures_((ExtLahDist,)))
+    def collect(lam):
+        message = _message(reference.validate_ext_lah, lam)
+        messages.add(message if message is None or "circled" in message
+                     else "structural")
+
+    collect()
+    assert {None, "structural", "circled 1 does not start its block"} < messages
+    assert any(m and m.endswith("is not special") for m in messages)
+
+
+def test_every_circle_set_up_to_5_raises_as_the_scan_with_block_starts():
+    """Every Lah distribution with n <= 5 under every subset of [n] circled:
+    the same outcome as the reference, and a circled element other than 1
+    never starts a block once it is special."""
+    outcomes = {}
+    for n in range(6):
+        subsets = list(chain.from_iterable(
+            combinations(range(1, n + 1), size) for size in range(n + 1)))
+        for base in enum_lah(n, None):
+            for subset in subsets:
+                lam = ExtLahDist(base, frozenset(subset))
+                expected = _message(reference.validate_ext_lah, lam)
+                assert _message(ExtLahDist.validate, lam) == expected, lam
+                kind = expected and re.sub(r"\d+", "e", expected)
+                outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert outcomes == {None: 1799,
+                        "circled e does not start its block": 5010,
+                        "circled element e is not special": 10510}

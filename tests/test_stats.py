@@ -2,6 +2,7 @@ import random
 
 from hypothesis import given, strategies as st
 
+from qcomb import stats
 from qcomb.polyring import MPoly
 from qcomb.stats import (ExtStats, ext_stats, inversions, stat_inv_c,
                          stat_inv_rho, stat_w, weight)
@@ -100,6 +101,23 @@ class TestExtStats:
             MPoly.from_int(1)
         assert weight(ExtLahDist(LahDist(2, ((1, 2),)), frozenset({2}))) == \
             MPoly.from_monomial(e_r=1)
+
+    def test_weights_come_from_a_bounded_shared_table(self):
+        maxsize = stats._monomial.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0
+        # two structures with the same counts share one monomial
+        a = ExtLahDist(LahDist(3, ((1, 3), (2,))), frozenset())
+        b = ExtLahDist(LahDist(3, ((1,), (2, 3))), frozenset())
+        assert weight(a) is weight(b)
+        assert weight(a) == MPoly.from_monomial(e_alpha=1)
+
+    def test_arithmetic_leaves_a_shared_weight_unchanged(self):
+        w = weight(LAM15)
+        before = dict(w.terms)
+        assert (w * w).terms == {(8, 6, 10, 0): 1}
+        assert (w + w).terms == {(4, 3, 5, 0): 2}
+        assert (-w).terms == {(4, 3, 5, 0): -1}
+        assert w.terms == before and weight(LAM15) is w
 
     def test_element_accounting(self):
         # every element lands in exactly one of the four statistic classes
