@@ -267,10 +267,9 @@ def _lazy_product(spans: list[range]) -> Iterator[tuple[int, ...]]:
     if not spans:
         yield ()
         return
-    head, *rest = spans
-    for value in head:
-        for tail in _lazy_product(rest):
-            yield (value, *tail)
+    *outer, last = spans
+    for head in _lazy_product(outer):
+        yield from map(head.__add__, zip(last))
 
 
 def _grid(ranges: Ranges, k: str | None = None, k_min: int = 0,
