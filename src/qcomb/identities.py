@@ -48,7 +48,7 @@ from .polyring import (ALPHA, BETA, M_ZERO, MPoly, Q_ONE, Q_ZERO, QPoly, R,
                        rising_int, shifted_factorial, times_q_integer,
                        times_q_rising)
 from .stats import ext_stats
-from .structures import enum_extended_lah_tracked
+from .structures import _cell, enum_extended_lah_tracked
 
 Ranges = dict[str, tuple[int, int]]
 
@@ -115,6 +115,7 @@ _ROW = ('  {\n    "family": %s,\n    "k": %s,\n    "n": %d,\n'
         '    "provenance": %s,\n    "r": %s,\n'
         '    "value": {\n      %s\n    }\n  }')
 _QPOLY = '"coeffs": [\n        "%s"\n      ],\n      "type": "qpoly"'
+_SEP = '",\n        "'                  # between two coefficients
 _MPOLY = '"terms": [%s\n      ],\n      "type": "mpoly"'
 _TERM = ('\n        {\n          "coeff": "%d",\n          "exps": [\n'
          '            %d,\n            %d,\n            %d,\n            %d\n'
@@ -127,7 +128,7 @@ def _json_value(v: QPoly | MPoly) -> str:
     if not v:
         return _EMPTY[type(v)]
     if isinstance(v, QPoly):
-        return _QPOLY % '",\n        "'.join(map(str, v.coeffs))
+        return _QPOLY % (("0" + _SEP) * v.val + _SEP.join(map(str, v.body)))
     return _MPOLY % ",".join([_TERM % (c, *e) for e, c in v.sorted_terms()])
 
 
@@ -172,6 +173,7 @@ def _otable(family: str, n: int, r: int):
 
 
 def _ocell(family: str, n: int, k: int, r: int = 0):
+    _cell(family, n, None, r)            # a kept table is held to the cap too
     return _otable(family, n, r).get(k, ZERO[family])
 
 
@@ -276,17 +278,23 @@ def _grid(ranges: Ranges, k: str | None = None, k_min: int = 0,
           n_min: int = 0, routes: tuple[str, ...] = ()) -> Iterator[dict]:
     """Product of the ranged parameters in their declared order, clipped by
     the m+n window and by n_min; k ("n" or "m+n") then runs over k_min..k
-    and the routes run innermost."""
+    and the routes run innermost.  The m and n spans are first cut to the
+    values that some cell in the window takes, so the walk passes no cell
+    outside that box; the window still filters the cells inside it."""
     names = [name for name in ranges if name != "m+n"]
     window = ranges.get("m+n")
-    spans = [range(lo, hi + 1) for lo, hi in (ranges[name] for name in names)]
+    bounds = {name: list(ranges[name]) for name in names}
+    bounds["n"][0] = max(bounds["n"][0], n_min)
+    if window:
+        (m_lo, m_hi), (n_lo, n_hi) = ranges["m"], bounds["n"]
+        bounds["m"] = [max(m_lo, window[0] - n_hi), min(m_hi, window[1] - n_lo)]
+        bounds["n"] = [max(n_lo, window[0] - m_hi), min(n_hi, window[1] - m_lo)]
+    spans = [range(lo, hi + 1) for lo, hi in bounds.values()]
     if not all(spans):
         return
     for values in _lazy_product(spans):
         cell = dict(zip(names, values))
         if window and not window[0] <= cell["m"] + cell["n"] <= window[1]:
-            continue
-        if cell["n"] < n_min:
             continue
         cells = [cell] if k is None else [
             {**cell, "k": j}

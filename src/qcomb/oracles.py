@@ -25,7 +25,10 @@ ORACLE_FOR_ENGINE = {"stirling2_q": "partitions", "stirling1_q": "perms",
 
 
 def _qpoly(offset: int, c: Counter) -> QPoly:
-    return QPoly([c[v] for v in range(offset, max(c) + 1)])
+    """Sum of count * q**(v - offset) over the buckets v, built from the
+    least bucket up: no slot is kept for the powers below it."""
+    low = min(c)
+    return QPoly([c[v] for v in range(low, max(c) + 1)]).shift(low - offset)
 
 
 def _weights(base: int, c: Counter) -> MPoly:

@@ -2,9 +2,11 @@
 
 Two carrier types:
 
-  QPoly  -- dense univariate polynomial in q with arbitrary-precision integer
-            coefficients.  Every q-number (q-integers, q-factorials,
-            q-binomials, q-Stirling/Bell/Lah values) is a QPoly.
+  QPoly  -- univariate polynomial in q with arbitrary-precision integer
+            coefficients, stored as a power of q (its valuation) times a
+            dense coefficient tuple.  Every q-number (q-integers,
+            q-factorials, q-binomials, q-Stirling/Bell/Lah values) is a
+            QPoly.
   MPoly  -- sparse polynomial in the four weight variables (alpha, beta, r, x)
             with integer coefficients, used for generalized Stirling numbers
             and generalized Bell polynomials.
@@ -109,22 +111,27 @@ def _signed_sum(terms: Iterable[tuple[int, str]]) -> str:
 # ---------------------------------------------------------------------------
 
 class QPoly(_Poly):
-    """Polynomial in q, stored as an ascending coefficient tuple.
+    """Polynomial in q, stored as a valuation ``val`` and a coefficient
+    tuple ``body``: the value is q**val * sum(body[i] * q**i).
 
-    The zero polynomial is the empty tuple; otherwise the trailing
-    coefficient is nonzero, so equality of values is equality of tuples.
+    Neither end of ``body`` is zero, and the zero polynomial is ``()`` with
+    val 0, so equality of values is equality of (val, body).  A value that
+    starts at a high power of q keeps none of its leading zeros: ``shift``
+    adds to val and shares the body, and a product adds the valuations.
+    ``coeffs`` is the ascending tuple from q**0, leading zeros included,
+    built on each read; ``to_json``, ``str`` and ``repr`` print it.
 
     >>> QPoly([1, 1, 1]) * QPoly([1, 1])
     QPoly([1, 2, 2, 1])
+    >>> p = QPoly([0, 0, 3, 1, 0])
+    >>> p.val, p.body, p.coeffs
+    (2, (3, 1), (0, 0, 3, 1))
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("val", "body")
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.val, self.body = _strip(list(coeffs))
 
     @classmethod
     def from_int(cls, value: int) -> "QPoly":
@@ -133,36 +140,53 @@ class QPoly(_Poly):
     # -- basic queries ------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[int, ...]:
+        """The ascending coefficient tuple from q**0; empty for zero."""
+        return (0,) * self.val + self.body
+
+    @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return self.val + len(self.body) - 1 if self.body else -1
 
     # -- ring operations ----------------------------------------------------
 
-    def _data(self) -> tuple[int, ...]:
-        return self.coeffs
+    def _data(self) -> tuple:
+        return (self.val, self.body) if self.body else ()
 
     def __add__(self, other: "QPoly | int") -> "QPoly":
         if not isinstance(other, QPoly):
             other = self._coerce(other)
             if other is NotImplemented:
                 return other
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return QPoly(map(add, a, b + (0,) * (len(a) - len(b))))
+        low, high = (self, other) if self.val <= other.val else (other, self)
+        a, b = low.body, high.body
+        if not b:
+            return low
+        if not a:
+            return high
+        d = high.val - low.val               # b starts d places into a
+        if d >= len(a):                      # no overlap: nothing cancels
+            return _qpoly(low.val, a + (0,) * (d - len(a)) + b)
+        cs = list(a[:d])
+        cs += map(add, a[d:], b)
+        cs += a[d + len(b):] if d + len(b) < len(a) else b[len(a) - d:]
+        val, body = _strip(cs)
+        return _qpoly(low.val + val, body) if body else Q_ZERO
 
     __radd__ = __add__
 
     def __neg__(self) -> "QPoly":
-        return QPoly([-c for c in self.coeffs])
+        return _qpoly(self.val, tuple([-c for c in self.body]))
 
     def __mul__(self, other: "QPoly | int") -> "QPoly":
         if isinstance(other, int):
-            return QPoly([other * c for c in self.coeffs])
+            if not other:
+                return Q_ZERO
+            return _qpoly(self.val, tuple([other * c for c in self.body]))
         if not isinstance(other, QPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self.body, other.body
         if not a or not b:
             return Q_ZERO
         out = [0] * (len(a) + len(b) - 1)
@@ -170,44 +194,66 @@ class QPoly(_Poly):
             if ai:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
-        return QPoly(out)
+        # the end coefficients are products of nonzero ends, so nonzero
+        return _qpoly(self.val + other.val, tuple(out))
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "QPoly":
         """Multiply by q**k; zero for the zero polynomial, whatever k is."""
-        if not self.coeffs:
+        if not self.body:
             return Q_ZERO
         if k < 0:
             raise ValueError("negative shift")
-        return QPoly((0,) * k + self.coeffs)
+        return _qpoly(self.val + k, self.body)
 
     # -- evaluation and serialization ----------------------------------------
 
     def eval_int(self, t: int) -> int:
         """Exact evaluation at an integer point (Horner)."""
         acc = 0
-        for c in reversed(self.coeffs):
+        for c in reversed(self.body):
             acc = acc * t + c
-        return acc
+        return acc * t ** self.val
 
     def to_json(self) -> list[str]:
         """Ascending coefficient array of decimal strings."""
-        return [str(c) for c in self.coeffs]
+        return ["0"] * self.val + [str(c) for c in self.body]
 
     # -- dunder plumbing ------------------------------------------------------
 
     def __hash__(self) -> int:
-        if len(self.coeffs) < 2:             # a constant, hashed like its int
-            return hash(sum(self.coeffs))
-        return hash(self.coeffs)
+        if not self.val and len(self.body) < 2:  # a constant, hashed like its int
+            return hash(sum(self.body))
+        return hash((self.val, self.body))
 
     def __repr__(self) -> str:
         return f"QPoly({list(self.coeffs)})"
 
     def __str__(self) -> str:
         return _signed_sum((c, "" if i == 0 else "q" if i == 1 else f"q^{i}")
-                           for i, c in enumerate(self.coeffs) if c)
+                           for i, c in enumerate(self.body, self.val) if c)
+
+
+def _strip(cs: list[int]) -> tuple[int, tuple[int, ...]]:
+    """(val, body) of an ascending coefficient list: its count of leading
+    zeros, and the list with the zeros at both ends dropped; (0, ()) when
+    every coefficient is zero."""
+    while cs and cs[-1] == 0:
+        cs.pop()
+    val = 0
+    while cs and cs[val] == 0:           # stops: the last one is nonzero
+        val += 1
+    return val, tuple(cs[val:] if val else cs)
+
+
+def _qpoly(val: int, body: tuple[int, ...]) -> QPoly:
+    """The QPoly q**val * body, from a body with no zero at either end (or
+    zero, with val 0), taken as it is."""
+    p = object.__new__(QPoly)
+    p.val = val
+    p.body = body
+    return p
 
 
 Q_ZERO = QPoly()
@@ -227,34 +273,38 @@ def q_integer(n: int) -> QPoly:
 
 
 def times_q_integer(p: QPoly, n: int) -> QPoly:
-    """p * q_integer(n) in O(deg p + n) additions.
+    """p * q_integer(n) in O(len(p.body) + n) additions.
 
     Coefficient j of the product is the sum of the coefficients j-n+1..j of
     p, read off one running (prefix) sum instead of a schoolbook product.
     """
     if n < 0:
         raise ValueError(f"times_q_integer requires n >= 0, got {n}")
-    if not n or not p.coeffs:
+    if not n or not p.body:
         return Q_ZERO
-    prefix = list(accumulate(p.coeffs, initial=0))
+    prefix = list(accumulate(p.body, initial=0))
     pad = [prefix[-1]] * (n - 1)
-    return QPoly(map(sub, prefix[1:] + pad, [0] * (n - 1) + prefix[:-1]))
+    # [n] has the end coefficients 1, so the body keeps nonzero ends; the
+    # list is sized exactly, a tuple grown from the map itself may not be
+    body = list(map(sub, prefix[1:] + pad, [0] * (n - 1) + prefix[:-1]))
+    return _qpoly(p.val, tuple(body))
 
 
 def div_q_integer(p: QPoly, n: int) -> QPoly:
-    """p / q_integer(n) in O(deg p + n) additions; ExactDivisionError unless
-    the division is exact.
+    """p / q_integer(n) in O(len(p.body) + n) additions; ExactDivisionError
+    unless the division is exact.
 
     [n] = (1 - q^n) / (1 - q), so p is multiplied by 1 - q (one pass of
     differences d) and divided by 1 - q^n: the quotient's coefficients
     follow s_j = d_j + s_(j-n), and the division is exact iff the last n
-    of them vanish.
+    of them vanish.  [n] has the constant term 1 and so no factor q: only
+    the body is divided, and the quotient keeps p's valuation.
     """
     if n < 0:
         raise ValueError(f"div_q_integer requires n >= 0, got {n}")
     if not n:
         raise ZeroDivisionError("division by the zero polynomial")
-    c = p.coeffs
+    c = p.body
     if not c:
         return Q_ZERO
     d = list(map(sub, c + (0,), (0,) + c))
@@ -264,7 +314,7 @@ def div_q_integer(p: QPoly, n: int) -> QPoly:
     if cut < 1 or any(d[cut:]):
         raise ExactDivisionError(
             f"nonzero remainder in division by q_integer({n})")
-    return QPoly(d[:cut])
+    return _qpoly(p.val, tuple(d[:cut]))
 
 
 @lru_cache(maxsize=1024)
@@ -342,18 +392,20 @@ def binom(n: int, k: int) -> int:
 
 
 def binom_gen(a: int, b: int) -> int:
-    """Generalized binomial: falling product over b!, any integer a.
+    """Generalized binomial: falling product a(a-1)...(a-b+1) over b!, any
+    integer a.
 
     Zero for b < 0; binom_gen(a, 0) == 1 for every a, including negatives.
     Matches the convention under which closed forms for q = -1
-    specializations stay valid at their support boundaries.
+    specializations stay valid at their support boundaries.  For a < 0 the
+    product is (-1)^b (-a)(-a+1)...(-a+b-1), so the value is
+    (-1)^b C(b-a-1, b); both cases are one ``math.comb``.
     """
     if b < 0:
         return 0
-    num = 1
-    for t in range(b):
-        num *= a - t
-    return num // math.factorial(b)
+    if a >= 0:
+        return math.comb(a, b)
+    return -math.comb(b - a - 1, b) if b & 1 else math.comb(b - a - 1, b)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,19 @@
 
 None of them is part of qcomb: they read a value or a structure from
 outside, through its public fields only, and the q-products below take
-every factor as a schoolbook ``QPoly.__mul__``.  The last six are the
-bodies that the package's faster paths replaced, kept as they were.
+every factor as a schoolbook ``QPoly.__mul__``.  From ``gen_bell`` on,
+they are the bodies that the package's faster paths replaced, kept as they
+were; the dense QPoly operations work on the coefficient tuples from q^0
+that QPoly stored before it kept a valuation.
 """
 
+import math
+from itertools import product
+from operator import add
+
 from qcomb import families
-from qcomb.polyring import M_ZERO, MPoly, Q_ONE, QPoly, X, q_integer
+from qcomb.polyring import (ExactDivisionError, M_ZERO, MPoly, Q_ONE, QPoly,
+                            X, _signed_sum, q_integer)
 from qcomb.stats import ext_stats
 from qcomb.structures import StructureError
 
@@ -135,3 +142,92 @@ def weight(lam):
     MPoly.from_monomial for each structure."""
     st = ext_stats(lam)
     return MPoly.from_monomial(e_alpha=st.nrec, e_beta=st.rec_star, e_r=st.circ)
+
+
+def grid(ranges, k=None, k_min=0, n_min=0, routes=()):
+    """identities._grid as it walked every cell of the full product and
+    dropped the cells outside the m+n window or below n_min."""
+    names = [name for name in ranges if name != "m+n"]
+    window = ranges.get("m+n")
+    spans = [range(lo, hi + 1) for lo, hi in (ranges[name] for name in names)]
+    for values in product(*spans):
+        cell = dict(zip(names, values))
+        if window and not window[0] <= cell["m"] + cell["n"] <= window[1]:
+            continue
+        if cell["n"] < n_min:
+            continue
+        cells = [cell] if k is None else [
+            {**cell, "k": j}
+            for j in range(k_min, sum(cell[name] for name in k.split("+")) + 1)]
+        for c in cells:
+            yield from [{**c, "route": route} for route in routes] or [c]
+
+
+def binom_gen(a, b):
+    """The generalized binomial as a falling product a(a-1)...(a-b+1) over
+    b!; zero for b < 0."""
+    if b < 0:
+        return 0
+    num = 1
+    for t in range(b):
+        num *= a - t
+    return num // math.factorial(b)
+
+
+def _trimmed(cs):
+    """The list cs as a tuple, without its trailing zeros."""
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def dense_add(a, b):
+    """The sum of two coefficient tuples, padded to one length."""
+    if len(a) < len(b):
+        a, b = b, a
+    return _trimmed(list(map(add, a, b + (0,) * (len(a) - len(b)))))
+
+
+def dense_mul(a, b):
+    """The schoolbook product of two coefficient tuples."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trimmed(out)
+
+
+def dense_shift(a, k):
+    """A coefficient tuple times q^k: k zeros in front, none for zero."""
+    return (0,) * k + a if a else ()
+
+
+def dense_eval(a, t):
+    """A coefficient tuple evaluated at the integer t (Horner)."""
+    acc = 0
+    for c in reversed(a):
+        acc = acc * t + c
+    return acc
+
+
+def dense_div_q_integer(a, n):
+    """The quotient tuple of a by the q-integer [n], n >= 1, by schoolbook
+    division from the top; ExactDivisionError on a nonzero remainder."""
+    rem = list(a)
+    quot = [0] * max(len(rem) - n + 1, 0)
+    for i in reversed(range(len(quot))):
+        f = quot[i] = rem[i + n - 1]     # [n] is monic of degree n - 1
+        for j in range(i, i + n):
+            rem[j] -= f
+    if any(rem):
+        raise ExactDivisionError(f"nonzero remainder in division by [{n}]")
+    return _trimmed(quot)
+
+
+def dense_str(a):
+    """QPoly's printed form of a coefficient tuple, one term per nonzero
+    coefficient, read from q^0 up."""
+    return _signed_sum((c, "" if i == 0 else "q" if i == 1 else f"q^{i}")
+                       for i, c in enumerate(a) if c)

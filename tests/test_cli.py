@@ -26,6 +26,36 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+_SRC = str(Path(qcomb.__file__).resolve().parents[1])
+
+# a small child runs the call in a child of its own and writes that one's
+# peak RSS to stderr: ru_maxrss keeps the peak of the process image that an
+# exec replaced, so a call started from the test process reads its size
+_PEAK = ("import resource, subprocess, sys\n"
+         "code = subprocess.call([sys.executable, '-m', 'qcomb.cli', "
+         "*sys.argv[1:]])\n"
+         "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, "
+         "file=sys.stderr)\nsys.exit(code)")
+
+
+@pytest.mark.parametrize("argv, bound_mb", [
+    # a diagonal cell of monomials q^C(j,2): 6.3 s at 775 MB when every
+    # value kept its leading zeros
+    ("oracle-diff --family stirling2_q --n 800 --k 800", 100),
+    # the q-Lah corner q^(r(r-1)) on both routes: 506 MB the same way
+    ("oracle-diff --family lah_q --n 0 --r 4000", 50),
+])
+def test_big_cells_peak_under_their_bounds(argv, bound_mb):
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK, *argv.split()], capture_output=True,
+        env={**os.environ, "PYTHONPATH": _SRC}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().startswith("0 mismatching cell(s)")
+    unit = 1 if sys.platform == "darwin" else 1024  # bytes there, KB here
+    peak_mb = int(proc.stderr.split()[-1]) * unit / 2**20
+    assert peak_mb < bound_mb
+
+
 class TestParseRange:
     def test_forms(self):
         assert parse_range("3") == (3, 3)
@@ -557,6 +587,19 @@ class TestCellCap:
                                "--family", "lah_q", "--n", "0")
         assert code == 2
         assert "above the cap 0" in err
+
+    def test_a_kept_oracle_table_is_held_to_the_cap(self, capsys):
+        # I-PE1 keeps its oracle tables between calls: capped after an
+        # uncapped call, it exited 0, and 2 in a fresh process
+        argv = ("verify", "--identity", "I-PE1", "--cell-cap", "1")
+        assert run_cli(capsys, "verify", "--identity", "I-PE1")[0] == 0
+        warm = run_cli(capsys, *argv)
+        cold = subprocess.run(
+            [sys.executable, "-m", "qcomb.cli", *argv], capture_output=True,
+            env={**os.environ, "PYTHONPATH": _SRC}, timeout=60)
+        assert warm == (cold.returncode, cold.stdout.decode(),
+                        cold.stderr.decode())
+        assert warm[0] == 2 and "above the cap 1" in warm[2]
 
     # lah_q(3, k) for k = 0..3 holds 13 structures: above 5, below 10**6
     @pytest.mark.parametrize("flag, want", [((), 2),

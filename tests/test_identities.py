@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import time
 import tracemalloc
 from itertools import product
 
@@ -12,6 +13,7 @@ from qcomb import classical, families, identities
 from qcomb.identities import (REGISTRY, check, identity_names,
                               indicator_pair, serialize_value)
 from qcomb.polyring import MPoly, QPoly, binom
+import reference
 from reference import one_plus_qints
 
 EXPECTED_NAMES = [
@@ -22,6 +24,24 @@ EXPECTED_NAMES = [
     "I-CQ-SYM", "I-T4E1", "I-T4E2", "I-T4E3", "I-T4C1", "I-GENREC",
     "I-GENL1", "I-GENL1-REC", "I-T5E1", "I-T5E2",
 ]
+
+
+@st.composite
+def grid_requests(draw):
+    """(ranges, _grid options): n and any of m and r in any declared order,
+    spans that may be empty, and an m+n window, which may be inverted, when
+    m is ranged."""
+    bounds = st.tuples(st.integers(-1, 5), st.integers(-1, 5))
+    names = [name for name in draw(st.permutations(["m", "n", "r"]))
+             if name == "n" or draw(st.booleans())]
+    ranges = {name: draw(bounds) for name in names}
+    if "m" in ranges and draw(st.booleans()):
+        ranges["m+n"] = draw(st.tuples(st.integers(-2, 11), st.integers(-2, 11)))
+    ks = [None, "n"] + ["m+n"] * ("m" in ranges)
+    return ranges, {"k": draw(st.sampled_from(ks)),
+                    "k_min": draw(st.integers(0, 2)),
+                    "n_min": draw(st.integers(0, 3)),
+                    "routes": draw(st.sampled_from([(), ("a",), ("a", "b")]))}
 
 
 class TestRegistry:
@@ -219,6 +239,31 @@ class TestCheckDriver:
     def test_lazy_product_keeps_the_order_of_product(self, bounds):
         spans = [range(lo, hi + 1) for lo, hi in bounds]
         assert list(identities._lazy_product(spans)) == list(product(*spans))
+
+    def test_window_clips_the_spans_before_the_walk(self, monkeypatch):
+        # the walk passed every cell of m = 0..10**6 first: 3.5 s for 30 cells
+        walked = []
+        real = identities._lazy_product
+        monkeypatch.setattr(identities, "_lazy_product",
+                            lambda spans: (walked.append(v) or v
+                                           for v in real(spans)))
+        start = time.perf_counter()
+        r = check("I-SPIVEY", {"m": (0, 10**6), "n": (0, 2), "m+n": (0, 10)})
+        assert time.perf_counter() - start < 1.0
+        assert (r.status, r.cells_checked) == ("pass", 30)
+        # _lazy_product calls itself for the outer spans: keep its full cells
+        cells = [values for values in walked if len(values) == 2]
+        assert cells == list(product(range(11), range(3)))
+
+    @given(grid_requests())
+    @example(({"m": (0, 5), "n": (0, 2), "m+n": (3, 4)},
+              {"k": "m+n", "k_min": 1, "n_min": 1, "routes": ("a", "b")}))
+    @example(({"r": (0, 1), "n": (0, 3), "m": (0, 4), "m+n": (9, 2)},
+              {"k": None, "k_min": 0, "n_min": 0, "routes": ()}))
+    def test_clipped_grid_is_the_filtered_product(self, request):
+        ranges, options = request
+        assert (list(identities._grid(ranges, **options))
+                == list(reference.grid(ranges, **options)))
 
     def test_skipped_on_empty_grid(self):
         r = check("I-BIN-6", {"n": (5, 4)})

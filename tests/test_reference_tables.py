@@ -1,7 +1,7 @@
 """The faster paths of the family tables against the bodies they replaced.
 
 gen_bell builds its row in one pass from the terms of hsu_shiue, QPoly
-addition adds two padded tuples in one map, and MPoly.sorted_terms sorts on
+addition aligns two bodies by their valuations, and MPoly.sorted_terms sorts on
 (-degree, exponents), descending.  tests/reference.py keeps the earlier
 bodies: the sum of hsu_shiue(n, k) * x^k, the schoolbook addition loop and
 the sort on (degree, negated exponents).
