@@ -139,30 +139,21 @@ def test_div_q_integer_is_the_dense_quotient(p, n):
         assert value.val == p.val
 
 
-@given(qpolys, st.integers(1, 5))
-def test_div_q_integer_undoes_times_q_integer(p, n):
-    value = div_q_integer(times_q_integer(p, n), n)
-    assert (value.val, value.body) == (p.val, p.body)
-
-
 @given(small, st.integers(0, 4))
 def test_ints_equal_and_hash_as_their_constants(c, v):
     const = QPoly([c])
     assert const == c and c == const
     assert hash(const) == hash(c)
-    assert hash(QPoly([0] * v + [c]).shift(0)) == hash(QPoly([0] * v + [c]))
     raised = Q ** (v + 1) * c             # c q^(v+1): no int, unless zero
     assert (raised == c) is (c == 0)
     assert (raised == 0) is (c == 0)
 
 
 @given(qpolys, st.integers(0, 4))
-def test_equal_values_built_apart_hash_equal(p, k):
-    rebuilt = QPoly(list(p.coeffs) + [0, 0])
-    shifted = QPoly([0] * k + list(p.coeffs))
-    for x, y in ((p, rebuilt), (p.shift(k), shifted), (p, p + 0), (p, p * 1)):
-        assert x == y and hash(x) == hash(y)
-        assert (x.val, x.body) == (y.val, y.body)
+def test_a_shift_equals_and_hashes_as_the_padded_value(p, k):
+    x, y = p.shift(k), QPoly([0] * k + list(p.coeffs))
+    assert x == y and hash(x) == hash(y)
+    assert (x.val, x.body) == (y.val, y.body)
 
 
 @given(qpolys)
