@@ -115,17 +115,18 @@ def _run_oracle_diff(args) -> tuple[int, str]:
     engine_family = _DIFF_ENGINE[args.family]
     # every family takes the oracle's restriction r
     _reject_unused_flags(args, ("r", *PARAMS[engine_family]))
-    r_lo, r_hi = args.r or (0, 0)
-    cells = [(n, r) for n in range(args.n[0], args.n[1] + 1)
-             for r in range(r_lo, r_hi + 1)]
-    mismatches = [m for n, r in cells
+    (n_lo, n_hi), (r_lo, r_hi) = args.n, args.r or (0, 0)
+    # walked, never listed: a wide range fails at its first refused cell
+    mismatches = [m for n in range(n_lo, n_hi + 1)
+                  for r in range(r_lo, r_hi + 1)
                   for m in oracle_diff(engine_family, n, r, args.k)]
     code = 1 if mismatches else 0
     if args.format == "json":
         return code, json.dumps(mismatches, indent=2, sort_keys=True) + "\n"
     lines = [f"MISMATCH {args.family} {m['params']}: "
              f"engine={m['engine']} oracle={m['oracle']}\n" for m in mismatches]
-    lines.append(f"{len(mismatches)} mismatching cell(s) over {len(cells)} "
+    cells = (n_hi - n_lo + 1) * (r_hi - r_lo + 1)
+    lines.append(f"{len(mismatches)} mismatching cell(s) over {cells} "
                  f"(n, r) cell(s) of {args.family}\n")
     return code, "".join(lines)
 
@@ -203,6 +204,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.cell_cap is not None:
             structures.set_default_cap(
                 structures.parse_cap(args.cell_cap, "--cell-cap"))
+        # resolved once per request, so a bad variable fails every request
+        structures.set_default_cap(structures.effective_cap())
         # rendered in full first, so a failure leaves stdout empty
         code, text = _COMMANDS[args.command](args)
         # in buffer-sized pieces: CPython's buffered writer returns a short

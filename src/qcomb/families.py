@@ -2,10 +2,11 @@
 
 Every engine returns an exact QPoly or MPoly and is memoized on its
 parameters; clear_caches() drops every kept value.  Each triangle is filled
-iteratively by one kernel, one set of columns per r, from a two-term
-recurrence in n for every r >= 0 alike; the shift sums that I-T4E1..3 state
-are checked against them, not used to compute them, and the enumeration
-oracles validate every triangle independently.
+iteratively by ``classical._triangle``, the kernel that also fills the
+classical counts, one set of columns per r, from a two-term recurrence in n
+for every r >= 0 alike; no engine reads a classical value.  The shift sums
+that I-T4E1..3 state are checked against the triangles, not used to compute
+them, and the enumeration oracles validate every triangle independently.
 
 Values are zero outside the support 0 <= k <= n; negative n or r is an
 argument error.
@@ -17,6 +18,7 @@ from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
 from . import polyring
+from .classical import _triangle
 from .polyring import (ALPHA, BETA, M_ZERO, MPoly, Q_ONE, Q_ZERO, QPoly, R,
                        binom_gen, times_q_integer, times_q_rising)
 
@@ -29,32 +31,6 @@ def _check_nr(name: str, n: int, r: int) -> None:
 def _row_sum(fn, n: int, r: int) -> QPoly:
     """fn(n, 0, r) + ... + fn(n, n, r): the total weight of row n."""
     return sum((fn(n, k, r) for k in range(n + 1)), Q_ZERO)
-
-
-def _triangle(zero, one, step):
-    """T(n, k, r) of the triangle T(0, 0, r) = one(r), zero outside
-    0 <= k <= n, and T(n, k, r) = step(n, k, r, T(n-1, k-1, r), T(n-1, k, r)).
-    T(n, k, r) depends only on the cells (m, j) with j <= k and
-    m - j <= n - k, so column j is filled downward only to row j + n - k;
-    the columns are kept, one set per r, in ``cell.columns``, and nothing
-    recurses.  The engine's lru_cache in front answers a repeated cell, so
-    the kernel looks nothing up before filling."""
-    columns: dict[int, list[list]] = {}
-
-    def cell(n: int, k: int, r: int):
-        if k < 0 or k > n:
-            return zero
-        cols = columns.setdefault(r, [])
-        for j in range(k + 1):
-            if j == len(cols):
-                cols.append([zero] * j if j else [one(r)])
-            col = cols[j]
-            for m in range(len(col), n - k + j + 1):
-                left = cols[j - 1][m - 1] if j else zero
-                col.append(step(m, j, r, left, col[m - 1]))
-        return cols[k][n]
-    cell.columns = columns
-    return cell
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
+import pytest
+
 from qcomb import classical
+from qcomb.polyring import Q_ONE, Q_ZERO, q_integer
 
 
 def test_bell_sequence():
@@ -49,7 +52,31 @@ def test_ext_lah_base_cases():
 def test_kernel_fills_only_the_cells_a_request_needs():
     # T(12, 9) reads the cells (m, j) with j <= 9 and m - j <= 3 alone
     calls = []
-    cell = classical._triangle(lambda n, k, r: calls.append((n, k)) or 1)
+    cell = classical._triangle(0, lambda r: 1, lambda n, k, r, left, up:
+                               calls.append((n, k)) or left + up)
     cell(12, 9, 0)
     assert sorted(calls) == [(m, j) for m in range(1, 13) for j in range(10)
                              if 0 <= m - j <= 3]
+
+
+@pytest.mark.parametrize("zero, one, weight", [
+    (0, 1, lambda n, k, r: k + r),
+    (Q_ZERO, Q_ONE, lambda n, k, r: q_integer(k + r))], ids=["int", "q"])
+def test_kernel_looks_up_a_filled_cell(zero, one, weight):
+    """A cell that an earlier request filled, asked for again or read on the
+    way to it, comes back from the columns without a call of the step."""
+    calls = []
+
+    def step(n, k, r, left, up):
+        calls.append((n, k, r))
+        return left + weight(n, k, r) * up
+
+    cell = classical._triangle(zero, lambda r: one, step)
+    cell(12, 9, 1), cell(7, 2, 0)
+    assert calls
+    calls.clear()
+    cells = [(12, 9, 1), (10, 8, 1), (3, 0, 1), (7, 2, 0), (5, 1, 0)]
+    again = [cell(n, k, r) for n, k, r in cells]
+    assert calls == []
+    fresh = classical._triangle(zero, lambda r: one, step)
+    assert again == [fresh(n, k, r) for n, k, r in cells]

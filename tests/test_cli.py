@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -581,6 +582,36 @@ class TestCellCap:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and "QCOMB_MAX_ENUM" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("table", "--family", "bell_q", "--n", "2"),
+        ("verify", "--identity", "I-SPIVEY")], ids=["table", "verify"])
+    def test_bad_env_value_fails_a_call_that_enumerates_nothing(
+            self, capsys, monkeypatch, argv):
+        # the variable was read only when an enumeration started, so these
+        # calls exited 0; the flag still takes precedence
+        monkeypatch.setenv("QCOMB_MAX_ENUM", "abc")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "QCOMB_MAX_ENUM" in err
+        assert run_cli(capsys, "--cell-cap", "5", *argv)[0] == 0
+
+    def test_wide_oracle_diff_fails_at_its_first_refused_cell(self):
+        # the (n, r) cells are walked, not listed first: listing these 10^11
+        # ran out of memory; the child's address space is limited, so a
+        # listing fails this test instead of exhausting the machine
+        argv = ("--cell-cap", "0", "oracle-diff", "--family", "stirling2_q",
+                "--n", "0..99999999999", "--k", "1")
+        limit = 512 * 2**20
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcomb.cli", *argv], capture_output=True,
+            env={**os.environ, "PYTHONPATH": _SRC}, timeout=30,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (limit, limit)))
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.decode() == (
+            "error: enumeration cell ('partitions', 1, 1, 0) holds 1 "
+            "structures, above the cap 0\n")
 
     def test_zero_cap_is_a_cap(self, capsys):
         code, _, err = run_cli(capsys, "--cell-cap", "0", "oracle-diff",

@@ -1,7 +1,8 @@
-"""The iterative triangle kernels of families.py and classical.py against the
-recursive definitions they replaced, and the restricted q-engines, which
-fill one triangle per r, against the term-by-term shift sums that once
-computed them; both are kept here as the reference."""
+"""The one iterative triangle kernel, ``classical._triangle``, which fills the
+classical counts and the q-engines' triangles alike, against the recursive
+definitions it replaced, and the restricted q-engines, which fill one
+triangle per r, against the term-by-term shift sums that once computed
+them; both are kept here as the reference."""
 
 import json
 import math
@@ -273,6 +274,13 @@ def _fresh(kernel):
     return getattr(families, kernel)
 
 
+def _fresh_classical(weight):
+    """A fresh kernel with the step of an integer triangle of qcomb.classical:
+    T(n, k, r) = T(n-1, k-1, r) + weight(n, k, r) * T(n-1, k, r)."""
+    return classical._triangle(0, lambda r: 1, lambda n, k, r, left, up:
+                               left + weight(n, k, r) * up)
+
+
 # kernel -> (a fresh kernel, its reference), both taking (n, k, r); the
 # classical weights are those of qcomb.classical
 FRESH_KERNELS = {
@@ -281,11 +289,11 @@ FRESH_KERNELS = {
     "stirling1_q": (lambda: _fresh("_stirling1_q_base"), ref_shift_stirling1_q),
     "hsu_shiue": (lambda: _fresh("_hsu_shiue_base"),
                   lambda n, k, r: ref_hsu_shiue(n, k)),
-    "stirling2_r": (lambda: classical._triangle(lambda n, k, r: k + r),
+    "stirling2_r": (lambda: _fresh_classical(lambda n, k, r: k + r),
                     ref_stirling2_r),
-    "stirling1_r": (lambda: classical._triangle(lambda n, k, r: n + r - 1),
+    "stirling1_r": (lambda: _fresh_classical(lambda n, k, r: n + r - 1),
                     ref_stirling1_r),
-    "lah_r": (lambda: classical._triangle(lambda n, k, r: n + k + 2 * r - 1),
+    "lah_r": (lambda: _fresh_classical(lambda n, k, r: n + k + 2 * r - 1),
               ref_lah_r),
 }
 
