@@ -20,8 +20,9 @@ from functools import lru_cache
 
 from . import structures
 from .families import FAMILIES, PARAMS, table_rows
-from .identities import check, identity_names, oracle_diff, table_json
-from .oracles import ORACLE_FOR_ENGINE
+from .identities import (check, check_oracle_diff, identity_names, oracle_diff,
+                         table_json)
+from .oracles import ORACLE_FOR_ENGINE, oracle_rows
 from .polyring import MPoly, QPoly
 
 # oracle-diff family -> its engine; hsu_shiue goes by its oracle's name
@@ -116,17 +117,29 @@ def _run_oracle_diff(args) -> tuple[int, str]:
     # every family takes the oracle's restriction r
     _reject_unused_flags(args, ("r", *PARAMS[engine_family]))
     (n_lo, n_hi), (r_lo, r_hi) = args.n, args.r or (0, 0)
-    # walked, never listed: a wide range fails at its first refused cell
-    mismatches = [m for n in range(n_lo, n_hi + 1)
-                  for r in range(r_lo, r_hi + 1)
-                  for m in oracle_diff(engine_family, n, r, args.k)]
+    ns, rs = range(n_lo, n_hi + 1), range(r_lo, r_hi + 1)
+    # walked, never listed: a wide range fails at its first refused cell,
+    # and before any enumeration
+    for n in ns:
+        for r in rs:
+            check_oracle_diff(engine_family, n, r, args.k)
+    if args.k is None or (args.k[0] == 0 and args.k[1] >= n_hi):
+        # every k of every n: one walk per r folds the cells 0..n_hi
+        mismatches = []
+        for r in rs:
+            rows = oracle_rows(ORACLE_FOR_ENGINE[engine_family], n_hi, r)
+            for n in ns:
+                mismatches += oracle_diff(engine_family, n, r, args.k, rows[n])
+        mismatches.sort(key=lambda m: (m["params"]["n"], m["params"]["r"]))
+    else:
+        mismatches = [m for n in ns for r in rs
+                      for m in oracle_diff(engine_family, n, r, args.k)]
     code = 1 if mismatches else 0
     if args.format == "json":
         return code, json.dumps(mismatches, indent=2, sort_keys=True) + "\n"
     lines = [f"MISMATCH {args.family} {m['params']}: "
              f"engine={m['engine']} oracle={m['oracle']}\n" for m in mismatches]
-    cells = (n_hi - n_lo + 1) * (r_hi - r_lo + 1)
-    lines.append(f"{len(mismatches)} mismatching cell(s) over {cells} "
+    lines.append(f"{len(mismatches)} mismatching cell(s) over {len(ns) * len(rs)} "
                  f"(n, r) cell(s) of {args.family}\n")
     return code, "".join(lines)
 

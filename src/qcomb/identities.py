@@ -42,13 +42,13 @@ from typing import Callable, Iterable, Iterator
 from . import classical as cl, families, polyring
 from .families import (PARAMS, TableRow, _row_sum, engine, lah_q_closed_form,
                        stirling_neg1)
-from .oracles import ORACLE_FOR_ENGINE, ZERO, oracle, oracle_table
+from .oracles import ORACLE_FOR_ENGINE, ZERO, check_cell, oracle, oracle_table
 from .polyring import (ALPHA, BETA, M_ZERO, MPoly, Q_ONE, Q_ZERO, QPoly, R,
                        X, binom, binom_gen, elementary_symmetric, q_integer,
                        rising_int, shifted_factorial, times_q_integer,
                        times_q_rising)
 from .stats import ext_stats
-from .structures import _cell, enum_extended_lah_tracked
+from .structures import enum_extended_lah_tracked
 
 Ranges = dict[str, tuple[int, int]]
 
@@ -173,7 +173,7 @@ def _otable(family: str, n: int, r: int):
 
 
 def _ocell(family: str, n: int, k: int, r: int = 0):
-    _cell(family, n, None, r)            # a kept table is held to the cap too
+    check_cell(family, n, r)             # a kept table is held to the cap too
     return _otable(family, n, r).get(k, ZERO[family])
 
 
@@ -227,8 +227,16 @@ def check(identity: str, overrides: Ranges | None = None) -> IdentityReport:
                           notes=entry.notes)
 
 
+def _k_span(family: str, n: int,
+            k_range: tuple[int, int] | None) -> tuple[int, int]:
+    """The inclusive k range that oracle_diff compares: k_range, or 0..n
+    when it is None or the family takes no k."""
+    return k_range if k_range is not None and "k" in PARAMS[family] else (0, n)
+
+
 def oracle_diff(family: str, n: int, r: int = 0,
-                k_range: tuple[int, int] | None = None) -> list[dict]:
+                k_range: tuple[int, int] | None = None,
+                table: dict | None = None) -> list[dict]:
     """Engine-versus-oracle mismatches of one (family, n, r) cell, in k order.
 
     ``family`` is an engine family with an oracle (``ORACLE_FOR_ENGINE``);
@@ -236,14 +244,16 @@ def oracle_diff(family: str, n: int, r: int = 0,
     ``k_range`` is inclusive and defaults to 0..n; a family without k
     (bell_q) is one cell, the sum over every k, and ignores it.  A range
     that covers 0..n is enumerated in one pass; otherwise each requested k
-    is enumerated, and held to the cap, on its own.  Each mismatch is
+    is enumerated, and held to the cap, on its own.  ``table``, if given,
+    is the oracle table of the cell for every k, as ``oracle_rows`` gives
+    it, and replaces the enumeration.  Each mismatch is
     ``{"params", "engine", "oracle"}`` with serialized values.
     """
     oracle_family, fn, names = ORACLE_FOR_ENGINE[family], engine(family), PARAMS[family]
-    lo, hi = k_range if k_range is not None and "k" in names else (0, n)
-    if lo == 0 and hi >= n:
+    lo, hi = _k_span(family, n, k_range)
+    if table is None and lo == 0 and hi >= n:
         table = oracle_table(oracle_family, n, r)
-    else:
+    elif table is None:
         table = {k: oracle(oracle_family, n, k, r) for k in range(lo, hi + 1)}
     zero = ZERO[oracle_family]
     cells = ([{"n": n, "k": k, "r": r} for k in range(lo, hi + 1)]
@@ -257,6 +267,20 @@ def oracle_diff(family: str, n: int, r: int = 0,
             mismatches.append({"params": params, "engine": serialize_value(want),
                                "oracle": serialize_value(got)})
     return mismatches
+
+
+def check_oracle_diff(family: str, n: int, r: int = 0,
+                      k_range: tuple[int, int] | None = None) -> None:
+    """Hold the cells that oracle_diff(family, n, r, k_range) enumerates to
+    the cap, in its order, and raise what it would raise first, walking
+    nothing."""
+    oracle_family = ORACLE_FOR_ENGINE[family]
+    lo, hi = _k_span(family, n, k_range)
+    if lo == 0 and hi >= n:
+        check_cell(oracle_family, n, r)
+    else:
+        for k in range(lo, min(hi, n) + 1):   # a k above n holds nothing
+            check_cell(oracle_family, n, r, k)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ Each oracle visits every structure of one family's insertion tree and sums
 q to the power of the statistic (the weight monomial, for extended Lah
 distributions).  All four fold the statistic in as each element is
 inserted: a leaf adds one to its coefficient count, and no structure is
-built.  stats.py computes the same statistics directly, and the tests
-compare the two.  Nothing here touches the closed forms or recurrences in
-families.py, so an oracle/engine match is a genuine two-route check.
+built.  ``oracle_table`` folds the leaves of one cell; ``oracle_rows`` folds
+every depth of the same walk, so one walk gives the cells 0..n of one r.
+stats.py computes the same statistics directly, and the tests compare the
+two.  Nothing here touches the closed forms or recurrences in families.py,
+so an oracle/engine match is a genuine two-route check.
 """
 
 from __future__ import annotations
@@ -38,7 +40,9 @@ def _weights(base: int, c: Counter) -> MPoly:
 # family -> the slot policy of one (n, r) cell and the value of one bucket
 # of its folded statistics.  The walk counts the free elements only; the
 # restricted q-Lah polynomials also count the r(r-1) inversions of the
-# prefix, so its fold starts that many exponents below zero.
+# prefix, so its fold starts that many exponents below zero.  The ext_lah
+# statistic packs with base n+1 at every depth of the walk: each element
+# adds to nrec or to rec_star, so neither passes n.
 _FOLDS = {
     "partitions": lambda n, r: (_SLOTS["partitions"], partial(_qpoly, 0)),
     "perms": lambda n, r: (_SLOTS["perms"], partial(_qpoly, 0)),
@@ -56,22 +60,57 @@ def oracle(family: str, n: int, k: int, r: int = 0) -> QPoly | MPoly:
     return oracle_table(family, n, r, only_k=k).get(k, ZERO[family])
 
 
+def check_cell(family: str, n: int, r: int = 0,
+               only_k: int | None = None) -> list[list[int]] | None:
+    """Check the arguments of one cell and its size against the cap, walking
+    nothing: raise what oracle_table(family, n, r, only_k) raises before its
+    walk.  Returns the prefix its walk starts from, or None when only_k is
+    out of range."""
+    if family not in ORACLE_FAMILIES:
+        raise ValueError(f"unknown oracle family {family!r}")
+    return _cell(family, n, only_k, r)
+
+
 def oracle_table(family: str, n: int, r: int = 0,
                  only_k: int | None = None) -> dict[int, QPoly | MPoly]:
     """Statistic sums for every k of one (family, n, r) cell in a single
-    enumeration pass; restrict to one k with only_k."""
-    if family not in ORACLE_FAMILIES:
-        raise ValueError(f"unknown oracle family {family!r}")
-    groups = _cell(family, n, only_k, r)
+    enumeration pass, which folds only the last depth of the walk; restrict
+    to one k with only_k."""
+    groups = check_cell(family, n, r, only_k)
     if groups is None:
         return {}
+    return _fold(family, n, r, only_k, groups, n)[0]
+
+
+def oracle_rows(family: str, n: int, r: int = 0) -> list[dict[int, QPoly | MPoly]]:
+    """The oracle tables of the cells (0, r), ..., (n, r), all k each, from
+    the one walk of the cell (n, r): the insertion tree is prefix-closed, so
+    its nodes of depth d are the structures of the cell (d, r), and each
+    depth is folded as the walk passes it.  Entry j equals
+    oracle_table(family, j, r).  Before the walk, each of the cells is held
+    to the cap in order of n, so a refusal names the first that is too
+    large."""
+    for j in range(n):
+        check_cell(family, j, r)
+    return _fold(family, n, r, None, check_cell(family, n, r), 0)
+
+
+def _fold(family: str, n: int, r: int, only_k: int | None,
+          groups: list[list[int]], low: int) -> list[dict[int, QPoly | MPoly]]:
+    """The tables of the cells (low, r), ..., (n, r), folded from the walk of
+    the cell (n, only_k, r), which starts from groups: the leaves of the cell
+    (d+1, r) are the children of the nodes of depth d."""
     slots, value = _FOLDS[family](n, r)
-    counts: defaultdict[int, Counter] = defaultdict(Counter)
-    if n == 0:
-        counts[0][0] = 1                 # the prefix alone
-    else:
-        for stat, key, last in _insertion_tree(n, only_k, slots, groups):
+    rows = [defaultdict(Counter) for _ in range(low, n + 1)]
+    if low == 0:
+        rows[0][0][0] = 1                # the prefix alone
+    if n:
+        for depth, stat, key, children in _insertion_tree(n, only_k, slots,
+                                                          groups):
+            if depth < low - 1:
+                continue
+            counts = rows[depth + 1 - low]
             folds = counts[key], counts[key + 1]
-            for _i, _pos, _label, inc, opens in last:
+            for _i, _pos, _label, inc, opens in children:
                 folds[opens][stat + inc] += 1
-    return {kk: value(c) for kk, c in counts.items() if c}
+    return [{kk: value(c) for kk, c in counts.items() if c} for counts in rows]

@@ -11,14 +11,17 @@ Every family grows on one insertion tree from the restricted prefix [[1],
 so each structure is one leaf, reached in a deterministic order.  Each slot
 also says what t adds to the family's statistic and whether it opens a group
 that k counts; the enumerators build the leaves, and all four oracles only
-count them.  Only the extended Lah enumerators validate what they yield.
-The tests validate the other three, and check the r-restriction and the
-true blocks of an extended Lah distribution with helpers of their own in
+count them.  The tree is prefix-closed: each node of depth d is a structure
+of the cell (d, r), so one walk of the cell (n, r) passes every smaller
+one.  Only the extended Lah enumerators validate what they yield.  The
+tests validate the other three, and check the r-restriction and the true
+blocks of an extended Lah distribution with helpers of their own in
 ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Iterator, NamedTuple
 
@@ -33,14 +36,37 @@ class StructureError(ValueError):
 
 
 class CellCapError(RuntimeError):
-    """An enumeration cell would exceed the configured structure cap."""
+    """An enumeration cell would exceed the configured structure cap.
+
+    An estimate too long for ``str`` (Python's limit on integer string
+    conversion) is given as the power of ten below it:
+
+    >>> error = CellCapError(("perms", 9, None, 0), 10 ** 5000 + 1, 7)
+    >>> str(error).split(" holds ")[1]
+    'at least 10^5000 structures, above the cap 7'
+    """
 
     def __init__(self, cell: tuple, estimate: int, cap: int):
         self.cell = cell
         self.estimate = estimate
         self.cap = cap
+        try:
+            size = str(estimate)
+        except ValueError:
+            size = f"at least 10^{_log10_floor(estimate)}"
         super().__init__(
-            f"enumeration cell {cell} holds {estimate} structures, above the cap {cap}")
+            f"enumeration cell {cell} holds {size} structures, above the cap {cap}")
+
+
+def _log10_floor(x: int) -> int:
+    """The exponent e with 10**e <= x < 10**(e+1), for an int x >= 1,
+    found with no conversion of x to a string."""
+    e = int(math.log10(x))               # off by one near a power of ten
+    while 10 ** e > x:
+        e -= 1
+    while 10 ** (e + 1) <= x:
+        e += 1
+    return e
 
 
 _cap_override: int | None = None
@@ -228,7 +254,9 @@ def special_elements(delta: LahDist) -> frozenset[int]:
 def _partition_slots(t: int, groups: list[list[int]]) -> list[tuple]:
     # stat_w: t in block i (counted from 0) adds i
     g = len(groups)
-    return [(i, len(b), t, i, 0) for i, b in enumerate(groups)] + [(g, 0, t, g, 1)]
+    out = [(i, len(b), t, i, 0) for i, b in enumerate(groups)]
+    out.append((g, 0, t, g, 1))
+    return out
 
 
 def _cycle_slots(t: int, groups: list[list[int]]) -> list[tuple]:
@@ -239,7 +267,8 @@ def _cycle_slots(t: int, groups: list[list[int]]) -> list[tuple]:
     for i, c in enumerate(groups):
         slots += [(i, pos, t, rest - pos, 0) for pos in range(1, len(c) + 1)]
         rest -= len(c)
-    return slots + [(len(groups), 0, t, 0, 1)]
+    slots.append((len(groups), 0, t, 0, 1))
+    return slots
 
 
 def _lah_slots(t: int, groups: list[list[int]]) -> list[tuple]:
@@ -251,7 +280,8 @@ def _lah_slots(t: int, groups: list[list[int]]) -> list[tuple]:
     for i, b in enumerate(groups):
         slots += [(i, pos, t, behind + len(b) - pos, 0) for pos in range(len(b) + 1)]
         behind += len(b) + 1
-    return slots + [(len(groups), 0, t, t - 1 + len(groups), 1)]
+    slots.append((len(groups), 0, t, t - 1 + len(groups), 1))
+    return slots
 
 
 def _ext_lah_slots(base: int):
@@ -307,65 +337,64 @@ def _cell(family: str, n: int, k: int | None, r: int) -> list[list[int]] | None:
     return [[j] for j in range(1, r + 1)]
 
 
-def _place(groups: list[list[int]], i: int, pos: int, label: int) -> None:
-    if i == len(groups):
-        groups.append([label])
-    else:
-        groups[i].insert(pos, label)
-
-
-def _unplace(groups: list[list[int]], i: int, pos: int) -> None:
-    if len(groups[i]) == 1:              # the label opened group i
-        groups.pop()
-    else:
-        del groups[i][pos]
-
-
 def _insertion_tree(n: int, k: int | None, slots,
-                    groups: list[list[int]]) -> Iterator[tuple[int, int, list]]:
+                    groups: list[list[int]]) -> Iterator[tuple[int, int, int, list]]:
     """Walk the insertion tree of one cell of n >= 1 free elements, depth
     first on an explicit stack, so no cell size can overflow the Python stack.
 
     ``groups`` starts as the prefix [[1], ..., [r]], the restricted elements
     each in a group of its own that neither k nor the statistic counts, and
-    holds the current structure.  The walk places r+1..r+n.  At each node
-    with r+1..r+n-1 placed, it yields (stat, key, last): the statistic so
-    far, the number of groups k counts, and the slots of element r+n that end
-    in the cell, one leaf each.
+    holds the current structure.  The walk places r+1..r+n.  It yields every
+    node with r+1..r+d placed, for d = 0..n-1, in preorder, as (d, stat, key,
+    children): the statistic so far, the number of groups k counts, and the
+    slots of element r+d+1, which the walk builds anyway to go on.  The tree
+    is prefix-closed: with no k, the nodes of depth d are the structures of
+    the cell (d, r), and their children the leaves of the cell (d+1, r).  At
+    depth n-1 the children end in the cell (n, k, r), one leaf each, and the
+    walk does not descend into them.
     """
     r = len(groups)
     size = r + n
+    last = n - 1
 
-    def node_slots(t: int, key: int) -> list[tuple]:
-        out = slots(t, groups)
-        if k is not None:
-            # t and each later element open at most one counted group
-            out = [s for s in out if 0 <= k - key - s[4] <= size - t]
-        return out
+    def fits(children: list[tuple], t: int, key: int) -> list[tuple]:
+        # t and each later element open at most one counted group
+        return [s for s in children if 0 <= k - key - s[4] <= size - t]
 
-    if n == 1:
-        yield 0, 0, node_slots(size, 0)
-        return
-    # frames[j] places element r+1+j: the slots it has left, the key and
+    children = slots(r + 1, groups)
+    if k is not None:
+        children = fits(children, r + 1, 0)
+    yield 0, 0, 0, children
+    # frames[d] places element r+1+d: the slots it has left, the key and
     # statistic before it, and the slot it occupies (None before the first)
-    frames = [[iter(node_slots(r + 1, 0)), 0, 0, None]]
+    frames = [[iter(children), 0, 0, None]] if last else []
     while frames:
         frame = frames[-1]
         slots_left, key, stat, taken = frame
         if taken is not None:
-            _unplace(groups, taken[0], taken[1])
+            i = taken[0]
+            if len(groups[i]) == 1:      # the label opened group i
+                groups.pop()
+            else:
+                del groups[i][taken[1]]
         slot = frame[3] = next(slots_left, None)
         if slot is None:
             frames.pop()
             continue
         i, pos, label, inc, opens = slot
-        grown = key + opens
-        _place(groups, i, pos, label)
-        if len(frames) + 1 == n:
-            yield stat + inc, grown, node_slots(size, grown)
+        if i == len(groups):
+            groups.append([label])
         else:
-            frames.append([iter(node_slots(r + len(frames) + 1, grown)), grown,
-                           stat + inc, None])
+            groups[i].insert(pos, label)
+        depth = len(frames)
+        key += opens
+        stat += inc
+        children = slots(r + depth + 1, groups)
+        if k is not None:
+            children = fits(children, r + depth + 1, key)
+        yield depth, stat, key, children
+        if depth < last:
+            frames.append([iter(children), key, stat, None])
 
 
 def _leaves(family: str, n: int, k: int | None, r: int,
@@ -379,11 +408,19 @@ def _leaves(family: str, n: int, k: int | None, r: int,
     if n == 0:
         yield groups, 0                  # the prefix alone
         return
-    for stat, _key, last in _insertion_tree(n, k, slots, groups):
-        for i, pos, label, inc, _opens in last:
-            _place(groups, i, pos, label)
-            yield groups, stat + inc
-            _unplace(groups, i, pos)
+    last = n - 1
+    for depth, stat, _key, children in _insertion_tree(n, k, slots, groups):
+        if depth != last:
+            continue
+        for i, pos, label, inc, _opens in children:
+            if i == len(groups):         # the label opens group i
+                groups.append([label])
+                yield groups, stat + inc
+                groups.pop()
+            else:
+                groups[i].insert(pos, label)
+                yield groups, stat + inc
+                del groups[i][pos]
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qcomb
-from qcomb import cli, families, structures
+from qcomb import cli, families, identities, structures
 from qcomb.cli import main, parse_range
 from qcomb.families import TableRow
 from qcomb.identities import serialize_value, table_json
+from qcomb.oracles import oracle_table
 from qcomb.polyring import MPoly, QPoly
 
 
@@ -540,6 +541,54 @@ class TestOracleDiff:
         assert code == 1
         assert json.loads(out) == [want]
 
+    @pytest.mark.parametrize("k", [(), ("--k", "0..3")], ids=["all", "0..3"])
+    def test_range_lists_mismatches_in_n_r_k_order(self, capsys, monkeypatch,
+                                                   k):
+        # one walk per r folds every n, and the output keeps the per-cell
+        # order: n, then r, then k
+        real = families.stirling2_q
+        monkeypatch.setattr(families, "stirling2_q", lambda *a: real(*a) * 2)
+        want = [m for n in range(4) for r in range(3)
+                for m in identities.oracle_diff("stirling2_q", n, r)]
+        assert len(want) == 27
+        code, out, _ = run_cli(capsys, "oracle-diff", "--family",
+                               "stirling2_q", "--n", "0..3", "--r", "0..2",
+                               *k, "--format", "json")
+        assert (code, json.loads(out)) == (1, want)
+
+
+def spy_on_slots(monkeypatch, family: str) -> list[int]:
+    """Count the slot lists that the policy of family builds: the list it
+    returns gets the length of each."""
+    real = structures._SLOTS[family]
+    built = []
+
+    def spy(*args):
+        out = real(*args)
+        built.append(len(out))
+        return out
+
+    monkeypatch.setitem(structures._SLOTS, family, spy)
+    monkeypatch.setattr(structures, real.__name__, spy)
+    return built
+
+
+@pytest.mark.parametrize("family, oracle_family", [
+    ("stirling2_q", "partitions"), ("bell_q", "partitions"),
+    ("stirling1_q", "perms"), ("lah_q", "lah")])
+def test_an_n_range_walks_only_its_deepest_cell_once_per_r(
+        capsys, monkeypatch, family, oracle_family):
+    # each n of 0..5 had a walk of its own, repeating those of the smaller n
+    built = spy_on_slots(monkeypatch, oracle_family)
+    for r in range(3):
+        oracle_table(oracle_family, 5, r)
+    deepest = list(built)
+    built.clear()
+    code, out, _ = run_cli(capsys, "oracle-diff", "--family", family,
+                           "--n", "0..5", "--r", "0..2")
+    assert code == 0 and out.startswith("0 mismatching cell(s) over 18 ")
+    assert built == deepest and deepest
+
 
 class TestCellCap:
     def test_capacity_exit_code(self, capsys):
@@ -612,6 +661,39 @@ class TestCellCap:
         assert proc.stderr.decode() == (
             "error: enumeration cell ('partitions', 1, 1, 0) holds 1 "
             "structures, above the cap 0\n")
+
+    # B(13) = B_1(12) = 27644437: in (n, r) order, the first refused cell
+    @pytest.mark.parametrize("r, cell", [((), "13, None, 0"),
+                                         (("--r", "0..1"), "12, None, 1")])
+    def test_wide_range_is_refused_before_any_walk(self, capsys,
+                                                   monkeypatch, r, cell):
+        # every cell is held to the cap first: the first of these walked
+        # n = 0..12 (4.2 million structures at n = 12, 3 s) before it
+        # refused n = 13
+        monkeypatch.delenv(structures.CELL_CAP_ENV, raising=False)
+        built = spy_on_slots(monkeypatch, "partitions")
+        code, out, err = run_cli(capsys, "oracle-diff", "--family",
+                                 "stirling2_q", "--n", "0..99999999999", *r)
+        assert (code, out) == (2, "")
+        assert err == (f"error: enumeration cell ('partitions', {cell}) "
+                       "holds 27644437 structures, above the cap 10000000\n")
+        assert built == []
+
+    def test_estimate_past_the_string_limit_names_the_cell_and_cap(
+            self, capsys, monkeypatch):
+        # the estimate, r^(300) rising for r = 10^15, has 4,501 digits: its
+        # decimal string raised the interpreter's own error instead
+        monkeypatch.delenv(structures.CELL_CAP_ENV, raising=False)
+        code, out, err = run_cli(capsys, "oracle-diff", "--family",
+                                 "stirling1_q", "--n", "300", "--r",
+                                 "1000000000000000")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: enumeration cell ('perms', 300, None, "
+                              "1000000000000000) holds ")
+        assert err.endswith(" structures, above the cap 10000000\n")
+        if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 4501:
+            assert " holds at least 10^4500 structures" in err
 
     def test_zero_cap_is_a_cap(self, capsys):
         code, _, err = run_cli(capsys, "--cell-cap", "0", "oracle-diff",

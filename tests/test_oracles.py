@@ -3,13 +3,13 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import qcomb
 from qcomb import classical
 from qcomb import structures
 from qcomb.oracles import (ORACLE_FAMILIES, ORACLE_FOR_ENGINE, oracle,
-                           oracle_table)
+                           oracle_rows, oracle_table)
 from qcomb.polyring import MPoly, QPoly
 from qcomb.stats import ext_stats, stat_inv_c, stat_inv_rho, stat_w
 from qcomb.structures import (CellCapError, enum_cycle_perms,
@@ -152,6 +152,48 @@ class TestFoldAgainstDirectStatistics:
             r = 0
         assert oracle_table(family, n, r, only_k=k) == \
             reference_table(family, n, r, only_k=k)
+
+
+def cell_size(family, n, r):
+    return sum(CLASSICAL[family](n, k, r) for k in range(n + 1))
+
+
+class TestOracleRows:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["partitions", "perms", "lah", "ext_lah"]),
+           st.integers(0, 7), st.integers(0, 3))
+    def test_every_row_is_the_table_of_its_cell(self, family, n, r):
+        # the per-cell walk is the reference; the largest q-Lah cells (up to
+        # 4 million structures at (7, 3)) would take seconds an example
+        if family == "ext_lah":
+            r = 0
+        assume(cell_size(family, n, r) <= 200_000)
+        rows = oracle_rows(family, n, r)
+        assert len(rows) == n + 1
+        for j, row in enumerate(rows):
+            assert row == oracle_table(family, j, r), (family, n, r, j)
+
+    def test_unknown_family(self):
+        with pytest.raises(ValueError):
+            oracle_rows("nope", 1)
+
+    def test_ext_lah_rejects_restriction(self):
+        with pytest.raises(ValueError):
+            oracle_rows("ext_lah", 2, 1)
+
+    def test_the_first_cell_over_the_cap_is_refused(self, cell_cap):
+        # perms(4, r=0) holds 24 structures, perms(3, r=0) 6
+        cell_cap(23)
+        with pytest.raises(CellCapError) as exc:
+            oracle_rows("perms", 5)
+        assert exc.value.cell == ("perms", 4, None, 0)
+        cell_cap(24)
+        assert oracle_rows("perms", 4)[3] == oracle_table("perms", 3)
+        # refused at n = 11 (11! structures), not sized at n = 10^11
+        cell_cap(10_000_000)
+        with pytest.raises(CellCapError) as exc:
+            oracle_rows("perms", 10 ** 11)
+        assert exc.value.cell == ("perms", 11, None, 0)
 
 
 ORACLE_SIDE = ("structures", "stats", "oracles", "classical")

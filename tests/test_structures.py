@@ -234,6 +234,19 @@ class TestCellCap:
             set_default_cap(None)
         assert effective_cap() == 123
 
+    def test_message_keeps_its_decimal_estimate(self):
+        assert str(CellCapError(("partitions", 13, None, 0), 27644437,
+                                10_000_000)) == (
+            "enumeration cell ('partitions', 13, None, 0) holds 27644437 "
+            "structures, above the cap 10000000")
+
+    @pytest.mark.parametrize("e", [0, 1, 15, 300, 4299, 4300, 5000])
+    def test_power_of_ten_below_an_estimate(self, e):
+        # an estimate too long for str is given as 10^e with no conversion
+        for x in {10 ** e - 1, 10 ** e, 10 ** e + 1} - {0}:
+            got = structures._log10_floor(x)
+            assert 10 ** got <= x < 10 ** (got + 1), (e, x)
+
     def test_under_cap_enumerates(self, cell_cap):
         cell_cap(15)
         assert sum(1 for _ in enum_partitions(4, None, 0)) == 15
