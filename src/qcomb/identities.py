@@ -229,9 +229,12 @@ def check(identity: str, overrides: Ranges | None = None) -> IdentityReport:
 
 def _k_span(family: str, n: int,
             k_range: tuple[int, int] | None) -> tuple[int, int]:
-    """The inclusive k range that oracle_diff compares: k_range, or 0..n
-    when it is None or the family takes no k."""
-    return k_range if k_range is not None and "k" in PARAMS[family] else (0, n)
+    """The inclusive k range that oracle_diff compares: k_range clipped to
+    0..n, where every structure lies and past which every engine is zero,
+    or 0..n when it is None or the family takes no k."""
+    if k_range is None or "k" not in PARAMS[family]:
+        return 0, n
+    return k_range[0], min(k_range[1], n)
 
 
 def oracle_diff(family: str, n: int, r: int = 0,
@@ -241,7 +244,8 @@ def oracle_diff(family: str, n: int, r: int = 0,
 
     ``family`` is an engine family with an oracle (``ORACLE_FOR_ENGINE``);
     ``r`` is the oracle's restriction and the engine's r, if it takes one.
-    ``k_range`` is inclusive and defaults to 0..n; a family without k
+    ``k_range`` is inclusive, defaults to 0..n and is clipped to it, so no
+    k above n is listed or compared; a family without k
     (bell_q) is one cell, the sum over every k, and ignores it.  A range
     that covers 0..n is enumerated in one pass; otherwise each requested k
     is enumerated, and held to the cap, on its own.  ``table``, if given,
@@ -251,7 +255,7 @@ def oracle_diff(family: str, n: int, r: int = 0,
     """
     oracle_family, fn, names = ORACLE_FOR_ENGINE[family], engine(family), PARAMS[family]
     lo, hi = _k_span(family, n, k_range)
-    if table is None and lo == 0 and hi >= n:
+    if table is None and lo == 0 and hi == n:
         table = oracle_table(oracle_family, n, r)
     elif table is None:
         table = {k: oracle(oracle_family, n, k, r) for k in range(lo, hi + 1)}
@@ -276,10 +280,10 @@ def check_oracle_diff(family: str, n: int, r: int = 0,
     nothing."""
     oracle_family = ORACLE_FOR_ENGINE[family]
     lo, hi = _k_span(family, n, k_range)
-    if lo == 0 and hi >= n:
+    if lo == 0 and hi == n:
         check_cell(oracle_family, n, r)
     else:
-        for k in range(lo, min(hi, n) + 1):   # a k above n holds nothing
+        for k in range(lo, hi + 1):
             check_cell(oracle_family, n, r, k)
 
 

@@ -13,10 +13,13 @@ also says what t adds to the family's statistic and whether it opens a group
 that k counts; the enumerators build the leaves, and all four oracles only
 count them.  The tree is prefix-closed: each node of depth d is a structure
 of the cell (d, r), so one walk of the cell (n, r) passes every smaller
-one.  Only the extended Lah enumerators validate what they yield.  The
-tests validate the other three, and check the r-restriction and the true
-blocks of an extended Lah distribution with helpers of their own in
-``tests/reference.py``.
+one.  A slot list depends only on the shape of the groups, so each walk
+builds it once per shape, in a memo bounded by ``MEMO_SLOTS`` slots that
+dies with the walk; every node is still visited and every leaf still
+counted one by one.  Only the extended Lah enumerators validate what they
+yield.  The tests validate the other three, and check the r-restriction and
+the true blocks of an extended Lah distribution with helpers of their own
+in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -249,7 +252,10 @@ def special_elements(delta: LahDist) -> frozenset[int]:
 # labels) in output order, as (i, pos, label, inc, opens): label goes to
 # position pos of group i, where i == len(groups) opens a new group, the
 # family's statistic grows by inc, and opens is 1 when the slot opens a group
-# that k counts.  The label is t, or -t for a circled t.
+# that k counts.  The label is t, or -t for a circled t.  A policy reads the
+# groups only through their lengths and whether group 0 starts with a
+# circled 1 (label -1), and t is one more than the number of labels placed:
+# groups of the same shape, whatever their labels, get equal slot lists.
 
 def _partition_slots(t: int, groups: list[list[int]]) -> list[tuple]:
     # stat_w: t in block i (counted from 0) adds i
@@ -318,6 +324,38 @@ _CELLS = {
 }
 
 
+# the most slots one walk's memo of slot lists holds
+MEMO_SLOTS = 1 << 15
+
+
+def _shape_memo(slots) -> tuple:
+    """The slot policy ``slots`` behind a memo for one walk, and the memo.
+
+    The memo maps a shape key, the group lengths after a flag for a circled
+    1 at the front of group 0, to the policy's slot list as a tuple, whose
+    slots are interned for the walk.  Once a new list would take it past
+    MEMO_SLOTS slots, it is full, and each later call goes to the policy.
+    """
+    memo: dict[tuple, tuple] = {}
+    pool: dict[tuple, tuple] = {}
+    room = MEMO_SLOTS
+
+    def shape_slots(t: int, groups: list[list[int]]):
+        nonlocal room
+        if room < 0:
+            return slots(t, groups)
+        key = (groups[0][0] == -1 if groups else False, *map(len, groups))
+        out = memo.get(key)
+        if out is None:
+            out = slots(t, groups)
+            room -= len(out)
+            if room >= 0:
+                out = memo[key] = tuple(map(pool.setdefault, out, out))
+        return out
+
+    return shape_slots, memo
+
+
 def _cell(family: str, n: int, k: int | None, r: int) -> list[list[int]] | None:
     """Check one cell's arguments and its size against the cap, and return
     the prefix [[1], ..., [r]] that its walk starts from; None when k is out
@@ -351,11 +389,14 @@ def _insertion_tree(n: int, k: int | None, slots,
     is prefix-closed: with no k, the nodes of depth d are the structures of
     the cell (d, r), and their children the leaves of the cell (d+1, r).  At
     depth n-1 the children end in the cell (n, k, r), one leaf each, and the
-    walk does not descend into them.
+    walk does not descend into them.  The nodes of one shape share their
+    slot list through the walk's memo (``_shape_memo``), a tuple that the
+    consumers only read; k filters a copy of it.
     """
     r = len(groups)
     size = r + n
     last = n - 1
+    slots, _memo = _shape_memo(slots)
 
     def fits(children: list[tuple], t: int, key: int) -> list[tuple]:
         # t and each later element open at most one counted group

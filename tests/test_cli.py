@@ -496,6 +496,23 @@ class TestOracleDiff:
             "engine": serialize_value(real(3, 2, 0) * 2),
             "oracle": serialize_value(real(3, 2, 0))}]
 
+    def test_partial_k_range_is_clipped_to_n(self, capsys):
+        # no structure lies above n: listing every k of this range ran out
+        # of memory; the child's address space is limited, so a listing
+        # fails this test instead of exhausting the machine
+        argv = ("oracle-diff", "--family", "stirling2_q", "--n", "3")
+        limit = 512 * 2**20
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcomb.cli", *argv, "--k", "1..99999999999"],
+            capture_output=True, env={**os.environ, "PYTHONPATH": _SRC},
+            timeout=30, preexec_fn=lambda: resource.setrlimit(
+                resource.RLIMIT_AS, (limit, limit)))
+        want = run_cli(capsys, *argv, "--k", "1..3")
+        assert (proc.returncode, proc.stdout.decode(),
+                proc.stderr.decode()) == want == (
+            0, "0 mismatching cell(s) over 1 (n, r) cell(s) of stirling2_q\n",
+            "")
+
     def test_deep_cell_is_a_result(self, capsys):
         # one structure, 1100 elements deep in the insertion tree
         code, out, err = run_cli(capsys, "oracle-diff", "--family",

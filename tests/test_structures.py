@@ -3,6 +3,7 @@ import math
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qcomb import classical, structures
 from qcomb.oracles import oracle_table
@@ -382,3 +383,135 @@ def test_restricted_levels_build_slots_linear_in_r(monkeypatch, family, enum):
 
     a, b, c = map(slots_built, (100, 200, 400))
     assert c - b == 2 * (b - a) > 0
+
+
+def _policy(family: str, n: int):
+    """The slot policy that the oracle of family walks the cell n with."""
+    if family == "ext_lah":
+        return structures._ext_lah_slots(n + 1)
+    return structures._SLOTS[family]
+
+
+def _node_stream(family: str, n: int, k: int | None, r: int) -> list[tuple]:
+    prefix = [[j] for j in range(1, r + 1)]
+    return [(depth, stat, key, list(children))
+            for depth, stat, key, children in structures._insertion_tree(
+                n, k, _policy(family, n), prefix)]
+
+
+@st.composite
+def _walks(draw):
+    """A family and a cell (n, r) with n + r <= 7: n <= 7, r <= 3, and
+    ext_lah at r = 0 only."""
+    family = draw(st.sampled_from(["partitions", "perms", "lah", "ext_lah"]))
+    r = 0 if family == "ext_lah" else draw(st.integers(0, 3))
+    return family, draw(st.integers(1, 7 - r)), r
+
+
+@settings(max_examples=40, deadline=None)
+@given(_walks())
+@example(("ext_lah", 7, 0))
+@example(("lah", 4, 3))
+def test_memo_leaves_the_node_stream_unchanged(walk):
+    # the stream without the memo is the reference: every node, in order,
+    # with its statistic, its key and its children in slot order
+    family, n, r = walk
+    for k in (None, *range(-1, n + 2)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(structures, "MEMO_SLOTS", 0)
+            want = _node_stream(family, n, k, r)
+        assert _node_stream(family, n, k, r) == want, (family, n, k, r)
+
+
+_LABELS = st.integers(-9, 9).filter(lambda e: e not in (0, -1))
+
+
+@st.composite
+def _same_shape(draw):
+    """Two group lists of the same shape key with labels drawn apart: group
+    lengths, and a circled 1 (label -1) at the front of group 0 in both or
+    in neither; circled labels elsewhere are any negative label."""
+    lengths = draw(st.lists(st.integers(1, 4), max_size=5))
+    circled_one = bool(lengths) and draw(st.booleans())
+    twins = []
+    for _ in range(2):
+        groups = [draw(st.lists(_LABELS, min_size=m, max_size=m))
+                  for m in lengths]
+        if circled_one:
+            groups[0][0] = -1
+        twins.append(groups)
+    return twins
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["partitions", "perms", "lah", "ext_lah"]),
+       _same_shape())
+def test_groups_of_one_shape_get_equal_slot_lists(family, twins):
+    # the contract the walk's memo rests on: a policy reads the lengths and
+    # the circled 1 only, and t is one more than the number of labels
+    a, b = twins
+    t = 1 + sum(map(len, a))
+    slots = _policy(family, t)
+    assert slots(t, a) == slots(t, b), (a, b)
+
+
+@pytest.mark.parametrize("family", ["partitions", "perms", "lah", "ext_lah"])
+def test_circled_labels_off_the_front_of_group_0_leave_the_slots(family):
+    # a circled 1 at the front of group 0 and circled labels elsewhere
+    slots = _policy(family, 6)
+    assert (slots(6, [[-1, 2], [3, -5, 4]])
+            == slots(6, [[-1, -4], [5, 2, -3]]))
+    assert slots(6, [[1, -2], [-3, 5, 4]]) == slots(6, [[2, 3], [4, 5, 1]])
+
+
+def _spy_on_memos(monkeypatch) -> list[dict]:
+    """Keep the memo of every walk."""
+    real = structures._shape_memo
+    memos = []
+
+    def spy(slots):
+        shape_slots, memo = real(slots)
+        memos.append(memo)
+        return shape_slots, memo
+
+    monkeypatch.setattr(structures, "_shape_memo", spy)
+    return memos
+
+
+def test_a_large_r_walk_stores_no_more_than_the_bound(monkeypatch):
+    # each of the 601 nodes of depth 1 has a shape of its own with about
+    # 600 slots, far more than the bound; an unbounded memo kept them all
+    policy = structures._SLOTS["partitions"]
+    offered = []
+
+    def spy(t, groups):
+        out = policy(t, groups)
+        offered.append(len(out))
+        return out
+
+    monkeypatch.setitem(structures._SLOTS, "partitions", spy)
+    memos = _spy_on_memos(monkeypatch)
+    oracle_table("partitions", 2, 600)
+    [memo] = memos
+    stored = sum(map(len, memo.values()))
+    assert sum(offered) > structures.MEMO_SLOTS >= stored > 0
+
+
+@pytest.mark.parametrize("family", ["partitions", "perms", "lah", "ext_lah"])
+def test_nothing_outlives_a_walk(monkeypatch, family):
+    # two walks in a row build the same slot lists, fewer than their nodes
+    policy = _policy(family, 6)
+    built = []
+
+    def spy(t, groups):
+        built.append(t)
+        return policy(t, groups)
+
+    def walk():
+        built.clear()
+        nodes = sum(1 for _ in structures._insertion_tree(
+            6, None, spy, [[1]] if family != "ext_lah" else []))
+        return len(built), nodes
+
+    (first, nodes), (second, _) = walk(), walk()
+    assert first == second < nodes
