@@ -21,7 +21,9 @@ def _triangle(zero, one, step):
     T(n, k, r) depends only on the cells (m, j) with j <= k and
     m - j <= n - k, so column j is filled downward only to row j + n - k;
     the columns are kept, one set per r, in ``cell.columns``, a filled cell
-    is looked up there, and nothing recurses."""
+    is looked up there, and nothing recurses.  ``cell.row(n, r)`` is the
+    whole row [T(n, 0, r), ..., T(n, n, r)], walked down by the same step
+    with only the current row kept, and nothing stored."""
     columns: dict[int, list[list]] = {}
 
     def cell(n: int, k: int, r: int):
@@ -38,7 +40,16 @@ def _triangle(zero, one, step):
                 left = cols[j - 1][m - 1] if j else zero
                 col.append(step(m, j, r, left, col[m - 1]))
         return cols[k][n]
+
+    def row(n: int, r: int) -> list:
+        values = [one(r)]
+        for m in range(1, n + 1):
+            values.append(zero)
+            for j in range(m, -1, -1):   # right to left: T(m-1, j-1) is unread
+                values[j] = step(m, j, r, values[j - 1] if j else zero, values[j])
+        return values
     cell.columns = columns
+    cell.row = row
     return cell
 
 

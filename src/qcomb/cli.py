@@ -6,12 +6,15 @@ error or any other failure, which ``main`` alone reports as one ``error:``
 line, or a stdout closed by its reader, which prints nothing.  Each
 subcommand renders its whole output, and ``main`` alone writes it to stdout;
 diagnostics go to stderr.
+
+Most calls are short, so start-up counts: nothing that ``import qcomb.cli``
+loads uses ``dataclasses`` (which pulls in ``inspect``), and only a csv
+table imports ``csv``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -66,6 +69,7 @@ def _run_table(args) -> tuple[int, str]:
     r_range = range(args.r[0], args.r[1] + 1) if args.r else None
     rows = list(table_rows(args.family, n_range, k_range, r_range))
     if args.format == "csv":
+        import csv  # only here: start-up does not pay for it
         out = io.StringIO()
         writer = csv.writer(out)
         writer.writerow(["family", "n", "k", "r", "value"])

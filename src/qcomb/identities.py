@@ -35,9 +35,8 @@ first mismatching cell is serialized in full.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import classical as cl, families, polyring
 from .families import (PARAMS, TableRow, _row_sum, engine, lah_q_closed_form,
@@ -64,8 +63,7 @@ def indicator_pair(i: int, j: int, n: int) -> tuple[int, int]:
 # reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     identity: str
     grid: dict[str, str]
     cells_checked: int
@@ -148,8 +146,7 @@ def table_json(rows: Iterable[TableRow]) -> str:
 # registry plumbing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IdentityDef:
+class IdentityDef(NamedTuple):
     name: str
     summary: str
     defaults: Ranges

@@ -315,12 +315,12 @@ def _unpack(stat: int, base: int) -> tuple[int, int, int]:
 _SLOTS = {"partitions": _partition_slots, "perms": _cycle_slots,
           "lah": _lah_slots}
 
-# family -> (its enumerator, the classical size of one (n, k, r) cell)
+# family -> (its enumerator, the classical triangle that sizes its cells)
 _CELLS = {
     "partitions": ("enum_partitions", classical.stirling2_r),
     "perms": ("enum_cycle_perms", classical.stirling1_r),
     "lah": ("enum_lah", classical.lah_r),
-    "ext_lah": ("enum_extended_lah", lambda n, k, r: classical.ext_lah_count(n, k)),
+    "ext_lah": ("enum_extended_lah", classical._ext_lah),   # at r = 0
 }
 
 
@@ -359,7 +359,9 @@ def _shape_memo(slots) -> tuple:
 def _cell(family: str, n: int, k: int | None, r: int) -> list[list[int]] | None:
     """Check one cell's arguments and its size against the cap, and return
     the prefix [[1], ..., [r]] that its walk starts from; None when k is out
-    of range."""
+    of range.  With no k the size is the sum of the classical row, walked
+    down without keeping a column, so sizing a large refused cell holds one
+    row at a time."""
     name, count = _CELLS[family]
     if n < 0 or r < 0:
         raise ValueError(f"{name} requires n, r >= 0, got ({n}, {r})")
@@ -367,8 +369,8 @@ def _cell(family: str, n: int, k: int | None, r: int) -> list[list[int]] | None:
         raise ValueError("ext_lah oracle requires r = 0")
     if k is not None and not 0 <= k <= n:
         return None
-    ks = range(n + 1) if k is None else (k,)
-    estimate, cap = sum(count(n, kk, r) for kk in ks), effective_cap()
+    estimate = sum(count.row(n, r)) if k is None else count(n, k, r)
+    cap = effective_cap()
     if estimate > cap:
         raise CellCapError((family, n, k, None if family == "ext_lah" else r),
                            estimate, cap)

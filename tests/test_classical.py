@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcomb import classical
 from qcomb.polyring import Q_ONE, Q_ZERO, q_integer
@@ -80,3 +81,31 @@ def test_kernel_looks_up_a_filled_cell(zero, one, weight):
     assert calls == []
     fresh = classical._triangle(zero, lambda r: one, step)
     assert again == [fresh(n, k, r) for n, k, r in cells]
+
+
+# the four classical triangles; the extended Lah one is read at r = 0 only
+TRIANGLES = {"stirling2_r": classical.stirling2_r,
+             "stirling1_r": classical.stirling1_r, "lah_r": classical.lah_r,
+             "ext_lah": classical._ext_lah}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(TRIANGLES)), st.integers(0, 40), st.integers(0, 4))
+def test_row_walk_matches_the_columns(name, n, r):
+    """The row walk gives the cells that the column kernel, the reference,
+    fills one by one."""
+    triangle = TRIANGLES[name]
+    assert triangle.row(n, r) == [triangle(n, k, r) for k in range(n + 1)]
+
+
+def test_row_walk_stores_nothing():
+    """The walk calls the step once per cell of rows 1..n, keeps no column,
+    and gives the rows that the kernel's columns give."""
+    calls = []
+    cell = classical._triangle(0, lambda r: 1, lambda n, k, r, left, up:
+                               calls.append((n, k)) or left + (k + r) * up)
+    assert cell.row(30, 2) == [classical.stirling2_r(30, k, 2)
+                               for k in range(31)]
+    assert cell.columns == {}
+    assert sorted(calls) == [(m, j) for m in range(1, 31) for j in range(m + 1)]
+    assert cell.row(0, 3) == [1]

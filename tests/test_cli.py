@@ -296,6 +296,38 @@ def test_closed_pipe_is_no_traceback(fmt):
     assert err == ""
 
 
+# the modules that start-up adds to those the interpreter loaded before it;
+# argparse's own imports differ between Python versions
+_START_UP = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "import qcomb.bijection, qcomb.cli\n"
+             "qcomb.cli.build_parser()\n"
+             "print(*sorted(set(sys.modules) - before))")
+
+
+def test_start_up_imports_neither_dataclasses_nor_csv():
+    # dataclasses pulls in inspect, ast, dis and tokenize: 6 ms of a start
+    proc = subprocess.run(
+        [sys.executable, "-c", _START_UP], capture_output=True, check=True,
+        env={**os.environ, "PYTHONPATH": _SRC}, timeout=60)
+    loaded = set(proc.stdout.decode().split())
+    assert "qcomb.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "csv"}
+
+
+@pytest.mark.parametrize("family, n", [("stirling2_q", "0..4"),
+                                       ("hsu_shiue", "0..3")])
+def test_csv_table_is_the_same_from_a_fresh_process(capsys, family, n):
+    # csv is imported by the csv branch alone
+    argv = ("table", "--family", family, "--n", n, "--format", "csv")
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcomb.cli", *argv], capture_output=True,
+        env={**os.environ, "PYTHONPATH": _SRC}, timeout=60)
+    fresh = (proc.returncode, proc.stdout.decode(), proc.stderr.decode())
+    assert fresh == run_cli(capsys, *argv)
+    assert fresh[1].startswith("family,n,k,r,value\r\n")
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -512,6 +544,24 @@ class TestOracleDiff:
                 proc.stderr.decode()) == want == (
             0, "0 mismatching cell(s) over 1 (n, r) cell(s) of stirling2_q\n",
             "")
+
+    def test_large_cell_is_sized_in_bounded_memory(self):
+        # filling the whole classical triangle to size this cell peaked at
+        # 856 MB; the child's address space is limited, as above
+        limit = 512 * 2**20
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcomb.cli", "oracle-diff", "--family",
+             "lah_q", "--n", "1500"],
+            capture_output=True, env={**os.environ, "PYTHONPATH": _SRC},
+            timeout=60, preexec_fn=lambda: resource.setrlimit(
+                resource.RLIMIT_AS, (limit, limit)))
+        # the Lah distributions of [n], by their own recurrence (A000262)
+        count = [1, 1]
+        for n in range(2, 1501):
+            count.append((2 * n - 1) * count[-1] - (n - 1) * (n - 2) * count[-2])
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (
+            2, "", f"error: enumeration cell ('lah', 1500, None, 0) holds "
+                   f"{count[1500]} structures, above the cap 10000000\n")
 
     def test_deep_cell_is_a_result(self, capsys):
         # one structure, 1100 elements deep in the insertion tree

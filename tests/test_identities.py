@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import inspect
 import json
@@ -175,6 +174,17 @@ class TestCheckDriver:
         b = check("I-CQ-SUM", {"n": (0, 4), "r": (0, 1)})
         assert a.to_json() == b.to_json()
 
+    def test_reports_keep_their_repr_equality_and_immutability(self):
+        a = check("I-CQ-SUM", {"n": (0, 2), "r": (0, 0)})
+        assert repr(a) == (
+            "IdentityReport(identity='I-CQ-SUM', grid={'n': '0..2', "
+            "'r': '0..0'}, cells_checked=3, status='pass', "
+            "counterexample=None, notes=())")
+        assert a == check("I-CQ-SUM", {"n": (0, 2), "r": (0, 0)})
+        assert a != a._replace(cells_checked=2)
+        with pytest.raises(AttributeError):
+            a.status = "fail"
+
     def test_failure_serializes_counterexample(self):
         from qcomb.identities import IdentityDef, _grid
         broken = IdentityDef(
@@ -200,8 +210,8 @@ class TestCheckDriver:
     def test_stat_mismatch_names_the_structure(self, monkeypatch):
         from qcomb.structures import enum_extended_lah_tracked
         # fail at (n, k) = (2, 1) only, with statistics that never agree
-        entry = dataclasses.replace(
-            REGISTRY["I-GENL1"], evaluate=lambda n, k: (k == 1, False))
+        entry = REGISTRY["I-GENL1"]._replace(
+            evaluate=lambda n, k: (k == 1, False))
         monkeypatch.setitem(REGISTRY, "I-GENL1", entry)
         monkeypatch.setattr(identities, "ext_stats", lambda lam: ())
         r = check("I-GENL1", {"n": (2, 2)})
