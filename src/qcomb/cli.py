@@ -23,9 +23,8 @@ from functools import lru_cache
 
 from . import structures
 from .families import FAMILIES, PARAMS, table_rows
-from .identities import (check, check_oracle_diff, identity_names, oracle_diff,
-                         table_json)
-from .oracles import ORACLE_FOR_ENGINE, oracle_rows
+from .identities import check, identity_names, oracle_diff, table_json
+from .oracles import ORACLE_FOR_ENGINE
 from .polyring import MPoly, QPoly
 
 # oracle-diff family -> its engine; hsu_shiue goes by its oracle's name
@@ -122,22 +121,7 @@ def _run_oracle_diff(args) -> tuple[int, str]:
     _reject_unused_flags(args, ("r", *PARAMS[engine_family]))
     (n_lo, n_hi), (r_lo, r_hi) = args.n, args.r or (0, 0)
     ns, rs = range(n_lo, n_hi + 1), range(r_lo, r_hi + 1)
-    # walked, never listed: a wide range fails at its first refused cell,
-    # and before any enumeration
-    for n in ns:
-        for r in rs:
-            check_oracle_diff(engine_family, n, r, args.k)
-    if args.k is None or (args.k[0] == 0 and args.k[1] >= n_hi):
-        # every k of every n: one walk per r folds the cells 0..n_hi
-        mismatches = []
-        for r in rs:
-            rows = oracle_rows(ORACLE_FOR_ENGINE[engine_family], n_hi, r)
-            for n in ns:
-                mismatches += oracle_diff(engine_family, n, r, args.k, rows[n])
-        mismatches.sort(key=lambda m: (m["params"]["n"], m["params"]["r"]))
-    else:
-        mismatches = [m for n in ns for r in rs
-                      for m in oracle_diff(engine_family, n, r, args.k)]
+    mismatches = oracle_diff(engine_family, ns, rs, args.k)
     code = 1 if mismatches else 0
     if args.format == "json":
         return code, json.dumps(mismatches, indent=2, sort_keys=True) + "\n"

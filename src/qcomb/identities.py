@@ -36,12 +36,13 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache, partial
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import classical as cl, families, polyring
 from .families import (PARAMS, TableRow, _row_sum, engine, lah_q_closed_form,
                        stirling_neg1)
-from .oracles import ORACLE_FOR_ENGINE, ZERO, check_cell, oracle, oracle_table
+from .oracles import (ORACLE_FOR_ENGINE, ZERO, check_cell, oracle,
+                      oracle_rows, oracle_table)
 from .polyring import (ALPHA, BETA, M_ZERO, MPoly, Q_ONE, Q_ZERO, QPoly, R,
                        X, binom, binom_gen, elementary_symmetric, q_integer,
                        rising_int, shifted_factorial, times_q_integer,
@@ -224,64 +225,51 @@ def check(identity: str, overrides: Ranges | None = None) -> IdentityReport:
                           notes=entry.notes)
 
 
-def _k_span(family: str, n: int,
-            k_range: tuple[int, int] | None) -> tuple[int, int]:
-    """The inclusive k range that oracle_diff compares: k_range clipped to
-    0..n, where every structure lies and past which every engine is zero,
-    or 0..n when it is None or the family takes no k."""
-    if k_range is None or "k" not in PARAMS[family]:
-        return 0, n
-    return k_range[0], min(k_range[1], n)
-
-
-def oracle_diff(family: str, n: int, r: int = 0,
-                k_range: tuple[int, int] | None = None,
-                table: dict | None = None) -> list[dict]:
-    """Engine-versus-oracle mismatches of one (family, n, r) cell, in k order.
+def oracle_diff(family: str, ns: Sequence[int], rs: Sequence[int] = (0,),
+                k_range: tuple[int, int] | None = None) -> list[dict]:
+    """Engine-versus-oracle mismatches of the cells (n, r), n in ns and r in
+    rs (both increasing), in (n, r, k) order.
 
     ``family`` is an engine family with an oracle (``ORACLE_FOR_ENGINE``);
     ``r`` is the oracle's restriction and the engine's r, if it takes one.
-    ``k_range`` is inclusive, defaults to 0..n and is clipped to it, so no
-    k above n is listed or compared; a family without k
-    (bell_q) is one cell, the sum over every k, and ignores it.  A range
-    that covers 0..n is enumerated in one pass; otherwise each requested k
-    is enumerated, and held to the cap, on its own.  ``table``, if given,
-    is the oracle table of the cell for every k, as ``oracle_rows`` gives
-    it, and replaces the enumeration.  Each mismatch is
+    ``k_range`` is inclusive, defaults to 0..n and is clipped to 0..n in
+    each cell, so no k above n is listed or compared; a family without k
+    (bell_q) has one value per cell, the sum over every k, and ignores it.
+    Every cell is held to the cap, in (n, r) order, before any walk, and ns
+    is read lazily, so a wide range fails at its first refused cell without
+    being listed.  A cell n <= deep, whose k range covers 0..n, is held as a
+    whole and folded from one ``oracle_rows`` walk per r; every other k is
+    held and enumerated on its own.  Each mismatch is
     ``{"params", "engine", "oracle"}`` with serialized values.
     """
     oracle_family, fn, names = ORACLE_FOR_ENGINE[family], engine(family), PARAMS[family]
-    lo, hi = _k_span(family, n, k_range)
-    if table is None and lo == 0 and hi == n:
-        table = oracle_table(oracle_family, n, r)
-    elif table is None:
-        table = {k: oracle(oracle_family, n, k, r) for k in range(lo, hi + 1)}
-    zero = ZERO[oracle_family]
-    cells = ([{"n": n, "k": k, "r": r} for k in range(lo, hi + 1)]
-             if "k" in names else [{"n": n, "r": r}])
-    mismatches = []
-    for params in cells:
-        want = fn(n, *(params[name] for name in names))
-        got = (table.get(params["k"], zero) if "k" in params
-               else sum(table.values(), zero))
-        if want != got:
-            mismatches.append({"params": params, "engine": serialize_value(want),
-                               "oracle": serialize_value(got)})
+    k_lo, k_hi = k_range if k_range is not None and "k" in names else (0, ns[-1])
+    deep = min(k_hi, ns[-1]) if k_lo == 0 else -1
+
+    def ks(n: int) -> range:
+        return range(k_lo, min(k_hi, n) + 1)
+
+    for n in ns:
+        for r in rs:
+            for k in [None] if n <= deep else ks(n):
+                check_cell(oracle_family, n, r, k)
+    rows = {r: oracle_rows(oracle_family, deep, r) for r in rs if ns[0] <= deep}
+    zero, mismatches = ZERO[oracle_family], []
+    for n in ns:
+        for r in rs:
+            table = (rows[r][n] if n <= deep
+                     else {k: oracle(oracle_family, n, k, r) for k in ks(n)})
+            cells = ([{"n": n, "k": k, "r": r} for k in ks(n)]
+                     if "k" in names else [{"n": n, "r": r}])
+            for params in cells:
+                want = fn(n, *(params[name] for name in names))
+                got = (table.get(params["k"], zero) if "k" in params
+                       else sum(table.values(), zero))
+                if want != got:
+                    mismatches.append({"params": params,
+                                       "engine": serialize_value(want),
+                                       "oracle": serialize_value(got)})
     return mismatches
-
-
-def check_oracle_diff(family: str, n: int, r: int = 0,
-                      k_range: tuple[int, int] | None = None) -> None:
-    """Hold the cells that oracle_diff(family, n, r, k_range) enumerates to
-    the cap, in its order, and raise what it would raise first, walking
-    nothing."""
-    oracle_family = ORACLE_FOR_ENGINE[family]
-    lo, hi = _k_span(family, n, k_range)
-    if lo == 0 and hi == n:
-        check_cell(oracle_family, n, r)
-    else:
-        for k in range(lo, hi + 1):
-            check_cell(oracle_family, n, r, k)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ def test_criterion_1_oracle_equivalence():
     for family, nmax in (("stirling2_q", 8), ("stirling1_q", 8), ("lah_q", 7)):
         for r in (0, 1, 2):
             for n in range(nmax + 1):
-                assert oracle_diff(family, n, r) == []
+                assert oracle_diff(family, [n], [r]) == []
                 cells += n + 1
     _report("criterion-1 oracle equivalence", started, 60.0, f"{cells} cells")
 
@@ -40,7 +40,7 @@ def test_criterion_2_weighted_sum_interpretation():
     started = time.time()
     cells = 0
     for n in range(8):
-        assert oracle_diff("hsu_shiue", n) == []
+        assert oracle_diff("hsu_shiue", [n]) == []
         cells += n + 1
     _report("criterion-2 weighted-sum interpretation", started, 120.0,
             f"{cells} cells")

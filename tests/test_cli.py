@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qcomb
-from qcomb import cli, families, identities, structures
+from qcomb import cli, families, identities, oracles, structures
 from qcomb.cli import main, parse_range
 from qcomb.families import TableRow
 from qcomb.identities import serialize_value, table_json
@@ -616,12 +616,39 @@ class TestOracleDiff:
         real = families.stirling2_q
         monkeypatch.setattr(families, "stirling2_q", lambda *a: real(*a) * 2)
         want = [m for n in range(4) for r in range(3)
-                for m in identities.oracle_diff("stirling2_q", n, r)]
+                for m in identities.oracle_diff("stirling2_q", [n], [r])]
         assert len(want) == 27
         code, out, _ = run_cli(capsys, "oracle-diff", "--family",
                                "stirling2_q", "--n", "0..3", "--r", "0..2",
                                *k, "--format", "json")
         assert (code, json.loads(out)) == (1, want)
+
+
+    def test_whole_cells_of_a_partial_k_share_one_walk_per_r(
+            self, capsys, monkeypatch):
+        # k 0..2 covers the cells n = 0..2 whole: they are folded from one
+        # oracle_rows walk per r, and each k of n = 3..5 is enumerated on
+        # its own; no cell is walked whole by oracle_table
+        real_rows, real_table = identities.oracle_rows, oracles.oracle_table
+        rows, only_ks = [], []
+
+        def spy_rows(*args):
+            rows.append(args)
+            return real_rows(*args)
+
+        def spy_table(family, n, r=0, only_k=None):
+            only_ks.append(only_k)
+            return real_table(family, n, r, only_k)
+
+        monkeypatch.setattr(identities, "oracle_rows", spy_rows)
+        monkeypatch.setattr(identities, "oracle_table", spy_table)
+        monkeypatch.setattr(oracles, "oracle_table", spy_table)
+        code, out, _ = run_cli(capsys, "oracle-diff", "--family", "stirling2_q",
+                               "--n", "0..5", "--r", "0..1", "--k", "0..2")
+        assert (code, out) == (0, "0 mismatching cell(s) over 12 (n, r) "
+                                  "cell(s) of stirling2_q\n")
+        assert rows == [("partitions", 2, 0), ("partitions", 2, 1)]
+        assert only_ks == [0, 1, 2] * 6
 
 
 def spy_on_slots(monkeypatch, family: str) -> list[int]:
@@ -729,9 +756,12 @@ class TestCellCap:
             "error: enumeration cell ('partitions', 1, 1, 0) holds 1 "
             "structures, above the cap 0\n")
 
-    # B(13) = B_1(12) = 27644437: in (n, r) order, the first refused cell
+    # B(13) = B_1(12) = 27644437 and S(17, 3) = 21457825: in (n, r) order,
+    # the first refused cell; with --k 0..3 the cells n <= 3 are held whole
+    # and the others one k at a time
     @pytest.mark.parametrize("r, cell", [((), "13, None, 0"),
-                                         (("--r", "0..1"), "12, None, 1")])
+                                         (("--r", "0..1"), "12, None, 1"),
+                                         (("--k", "0..3"), "17, 3, 0")])
     def test_wide_range_is_refused_before_any_walk(self, capsys,
                                                    monkeypatch, r, cell):
         # every cell is held to the cap first: the first of these walked
@@ -741,9 +771,10 @@ class TestCellCap:
         built = spy_on_slots(monkeypatch, "partitions")
         code, out, err = run_cli(capsys, "oracle-diff", "--family",
                                  "stirling2_q", "--n", "0..99999999999", *r)
+        holds = 21457825 if cell == "17, 3, 0" else 27644437
         assert (code, out) == (2, "")
         assert err == (f"error: enumeration cell ('partitions', {cell}) "
-                       "holds 27644437 structures, above the cap 10000000\n")
+                       f"holds {holds} structures, above the cap 10000000\n")
         assert built == []
 
     def test_estimate_past_the_string_limit_names_the_cell_and_cap(

@@ -90,7 +90,7 @@ def test_every_planted_fault_is_caught(monkeypatch, fresh_caches):
         if family in ORACLE_FOR_ENGINE:
             families.clear_caches()
             r = dict(zip(("n", *families.PARAMS[family]), at)).get("r", 0)
-            if not oracle_diff(family, at[0], r):
+            if not oracle_diff(family, [at[0]], [r]):
                 unseen_by_oracle.append((family, at))
         monkeypatch.undo()
         caught |= {(name, family) for name in catchers}

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qcomb import classical, families, identities
+from qcomb import classical, families, identities, oracles
 from qcomb.identities import (REGISTRY, check, identity_names,
                               indicator_pair, serialize_value)
 from qcomb.polyring import MPoly, QPoly, binom
@@ -311,7 +311,53 @@ def test_restricted_kernel_fault_fails_at_r_0(kernel, name):
     assert report.counterexample["params"] == {"k": 1, "m": 1, "n": 2, "r": 0}
 
 
+def reference_oracle_diff(family, ns, rs, k_range):
+    """oracle_diff's mismatches, cell by cell: one oracles.oracle per
+    (n, r, k) and one engine call per compared cell, with no shared walk."""
+    oracle_family = oracles.ORACLE_FOR_ENGINE[family]
+    names, fn = families.PARAMS[family], families.engine(family)
+    out = []
+    for n in ns:
+        for r in rs:
+            lo, hi = k_range if k_range and "k" in names else (0, n)
+            got = {k: oracles.oracle(oracle_family, n, k, r)
+                   for k in range(lo, min(hi, n) + 1)}
+            if "k" in names:
+                cells = [({"n": n, "k": k, "r": r}, got[k]) for k in got]
+            else:
+                cells = [({"n": n, "r": r}, sum(got.values(), oracles.ZERO[
+                    oracle_family]))]
+            for params, value in cells:
+                want = fn(n, *(params[name] for name in names))
+                if want != value:
+                    out.append({"params": params, "engine": serialize_value(want),
+                                "oracle": serialize_value(value)})
+    return out
+
+
 class TestOracleDiff:
+    # whole cells and per-k cells, mixed as a partial k range mixes them
+    @pytest.mark.parametrize("family, ns, rs, k_range", [
+        ("stirling2_q", range(6), range(3), None),
+        ("stirling2_q", range(6), range(3), (0, 1)),
+        ("lah_q", range(6), range(3), (0, 9)),
+        ("stirling1_q", range(1, 6), range(3), (2, 3)),
+        ("stirling2_q", range(5), range(3), (5, 7)),
+        ("bell_q", range(6), range(3), None),
+        ("hsu_shiue", range(6), (0,), None),
+    ], ids=["all-k", "k0..1", "k0..9", "k2..3", "k5..7-empty", "bell_q",
+            "ext_lah"])
+    def test_matches_a_per_cell_reference_with_a_fault(self, monkeypatch,
+                                                       family, ns, rs, k_range):
+        real = getattr(families, family)
+        # doubled where the arguments sum to an odd number: some cells of
+        # every n fail, the others match
+        monkeypatch.setattr(families, family, lambda *a: (
+            real(*a) + real(*a) if sum(a) % 2 else real(*a)))
+        want = reference_oracle_diff(family, ns, rs, k_range)
+        assert (want == []) == (k_range == (5, 7))
+        assert identities.oracle_diff(family, ns, rs, k_range) == want
+
     @pytest.mark.parametrize("planted", [False, True])
     def test_bell_q_ignores_k_range(self, monkeypatch, planted):
         # bell_q has no k: its one cell is the sum over every k
@@ -319,8 +365,8 @@ class TestOracleDiff:
             real = families.bell_q
             monkeypatch.setattr(families, "bell_q",
                                 lambda n, r=0: real(n, r) * 2)
-        diff = identities.oracle_diff("bell_q", 3, 1)
-        assert diff == identities.oracle_diff("bell_q", 3, 1, k_range=(1, 1))
+        diff = identities.oracle_diff("bell_q", [3], [1])
+        assert diff == identities.oracle_diff("bell_q", [3], [1], k_range=(1, 1))
         assert [m["params"] for m in diff] == ([{"n": 3, "r": 1}] if planted
                                                else [])
 
