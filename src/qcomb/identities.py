@@ -237,9 +237,10 @@ def oracle_diff(family: str, ns: Sequence[int], rs: Sequence[int] = (0,),
     (bell_q) has one value per cell, the sum over every k, and ignores it.
     Every cell is held to the cap, in (n, r) order, before any walk, and ns
     is read lazily, so a wide range fails at its first refused cell without
-    being listed.  A cell n <= deep, whose k range covers 0..n, is held as a
-    whole and folded from one ``oracle_rows`` walk per r; every other k is
-    held and enumerated on its own.  Each mismatch is
+    being listed.  A cell whose k range covers 0..n (k_range starts at 0
+    and n <= deep, the least of its end and the last n) is held as a whole
+    and folded from one ``oracle_rows`` walk per r down to deep; every
+    other k is held and enumerated on its own.  Each mismatch is
     ``{"params", "engine", "oracle"}`` with serialized values.
     """
     oracle_family, fn, names = ORACLE_FOR_ENGINE[family], engine(family), PARAMS[family]
