@@ -63,6 +63,7 @@ lah_r = _triangle(0, lambda r: 1,
                   lambda n, k, r, left, up: left + (n + k + 2 * r - 1) * up)
 # new true block, or one of n-1 follow slots + k block fronts + circling
 _ext_lah = _triangle(0, lambda r: 1, lambda n, k, r, left, up: left + (n + k) * up)
+TRIANGLES = (stirling2_r, stirling1_r, lah_r, _ext_lah)   # emptied by clear_caches
 
 
 def stirling2(n: int, k: int) -> int:

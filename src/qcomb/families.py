@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
 from . import polyring
-from .classical import _triangle
+from .classical import TRIANGLES, _triangle
 from .polyring import (ALPHA, BETA, M_ZERO, MPoly, Q_ONE, Q_ZERO, QPoly, R,
                        binom_gen, times_q_integer, times_q_rising)
 
@@ -176,10 +176,10 @@ _KERNELS = (_stirling2_q_base, _lah_q_base, _stirling1_q_base, _hsu_shiue_base)
 
 
 def clear_caches() -> None:
-    """Drop every value the engines keep; later calls recompute them."""
+    """Drop every kept value, the classical counts' too; later calls recompute."""
     for fn in _CACHES:
         fn.cache_clear()
-    for kernel in _KERNELS:
+    for kernel in (*_KERNELS, *TRIANGLES):
         kernel.columns.clear()
 
 

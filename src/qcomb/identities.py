@@ -41,14 +41,13 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from . import classical as cl, families, polyring
 from .families import (PARAMS, TableRow, _row_sum, engine, lah_q_closed_form,
                        stirling_neg1)
-from .oracles import (ORACLE_FOR_ENGINE, ZERO, check_cell, oracle,
-                      oracle_rows, oracle_table)
+from .oracles import ORACLE_FOR_ENGINE, ZERO, oracle, oracle_rows, oracle_table
 from .polyring import (ALPHA, BETA, M_ZERO, MPoly, Q_ONE, Q_ZERO, QPoly, R,
                        X, binom, binom_gen, elementary_symmetric, q_integer,
                        rising_int, shifted_factorial, times_q_integer,
                        times_q_rising)
 from .stats import ext_stats
-from .structures import enum_extended_lah_tracked
+from .structures import check_cell, enum_extended_lah_tracked
 
 Ranges = dict[str, tuple[int, int]]
 
@@ -171,7 +170,7 @@ def _otable(family: str, n: int, r: int):
 
 
 def _ocell(family: str, n: int, k: int, r: int = 0):
-    check_cell(family, n, r)             # a kept table is held to the cap too
+    check_cell(family, n, None, r)       # a kept table is held to the cap too
     return _otable(family, n, r).get(k, ZERO[family])
 
 
@@ -253,7 +252,7 @@ def oracle_diff(family: str, ns: Sequence[int], rs: Sequence[int] = (0,),
     for n in ns:
         for r in rs:
             for k in [None] if n <= deep else ks(n):
-                check_cell(oracle_family, n, r, k)
+                check_cell(oracle_family, n, k, r)
     rows = {r: oracle_rows(oracle_family, deep, r) for r in rs if ns[0] <= deep}
     zero, mismatches = ZERO[oracle_family], []
     for n in ns:

@@ -2,13 +2,13 @@
 
 Each oracle visits every structure of one family's insertion tree and sums
 q to the power of the statistic (the weight monomial, for extended Lah
-distributions).  All four fold the statistic in as each element is
-inserted: a leaf adds one to its coefficient count, and no structure is
-built.  ``oracle_table`` folds the leaves of one cell; ``oracle_rows`` folds
-every depth of the same walk, so one walk gives the cells 0..n of one r.
-stats.py computes the same statistics directly, and the tests compare the
-two.  Nothing here touches the closed forms or recurrences in families.py,
-so an oracle/engine match is a genuine two-route check.
+distributions), folded in as each element is inserted: a leaf adds one to
+its coefficient count, and no structure is built.  ``oracle_table`` folds
+the leaves of one cell, ``oracle`` those of one k, from the walk pruned to
+it, and ``oracle_rows`` every depth of one walk: the cells 0..n of one r.
+Each holds its cells to the cap first, with ``structures.check_cell``.
+stats.py computes the same statistics directly for the tests; nothing here
+touches families.py, so an oracle/engine match is a genuine two-route check.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from collections import Counter, defaultdict
 from functools import partial
 
 from .polyring import M_ZERO, MPoly, Q_ZERO, QPoly
-from .structures import (_SLOTS, _cell, _ext_lah_slots, _insertion_tree,
-                         _unpack)
+from .structures import _SLOTS, _ext_lah_slots, _insertion_tree, _unpack, check_cell
 
 # engine family -> oracle family that certifies it
 ORACLE_FOR_ENGINE = {"stirling2_q": "partitions", "stirling1_q": "perms",
@@ -56,30 +55,16 @@ ZERO = {"partitions": Q_ZERO, "perms": Q_ZERO, "lah": Q_ZERO, "ext_lah": M_ZERO}
 
 
 def oracle(family: str, n: int, k: int, r: int = 0) -> QPoly | MPoly:
-    """Exact statistic sum over one enumeration cell."""
-    return oracle_table(family, n, r, only_k=k).get(k, ZERO[family])
+    """Exact statistic sum over one enumeration cell, held to the cap and
+    folded from the one walk of the cell pruned to k."""
+    groups = check_cell(family, n, k, r)
+    table = {} if groups is None else _fold(family, n, r, k, groups, n)[0]
+    return table.get(k, ZERO[family])
 
 
-def check_cell(family: str, n: int, r: int = 0,
-               only_k: int | None = None) -> list[list[int]] | None:
-    """Check the arguments of one cell and its size against the cap, walking
-    nothing: raise what oracle_table(family, n, r, only_k) raises before its
-    walk.  Returns the prefix its walk starts from, or None when only_k is
-    out of range."""
-    if family not in ORACLE_FAMILIES:
-        raise ValueError(f"unknown oracle family {family!r}")
-    return _cell(family, n, only_k, r)
-
-
-def oracle_table(family: str, n: int, r: int = 0,
-                 only_k: int | None = None) -> dict[int, QPoly | MPoly]:
-    """Statistic sums for every k of one (family, n, r) cell in a single
-    enumeration pass, which folds only the last depth of the walk; restrict
-    to one k with only_k."""
-    groups = check_cell(family, n, r, only_k)
-    if groups is None:
-        return {}
-    return _fold(family, n, r, only_k, groups, n)[0]
+def oracle_table(family: str, n: int, r: int = 0) -> dict[int, QPoly | MPoly]:
+    """The statistic sums of every k of one cell, from the last depth of its walk."""
+    return _fold(family, n, r, None, check_cell(family, n, None, r), n)[0]
 
 
 def oracle_rows(family: str, n: int, r: int = 0) -> list[dict[int, QPoly | MPoly]]:
@@ -87,12 +72,11 @@ def oracle_rows(family: str, n: int, r: int = 0) -> list[dict[int, QPoly | MPoly
     the one walk of the cell (n, r): the insertion tree is prefix-closed, so
     its nodes of depth d are the structures of the cell (d, r), and each
     depth is folded as the walk passes it.  Entry j equals
-    oracle_table(family, j, r).  Before the walk, each of the cells is held
-    to the cap in order of n, so a refusal names the first that is too
-    large."""
+    oracle_table(family, j, r).  Each cell is held to the cap, in order of
+    n, before the walk, so a refusal names the first that is too large."""
     for j in range(n):
-        check_cell(family, j, r)
-    return _fold(family, n, r, None, check_cell(family, n, r), 0)
+        check_cell(family, j, None, r)
+    return _fold(family, n, r, None, check_cell(family, n, None, r), 0)
 
 
 def _fold(family: str, n: int, r: int, only_k: int | None,

@@ -16,10 +16,10 @@ of the cell (d, r), so one walk of the cell (n, r) passes every smaller
 one.  A slot list depends only on the shape of the groups, so each walk
 builds it once per shape, in a memo bounded by ``MEMO_SLOTS`` slots that
 dies with the walk; every node is still visited and every leaf still
-counted one by one.  Only the extended Lah enumerators validate what they
-yield.  The tests validate the other three, and check the r-restriction and
-the true blocks of an extended Lah distribution with helpers of their own
-in ``tests/reference.py``.
+counted one by one.  Each walk follows ``check_cell``, the one check of a
+cell's arguments and its size against the cap.  Only the extended Lah
+enumerators validate what they yield; the tests validate the other three,
+and the r-restriction and true blocks, with helpers in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -356,12 +356,19 @@ def _shape_memo(slots) -> tuple:
     return shape_slots, memo
 
 
-def _cell(family: str, n: int, k: int | None, r: int) -> list[list[int]] | None:
-    """Check one cell's arguments and its size against the cap, and return
-    the prefix [[1], ..., [r]] that its walk starts from; None when k is out
-    of range.  With no k the size is the sum of the classical row, walked
-    down without keeping a column, so sizing a large refused cell holds one
-    row at a time."""
+def check_cell(family: str, n: int, k: int | None, r: int) -> list[list[int]] | None:
+    """Check one cell's arguments, then its size against the cap, sized with
+    no k by one walked row of its classical triangle; return the prefix
+    [[1], ..., [r]] that its walk starts from, or None when k is out of range.
+
+    >>> check_cell("partitions", 3, None, 2), check_cell("perms", 3, 4, 0)
+    ([[1], [2]], None)
+    >>> check_cell("trees", 3, None, 0)
+    Traceback (most recent call last):
+    ValueError: unknown oracle family 'trees'
+    """
+    if family not in _CELLS:
+        raise ValueError(f"unknown oracle family {family!r}")
     name, count = _CELLS[family]
     if n < 0 or r < 0:
         raise ValueError(f"{name} requires n, r >= 0, got ({n}, {r})")
@@ -445,7 +452,7 @@ def _leaves(family: str, n: int, k: int | None, r: int,
     """Check one cell, then yield (groups, stat) for each structure in it:
     its blocks or cycles, valid until the next leaf, and the statistic of
     its free elements."""
-    groups = _cell(family, n, k, r)
+    groups = check_cell(family, n, k, r)
     if groups is None:
         return
     if n == 0:

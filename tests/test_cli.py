@@ -628,27 +628,31 @@ class TestOracleDiff:
             self, capsys, monkeypatch):
         # k 0..2 covers the cells n = 0..2 whole: they are folded from one
         # oracle_rows walk per r, and each k of n = 3..5 is enumerated on
-        # its own; no cell is walked whole by oracle_table
-        real_rows, real_table = identities.oracle_rows, oracles.oracle_table
-        rows, only_ks = [], []
+        # its own by oracle; no cell is walked whole by oracle_table
+        real_rows, real_oracle = identities.oracle_rows, oracles.oracle
+        rows, ks, tables = [], [], []
 
         def spy_rows(*args):
             rows.append(args)
             return real_rows(*args)
 
-        def spy_table(family, n, r=0, only_k=None):
-            only_ks.append(only_k)
-            return real_table(family, n, r, only_k)
+        def spy_oracle(family, n, k, r=0):
+            ks.append(k)
+            return real_oracle(family, n, k, r)
 
         monkeypatch.setattr(identities, "oracle_rows", spy_rows)
-        monkeypatch.setattr(identities, "oracle_table", spy_table)
-        monkeypatch.setattr(oracles, "oracle_table", spy_table)
+        monkeypatch.setattr(identities, "oracle", spy_oracle)
+        monkeypatch.setattr(identities, "oracle_table",
+                            lambda *args: tables.append(args))
+        monkeypatch.setattr(oracles, "oracle_table",
+                            lambda *args: tables.append(args))
         code, out, _ = run_cli(capsys, "oracle-diff", "--family", "stirling2_q",
                                "--n", "0..5", "--r", "0..1", "--k", "0..2")
         assert (code, out) == (0, "0 mismatching cell(s) over 12 (n, r) "
                                   "cell(s) of stirling2_q\n")
         assert rows == [("partitions", 2, 0), ("partitions", 2, 1)]
-        assert only_ks == [0, 1, 2] * 6
+        assert ks == [0, 1, 2] * 6
+        assert tables == []
 
 
 def spy_on_slots(monkeypatch, family: str) -> list[int]:

@@ -186,6 +186,19 @@ class TestClearCaches:
         assert after == before
         assert all(a is not b for a, b in zip(after, before))
 
+    def test_clear_empties_every_classical_triangle(self):
+        # the cap sizes a single-k cell, and the classical sides of the
+        # identities read their counts, from these four triangles
+        counts = [(classical.stirling2_r, (9, 3, 2)),
+                  (classical.stirling1_r, (8, 2, 2)),
+                  (classical.lah_r, (8, 3, 1)), (classical._ext_lah, (6, 3, 0))]
+        assert {triangle for triangle, _ in counts} == set(classical.TRIANGLES)
+        before = [triangle(*args) for triangle, args in counts]
+        assert all(triangle.columns for triangle in classical.TRIANGLES)
+        families.clear_caches()
+        assert all(triangle.columns == {} for triangle in classical.TRIANGLES)
+        assert [triangle(*args) for triangle, args in counts] == before
+
 
 def test_kernel_fills_only_the_cells_a_request_needs():
     # T(n, k) reads the cells (m, j) with j <= k and m - j <= n - k, so a

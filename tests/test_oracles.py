@@ -6,13 +6,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import qcomb
-from qcomb import classical
+from qcomb import classical, oracles
 from qcomb import structures
-from qcomb.oracles import (ORACLE_FAMILIES, ORACLE_FOR_ENGINE, oracle,
+from qcomb.oracles import (ORACLE_FAMILIES, ORACLE_FOR_ENGINE, ZERO, oracle,
                            oracle_rows, oracle_table)
 from qcomb.polyring import MPoly, QPoly
 from qcomb.stats import ext_stats, stat_inv_c, stat_inv_rho, stat_w
-from qcomb.structures import (CellCapError, enum_cycle_perms,
+from qcomb.structures import (CellCapError, check_cell, enum_cycle_perms,
                               enum_extended_lah, enum_lah, enum_partitions)
 from reference import r_distinct, true_block_count
 
@@ -141,8 +141,9 @@ class TestFoldAgainstDirectStatistics:
                     assert leaf_total(table.get(k, QPoly())) == \
                         CLASSICAL[family](n, k, r), (family, n, k, r)
                 for k in range(-1, n + 2) if n + r <= 5 else ():
-                    assert oracle_table(family, n, r, only_k=k) == \
-                        reference_table(family, n, r, only_k=k), (family, n, k, r)
+                    want = reference_table(family, n, r, only_k=k)
+                    assert set(want) <= {k} and oracle(family, n, k, r) == \
+                        want.get(k, ZERO[family]), (family, n, k, r)
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(["partitions", "perms", "lah", "ext_lah"]),
@@ -150,8 +151,9 @@ class TestFoldAgainstDirectStatistics:
     def test_random_cell(self, family, n, k, r):
         if family == "ext_lah":
             r = 0
-        assert oracle_table(family, n, r, only_k=k) == \
-            reference_table(family, n, r, only_k=k)
+        want = reference_table(family, n, r, only_k=k)
+        assert set(want) <= {k}
+        assert oracle(family, n, k, r) == want.get(k, ZERO[family])
 
 
 def cell_size(family, n, r):
@@ -194,6 +196,65 @@ class TestOracleRows:
         with pytest.raises(CellCapError) as exc:
             oracle_rows("perms", 10 ** 11)
         assert exc.value.cell == ("perms", 11, None, 0)
+
+
+class TestOneCellCheck:
+    """oracle, oracle_table and oracle_rows read through structures.check_cell
+    alone: one k is folded from its pruned walk, and every read is refused
+    as its cell is refused, before any slot policy is built."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_one_k_is_that_entry_of_the_table(self, data):
+        family = data.draw(st.sampled_from(ORACLE_FAMILIES))
+        n = data.draw(st.integers(0, 6))
+        r = 0 if family == "ext_lah" else data.draw(st.integers(0, 2))
+        k = data.draw(st.integers(-1, n + 1))
+        want = oracle_table(family, n, r).get(k, ZERO[family])
+        got = oracle(family, n, k, r)
+        assert type(got) is type(want) and got == want, (family, n, k, r)
+
+    @pytest.mark.parametrize("family, n, r, message, first", [
+        ("nope", 3, 0, "unknown oracle family 'nope'", 0),
+        ("partitions", -1, 0, "enum_partitions requires n, r >= 0, got (-1, 0)",
+         -1),
+        ("lah", 2, -1, "enum_lah requires n, r >= 0, got (2, -1)", 0),
+        ("ext_lah", 2, 1, "ext_lah oracle requires r = 0", 0),
+        ("perms", 5, 0, "enumeration cell ('perms', 5, None, 0) holds 120 "
+         "structures, above the cap 23", 4),
+    ], ids=["unknown-family", "negative-n", "negative-r", "ext_lah-r1",
+            "over-cap"])
+    def test_every_read_raises_what_its_cell_check_raises(
+            self, monkeypatch, cell_cap, family, n, r, message, first):
+        # first: the n of the first cell that oracle_rows(family, n, r) refuses
+        cell_cap(23)
+        built = []
+
+        def spy(policy):
+            def spied(*args):
+                built.append(args)
+                return policy(*args)
+            return spied
+
+        for name, policy in structures._SLOTS.items():
+            monkeypatch.setitem(structures._SLOTS, name, spy(policy))
+        monkeypatch.setattr(oracles, "_ext_lah_slots",
+                            spy(oracles._ext_lah_slots))
+
+        def refusal(call, *args):
+            with pytest.raises((ValueError, CellCapError)) as exc:
+                call(*args)
+            assert "\n" not in str(exc.value)
+            return type(exc.value), str(exc.value)
+
+        whole = refusal(check_cell, family, n, None, r)
+        assert whole[1] == message
+        assert refusal(oracle_table, family, n, r) == whole
+        assert refusal(oracle, family, n, 1, r) == \
+            refusal(check_cell, family, n, 1, r)
+        assert refusal(oracle_rows, family, n, r) == \
+            refusal(check_cell, family, first, None, r)
+        assert built == []
 
 
 ORACLE_SIDE = ("structures", "stats", "oracles", "classical")
