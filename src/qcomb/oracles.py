@@ -2,8 +2,11 @@
 
 Each oracle visits every structure of one family's insertion tree and sums
 q to the power of the statistic (the weight monomial, for extended Lah
-distributions), folded in as each element is inserted: a leaf adds one to
-its coefficient count, and no structure is built.  ``oracle_table`` folds
+distributions), folded in as each element is inserted, and builds no
+structure: the walk moves over interned group shapes, and a leaf adds one
+at one int, its node's base stat * (n + 2) + key plus its slot's fold code
+inc * (n + 2) + opens, in a flat count per depth that is split into k and
+the statistic once, at the end (``_split``).  ``oracle_table`` folds
 the leaves of one cell, ``oracle`` those of one k, from the walk pruned to
 it, and ``oracle_rows`` every depth of one walk: the cells 0..n of one r.
 Each holds its cells to the cap first, with ``structures.check_cell``.
@@ -17,7 +20,7 @@ from collections import Counter, defaultdict
 from functools import partial
 
 from .polyring import M_ZERO, MPoly, Q_ZERO, QPoly
-from .structures import _SLOTS, _ext_lah_slots, _insertion_tree, _unpack, check_cell
+from .structures import _SLOTS, _ext_lah_slots, _unpack, _walk, check_cell
 
 # engine family -> oracle family that certifies it
 ORACLE_FOR_ENGINE = {"stirling2_q": "partitions", "stirling1_q": "perms",
@@ -57,14 +60,14 @@ ZERO = {"partitions": Q_ZERO, "perms": Q_ZERO, "lah": Q_ZERO, "ext_lah": M_ZERO}
 def oracle(family: str, n: int, k: int, r: int = 0) -> QPoly | MPoly:
     """Exact statistic sum over one enumeration cell, held to the cap and
     folded from the one walk of the cell pruned to k."""
-    groups = check_cell(family, n, k, r)
-    table = {} if groups is None else _fold(family, n, r, k, groups, n)[0]
-    return table.get(k, ZERO[family])
+    in_range = check_cell(family, n, k, r) is not None
+    return (_fold(family, n, r, k, n)[0] if in_range else {}).get(k, ZERO[family])
 
 
 def oracle_table(family: str, n: int, r: int = 0) -> dict[int, QPoly | MPoly]:
     """The statistic sums of every k of one cell, from the last depth of its walk."""
-    return _fold(family, n, r, None, check_cell(family, n, None, r), n)[0]
+    check_cell(family, n, None, r)
+    return _fold(family, n, r, None, n)[0]
 
 
 def oracle_rows(family: str, n: int, r: int = 0) -> list[dict[int, QPoly | MPoly]]:
@@ -76,25 +79,41 @@ def oracle_rows(family: str, n: int, r: int = 0) -> list[dict[int, QPoly | MPoly
     n, before the walk, so a refusal names the first that is too large."""
     for j in range(n):
         check_cell(family, j, None, r)
-    return _fold(family, n, r, None, check_cell(family, n, None, r), 0)
+    check_cell(family, n, None, r)
+    return _fold(family, n, r, None, 0)
 
 
 def _fold(family: str, n: int, r: int, only_k: int | None,
-          groups: list[list[int]], low: int) -> list[dict[int, QPoly | MPoly]]:
+          low: int) -> list[dict[int, QPoly | MPoly]]:
     """The tables of the cells (low, r), ..., (n, r), folded from the walk of
-    the cell (n, only_k, r), which starts from groups: the leaves of the cell
-    (d+1, r) are the children of the nodes of depth d."""
+    the cell (n, only_k, r): the leaves of the cell (d+1, r) are the children
+    of the nodes of depth d, and each adds one at its node's base + its fold
+    code in the flat count of its depth, the last depth's in the walk."""
     slots, value = _FOLDS[family](n, r)
-    rows = [defaultdict(Counter) for _ in range(low, n + 1)]
+    rows = [Counter() for _ in range(low, n + 1)]
     if low == 0:
-        rows[0][0][0] = 1                # the prefix alone
+        rows[0][0] = 1                   # the prefix alone
     if n:
-        for depth, stat, key, children in _insertion_tree(n, only_k, slots,
-                                                          groups):
-            if depth < low - 1:
-                continue
-            counts = rows[depth + 1 - low]
-            folds = counts[key], counts[key + 1]
-            for _i, _pos, _label, inc, opens in children:
-                folds[opens][stat + inc] += 1
-    return [{kk: value(c) for kk, c in counts.items() if c} for counts in rows]
+        for depth, base, _slot, _slots, codes in _walk(n, only_k, slots, r,
+                                                        rows[-1]):
+            if depth >= low - 1:
+                rows[depth + 1 - low].update(map(base.__add__, codes))
+    return [_split(row, n + 2, value) for row in rows]
+
+
+def _split(row: Counter, width: int, value) -> dict[int, QPoly | MPoly]:
+    """The table of one depth from its flat count: an index stat * width +
+    key splits into the statistic and the number of counted groups.
+
+    An extended Lah leaf of n = 2 (width 4) whose node has one true block
+    and rec_star 1 (stat 3: its statistic packs in base n + 1 = 3), placed
+    right after an element (inc 1, opens 0), counts at 3 * 4 + 1 + 1 * 4 + 0:
+
+    >>> _split(Counter({3 * 4 + 1 + 1 * 4 + 0: 1}), 4, partial(_weights, 3))
+    {1: MPoly({(1, 1, 0, 0): 1})}
+    """
+    cells = defaultdict(Counter)
+    for index, count in row.items():
+        stat, key = divmod(index, width)
+        cells[key][stat] = count
+    return {key: value(c) for key, c in cells.items()}

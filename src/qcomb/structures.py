@@ -10,22 +10,28 @@ Every family grows on one insertion tree from the restricted prefix [[1],
 ..., [r]]: element t goes into each legal slot of each structure on [t-1],
 so each structure is one leaf, reached in a deterministic order.  Each slot
 also says what t adds to the family's statistic and whether it opens a group
-that k counts; the enumerators build the leaves, and all four oracles only
-count them.  The tree is prefix-closed: each node of depth d is a structure
-of the cell (d, r), so one walk of the cell (n, r) passes every smaller
-one.  A slot list depends only on the shape of the groups, so each walk
-builds it once per shape, in a memo bounded by ``MEMO_SLOTS`` slots that
-dies with the walk; every node is still visited and every leaf still
-counted one by one.  Each walk follows ``check_cell``, the one check of a
-cell's arguments and its size against the cap.  Only the extended Lah
-enumerators validate what they yield; the tests validate the other three,
-and the r-restriction and true blocks, with helpers in ``tests/reference.py``.
+that k counts.  The tree is prefix-closed: each node of depth d is a
+structure of the cell (d, r), so one walk of the cell (n, r) passes every
+smaller one.  A slot list depends only on the shape of the groups (their
+lengths, and whether group 0 starts with a circled 1), so the one walk moves
+over shapes, each interned once per walk as a small id with its slots, their
+fold codes and its child shapes, in a table bounded by ``MEMO_SLOTS`` slots
+and shape cells that dies with the walk; every node is still visited and
+every leaf still counted one by one.  The oracles fold the codes and touch
+no label; the enumerators place the labels along the walk's path and build
+the leaves.  Each walk follows ``check_cell``, the one check of a cell's
+arguments and its size against the cap.  Only the extended Lah enumerators
+validate what they yield; the tests validate the other three, and the
+r-restriction and true blocks, with helpers in ``tests/reference.py``, which
+also keeps the label walk that the shape walk replaced.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import Counter
+from itertools import chain, repeat
 from typing import Iterator, NamedTuple
 
 from . import classical
@@ -248,61 +254,60 @@ def special_elements(delta: LahDist) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 # A structure on [t] is a structure on [t-1] with t placed in one slot, so
 # each structure is the leaf of exactly one insertion path.  A slot policy
-# lists the slots of t on the current groups (blocks or cycles, as lists of
-# labels) in output order, as (i, pos, label, inc, opens): label goes to
-# position pos of group i, where i == len(groups) opens a new group, the
-# family's statistic grows by inc, and opens is 1 when the slot opens a group
-# that k counts.  The label is t, or -t for a circled t.  A policy reads the
-# groups only through their lengths and whether group 0 starts with a
-# circled 1 (label -1), and t is one more than the number of labels placed:
-# groups of the same shape, whatever their labels, get equal slot lists.
+# lists the slots of t on the shape of the groups (blocks or cycles) in
+# output order, as (i, pos, label, inc, opens): label goes to position pos of
+# group i, where i == len(lengths) opens a new group, the family's statistic
+# grows by inc, and opens is 1 when the slot opens a group that k counts.
+# The label is t, or -t for a circled t.  The shape is all that a policy
+# reads: flag, whether group 0 starts with a circled 1 (label -1), and the
+# group lengths; t is one more than the number of labels placed.
 
-def _partition_slots(t: int, groups: list[list[int]]) -> list[tuple]:
+def _partition_slots(t: int, flag: bool, lengths) -> list[tuple]:
     # stat_w: t in block i (counted from 0) adds i
-    g = len(groups)
-    out = [(i, len(b), t, i, 0) for i, b in enumerate(groups)]
+    g = len(lengths)
+    out = [(i, m, t, i, 0) for i, m in enumerate(lengths)]
     out.append((g, 0, t, g, 1))
     return out
 
 
-def _cycle_slots(t: int, groups: list[list[int]]) -> list[tuple]:
+def _cycle_slots(t: int, flag: bool, lengths) -> list[tuple]:
     # stat_inv_c: t, the running maximum, placed before p letters of the
     # joined word adds p
     slots = []
     rest = t - 1                         # letters from cycle i on
-    for i, c in enumerate(groups):
-        slots += [(i, pos, t, rest - pos, 0) for pos in range(1, len(c) + 1)]
-        rest -= len(c)
-    slots.append((len(groups), 0, t, 0, 1))
+    for i, m in enumerate(lengths):
+        slots += [(i, pos, t, rest - pos, 0) for pos in range(1, m + 1)]
+        rest -= m
+    slots.append((len(lengths), 0, t, 0, 1))
     return slots
 
 
-def _lah_slots(t: int, groups: list[list[int]]) -> list[tuple]:
+def _lah_slots(t: int, flag: bool, lengths) -> list[tuple]:
     # stat_inv_rho: the same rule on the word of the blocks in reverse order
     # with 0 separators, where a new block comes first, so it passes all
-    # t - 1 letters and len(groups) separators
+    # t - 1 letters and len(lengths) separators
     slots = []
     behind = 0                           # letters of the word after block i
-    for i, b in enumerate(groups):
-        slots += [(i, pos, t, behind + len(b) - pos, 0) for pos in range(len(b) + 1)]
-        behind += len(b) + 1
-    slots.append((len(groups), 0, t, t - 1 + len(groups), 1))
+    for i, m in enumerate(lengths):
+        slots += [(i, pos, t, behind + m - pos, 0) for pos in range(m + 1)]
+        behind += m + 1
+    slots.append((len(lengths), 0, t, t - 1 + len(lengths), 1))
     return slots
 
 
 def _ext_lah_slots(base: int):
     """Slot policy of extended Lah distributions; the statistic packs
     nrec + base * rec_star + base**2 * circ."""
-    def slots(t: int, groups: list[list[int]]) -> list[tuple]:
-        out = [(len(groups), 0, t, 0, 1)]                    # a new true block
-        for i, b in enumerate(groups):                       # right after an element
-            out += [(i, pos, t, 1, 0) for pos in range(1, len(b) + 1)]
-        out += [(i, 0, t, base, 0) for i, b in enumerate(groups)
-                if b[0] != -1]                               # in front of a true block
+    def slots(t: int, flag: bool, lengths) -> list[tuple]:
+        g = len(lengths)
+        out = [(g, 0, t, 0, 1)]                              # a new true block
+        for i, m in enumerate(lengths):                      # right after an element
+            out += [(i, pos, t, 1, 0) for pos in range(1, m + 1)]
+        out += [(i, 0, t, base, 0) for i in range(flag, g)]  # in front of a true block
         if t == 1:                                           # circled 1 opens a block
             out.append((0, 0, -1, base * base, 0))           # that is not true
-        elif groups:                                         # circled, at the very end
-            out.append((len(groups) - 1, len(groups[-1]), -t, base * base, 0))
+        elif g:                                              # circled, at the very end
+            out.append((g - 1, lengths[-1], -t, base * base, 0))
         return out
     return slots
 
@@ -322,38 +327,6 @@ _CELLS = {
     "lah": ("enum_lah", classical.lah_r),
     "ext_lah": ("enum_extended_lah", classical._ext_lah),   # at r = 0
 }
-
-
-# the most slots one walk's memo of slot lists holds
-MEMO_SLOTS = 1 << 15
-
-
-def _shape_memo(slots) -> tuple:
-    """The slot policy ``slots`` behind a memo for one walk, and the memo.
-
-    The memo maps a shape key, the group lengths after a flag for a circled
-    1 at the front of group 0, to the policy's slot list as a tuple, whose
-    slots are interned for the walk.  Once a new list would take it past
-    MEMO_SLOTS slots, it is full, and each later call goes to the policy.
-    """
-    memo: dict[tuple, tuple] = {}
-    pool: dict[tuple, tuple] = {}
-    room = MEMO_SLOTS
-
-    def shape_slots(t: int, groups: list[list[int]]):
-        nonlocal room
-        if room < 0:
-            return slots(t, groups)
-        key = (groups[0][0] == -1 if groups else False, *map(len, groups))
-        out = memo.get(key)
-        if out is None:
-            out = slots(t, groups)
-            room -= len(out)
-            if room >= 0:
-                out = memo[key] = tuple(map(pool.setdefault, out, out))
-        return out
-
-    return shape_slots, memo
 
 
 def check_cell(family: str, n: int, k: int | None, r: int) -> list[list[int]] | None:
@@ -384,84 +357,172 @@ def check_cell(family: str, n: int, k: int | None, r: int) -> list[list[int]] | 
     return [[j] for j in range(1, r + 1)]
 
 
-def _insertion_tree(n: int, k: int | None, slots,
-                    groups: list[list[int]]) -> Iterator[tuple[int, int, int, list]]:
+# the most slots and shape cells that one walk interns
+MEMO_SLOTS = 1 << 15
+
+
+def _grow(shape: tuple, slot: tuple) -> tuple:
+    """The shape (flag, *lengths) after slot places its label."""
+    i, _pos, label = slot[:3]
+    child = [shape[0] or label == -1, *shape[1:]]
+    if i + 1 < len(child):
+        child[i + 1] += 1
+    else:
+        child.append(1)
+    return tuple(child)
+
+
+class _Shapes:
+    """The shapes (flag, *lengths) of one walk's nodes, interned as ids 0,
+    1, ... as the walk reaches them, in parallel lists: the slots of the
+    next element (those that can still reach k, if the walk is pruned to
+    one), a fold code inc * (n + 2) + opens for each slot, and, from the
+    first node of the shape that the walk expands on, each slot's child
+    shape id (-1 if not interned).  Interning stops for good once a shape
+    would take the slots and shape cells held past MEMO_SLOTS; a later shape
+    is computed at each of its nodes and dropped with it.  A shape of
+    ``bare`` elements, whose nodes the walk folds from their codes alone,
+    keeps no slots (None).  Slots and code tuples are pooled, and the whole
+    table dies with its walk.
+    """
+
+    def __init__(self, slots, n: int, k: int | None, r: int, bare: int):
+        self.policy, self.n, self.k, self.r, self.bare = slots, n, k, r, bare
+        self.ids: dict[tuple, int] = {}
+        self.shapes: list[tuple] = []
+        self.slots: list[tuple | None] = []
+        self.codes: list[tuple] = []
+        self.kids: list[tuple | None] = []
+        self.pool: dict[tuple, tuple] = {}
+        self.room = MEMO_SLOTS
+
+    def node(self, shape: tuple) -> tuple[int, tuple, tuple]:
+        """(id, slots, codes) of a shape, with id -1 if it is not interned."""
+        sid = self.ids.get(shape, -1)
+        if sid >= 0:
+            return sid, self.slots[sid], self.codes[sid]
+        flag, lengths = shape[0], shape[1:]
+        t = sum(lengths) + 1
+        out = self.policy(t, flag, lengths)
+        if self.k is not None:
+            # t and each later element open at most one counted group
+            key = len(lengths) - self.r - flag
+            left = self.r + self.n - t
+            out = [s for s in out if 0 <= self.k - key - s[4] <= left]
+        width = self.n + 2
+        codes = tuple(s[3] * width + s[4] for s in out)
+        self.room -= len(out) + len(shape)
+        if self.room < 0:
+            return -1, out, codes
+        self.ids[shape] = sid = len(self.shapes)
+        self.shapes.append(shape)
+        self.slots.append(None if t - 1 == self.bare
+                          else tuple(map(self.pool.setdefault, out, out)))
+        self.codes.append(self.pool.setdefault(codes, codes))
+        self.kids.append(None)
+        return sid, self.slots[sid], self.codes[sid]
+
+    def expand(self, sid: int, shape: tuple, slots: tuple, codes: tuple):
+        """(slot, code, child id) for the slots of a node of shape, id sid."""
+        if sid < 0:
+            return zip(slots, codes, repeat(-1))
+        kids = self.kids[sid]
+        if kids is None:                 # once interning stops, only look up
+            kids = self.kids[sid] = tuple([
+                self.ids.get(c, -1) if self.room < 0 else self.node(c)[0]
+                for c in map(_grow, repeat(shape), slots)])
+        return zip(slots, codes, kids)
+
+
+def _walk(n: int, k: int | None, slots, r: int,
+          count: Counter | None = None) -> Iterator[tuple]:
     """Walk the insertion tree of one cell of n >= 1 free elements, depth
     first on an explicit stack, so no cell size can overflow the Python stack.
 
-    ``groups`` starts as the prefix [[1], ..., [r]], the restricted elements
-    each in a group of its own that neither k nor the statistic counts, and
-    holds the current structure.  The walk places r+1..r+n.  It yields every
-    node with r+1..r+d placed, for d = 0..n-1, in preorder, as (d, stat, key,
-    children): the statistic so far, the number of groups k counts, and the
-    slots of element r+d+1, which the walk builds anyway to go on.  The tree
-    is prefix-closed: with no k, the nodes of depth d are the structures of
-    the cell (d, r), and their children the leaves of the cell (d+1, r).  At
-    depth n-1 the children end in the cell (n, k, r), one leaf each, and the
-    walk does not descend into them.  The nodes of one shape share their
-    slot list through the walk's memo (``_shape_memo``), a tuple that the
-    consumers only read; k filters a copy of it.
+    The walk starts from the prefix [[1], ..., [r]], whose groups neither k
+    nor the statistic counts, places r+1..r+n, and moves from shape to shape
+    (``_Shapes``), touching no label.  It yields every node with r+1..r+d
+    placed, for d = 0..n-1, in preorder, as (d, base, slot, slots, codes):
+    base = stat * (n + 2) + key packs the statistic so far and the number of
+    groups k counts, slot placed r+d (None at the root), and slots and codes
+    are the slots of r+d+1 and their fold codes, so a child's base is base +
+    its code.  The tree is prefix-closed: with no k, the nodes of depth d
+    are the structures of the cell (d, r) and their children the leaves of
+    the cell (d+1, r); those of depth n-1 end in the cell (n, k, r), and the
+    walk builds no shape for them.  Given a Counter ``count``, the walk
+    yields no node of depth n-1 and adds one at base + code in ``count`` for
+    each of their leaves instead.
     """
-    r = len(groups)
-    size = r + n
-    last = n - 1
-    slots, _memo = _shape_memo(slots)
+    shapes = _Shapes(slots, n, k, r, -1 if count is None else r + n - 1)
+    shape_of, slot_lists, code_lists = shapes.shapes, shapes.slots, shapes.codes
+    top = n - 1 if count is None else n - 2      # the deepest node yielded
 
-    def fits(children: list[tuple], t: int, key: int) -> list[tuple]:
-        # t and each later element open at most one counted group
-        return [s for s in children if 0 <= k - key - s[4] <= size - t]
+    def fold(sid, shape, base, slots, codes):
+        # the leaves of the children of one node of depth n-2
+        count.update(chain.from_iterable(
+            map((base + code).__add__, code_lists[kid] if kid >= 0
+                else shapes.node(_grow(shape, slot))[2])
+            for slot, code, kid in shapes.expand(sid, shape, slots, codes)))
 
-    children = slots(r + 1, groups)
-    if k is not None:
-        children = fits(children, r + 1, 0)
-    yield 0, 0, 0, children
-    # frames[d] places element r+1+d: the slots it has left, the key and
-    # statistic before it, and the slot it occupies (None before the first)
-    frames = [[iter(children), 0, 0, None]] if last else []
-    while frames:
-        frame = frames[-1]
-        slots_left, key, stat, taken = frame
-        if taken is not None:
-            i = taken[0]
-            if len(groups[i]) == 1:      # the label opened group i
-                groups.pop()
-            else:
-                del groups[i][taken[1]]
-        slot = frame[3] = next(slots_left, None)
-        if slot is None:
-            frames.pop()
-            continue
-        i, pos, label, inc, opens = slot
-        if i == len(groups):
-            groups.append([label])
+    # a frame: its node's (slot, code, child id) left to visit, base, shape;
+    # the first places the root
+    stack = [(iter([(None, 0, -1)]), 0, (False, *[1] * r))]
+    while stack:
+        frame = stack[-1]
+        for slot, code, kid in frame[0]:
+            break
         else:
-            groups[i].insert(pos, label)
-        depth = len(frames)
-        key += opens
-        stat += inc
-        children = slots(r + depth + 1, groups)
-        if k is not None:
-            children = fits(children, r + depth + 1, key)
-        yield depth, stat, key, children
-        if depth < last:
-            frames.append([iter(children), key, stat, None])
+            stack.pop()
+            continue
+        depth = len(stack) - 1
+        base = frame[1] + code
+        if kid >= 0:
+            shape = shape_of[kid]
+            children, codes = slot_lists[kid], code_lists[kid]
+        else:
+            shape = frame[2] if slot is None else _grow(frame[2], slot)
+            kid, children, codes = shapes.node(shape)
+        if depth > top:                  # n = 1, counted: the root's leaves
+            count.update(codes)
+            continue
+        yield depth, base, slot, children, codes
+        if depth < top:
+            stack.append((shapes.expand(kid, shape, children, codes), base, shape))
+        elif count is not None:
+            fold(kid, shape, base, children, codes)
 
 
 def _leaves(family: str, n: int, k: int | None, r: int,
             slots) -> Iterator[tuple[list[list[int]], int]]:
     """Check one cell, then yield (groups, stat) for each structure in it:
     its blocks or cycles, valid until the next leaf, and the statistic of
-    its free elements."""
+    its free elements.  The walk reports the slot that placed each node, and
+    the labels are placed and taken back along the path here."""
     groups = check_cell(family, n, k, r)
     if groups is None:
         return
     if n == 0:
         yield groups, 0                  # the prefix alone
         return
-    last = n - 1
-    for depth, stat, _key, children in _insertion_tree(n, k, slots, groups):
+    last, width = n - 1, n + 2
+    path = []                            # the slots that placed depths 1, 2, ...
+    for depth, base, slot, children, _codes in _walk(n, k, slots, r):
+        if slot is not None:
+            while len(path) >= depth:
+                i, pos = path.pop()[:2]
+                if len(groups[i]) == 1:  # the label opened group i
+                    groups.pop()
+                else:
+                    del groups[i][pos]
+            i, pos, label = slot[:3]
+            if i == len(groups):
+                groups.append([label])
+            else:
+                groups[i].insert(pos, label)
+            path.append(slot)
         if depth != last:
             continue
+        stat = base // width
         for i, pos, label, inc, _opens in children:
             if i == len(groups):         # the label opens group i
                 groups.append([label])

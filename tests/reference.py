@@ -5,14 +5,17 @@ outside, through its public fields only, and the q-products below take
 every factor as a schoolbook ``QPoly.__mul__``.  From ``gen_bell`` on,
 they are the bodies that the package's faster paths replaced, kept as they
 were; the dense QPoly operations work on the coefficient tuples from q^0
-that QPoly stored before it kept a valuation.
+that QPoly stored before it kept a valuation.  The insertion tree at the
+end is the walk over labelled groups that the walk over interned shapes
+replaced, with its memo of slot lists, its fold and its leaves.
 """
 
 import math
+from collections import Counter, defaultdict
 from itertools import product
 from operator import add
 
-from qcomb import families
+from qcomb import families, oracles, structures
 from qcomb.polyring import (ExactDivisionError, M_ZERO, MPoly, Q_ONE, QPoly,
                             X, _signed_sum, q_integer)
 from qcomb.stats import ext_stats
@@ -231,3 +234,138 @@ def dense_str(a):
     coefficient, read from q^0 up."""
     return _signed_sum((c, "" if i == 0 else "q" if i == 1 else f"q^{i}")
                        for i, c in enumerate(a) if c)
+
+
+# ---------------------------------------------------------------------------
+# the label walk of the insertion tree
+# ---------------------------------------------------------------------------
+
+def on_groups(slots):
+    """A package slot policy, which reads the shape (t, flag, lengths), as
+    the label walk calls it: on the groups of labels themselves."""
+    return lambda t, groups: slots(t, bool(groups) and groups[0][0] == -1,
+                                   tuple(map(len, groups)))
+
+
+def shape_memo(slots) -> tuple:
+    """The slot policy ``slots`` behind a memo for one walk, and the memo.
+
+    The memo maps a shape key, the group lengths after a flag for a circled
+    1 at the front of group 0, to the policy's slot list as a tuple, whose
+    slots are interned for the walk.  Once a new list would take it past
+    structures.MEMO_SLOTS slots, it is full, and each later call goes to the
+    policy.
+    """
+    memo: dict[tuple, tuple] = {}
+    pool: dict[tuple, tuple] = {}
+    room = structures.MEMO_SLOTS
+
+    def shape_slots(t: int, groups: list[list[int]]):
+        nonlocal room
+        if room < 0:
+            return slots(t, groups)
+        key = (groups[0][0] == -1 if groups else False, *map(len, groups))
+        out = memo.get(key)
+        if out is None:
+            out = slots(t, groups)
+            room -= len(out)
+            if room >= 0:
+                out = memo[key] = tuple(map(pool.setdefault, out, out))
+        return out
+
+    return shape_slots, memo
+
+
+def insertion_tree(n: int, k, slots, groups: list[list[int]]):
+    """Walk the insertion tree of one cell of n >= 1 free elements on the
+    labelled groups, which start as the prefix [[1], ..., [r]], with the
+    policy ``slots`` read through ``on_groups``.  Yield every node with
+    r+1..r+d placed, d = 0..n-1, in preorder, as (d, stat, key, children):
+    the statistic so far, the number of groups k counts, and the slots of
+    element r+d+1 (those that can still reach k, if k is given)."""
+    r = len(groups)
+    size = r + n
+    last = n - 1
+    slots, _memo = shape_memo(on_groups(slots))
+
+    def fits(children: list[tuple], t: int, key: int) -> list[tuple]:
+        # t and each later element open at most one counted group
+        return [s for s in children if 0 <= k - key - s[4] <= size - t]
+
+    children = slots(r + 1, groups)
+    if k is not None:
+        children = fits(children, r + 1, 0)
+    yield 0, 0, 0, children
+    # frames[d] places element r+1+d: the slots it has left, the key and
+    # statistic before it, and the slot it occupies (None before the first)
+    frames = [[iter(children), 0, 0, None]] if last else []
+    while frames:
+        frame = frames[-1]
+        slots_left, key, stat, taken = frame
+        if taken is not None:
+            i = taken[0]
+            if len(groups[i]) == 1:      # the label opened group i
+                groups.pop()
+            else:
+                del groups[i][taken[1]]
+        slot = frame[3] = next(slots_left, None)
+        if slot is None:
+            frames.pop()
+            continue
+        i, pos, label, inc, opens = slot
+        if i == len(groups):
+            groups.append([label])
+        else:
+            groups[i].insert(pos, label)
+        depth = len(frames)
+        key += opens
+        stat += inc
+        children = slots(r + depth + 1, groups)
+        if k is not None:
+            children = fits(children, r + depth + 1, key)
+        yield depth, stat, key, children
+        if depth < last:
+            frames.append([iter(children), key, stat, None])
+
+
+def leaves(n: int, k, r: int, slots):
+    """(groups, stat) of each structure of the cell (n, k, r), which must
+    be in range, from the label walk; the groups are valid until the next
+    leaf."""
+    groups = [[j] for j in range(1, r + 1)]
+    if n == 0:
+        yield groups, 0
+        return
+    for depth, stat, _key, children in insertion_tree(n, k, slots, groups):
+        if depth != n - 1:
+            continue
+        for i, pos, label, inc, _opens in children:
+            if i == len(groups):
+                groups.append([label])
+                yield groups, stat + inc
+                groups.pop()
+            else:
+                groups[i].insert(pos, label)
+                yield groups, stat + inc
+                del groups[i][pos]
+
+
+def fold(family: str, n: int, r: int, only_k, low: int) -> list[dict]:
+    """The oracle tables of the cells (low, r), ..., (n, r) from the label
+    walk of the cell (n, only_k, r), a Counter of statistics per key and
+    depth, with the values of ``oracles._FOLDS``."""
+    slots, value = oracles._FOLDS[family](n, r)
+    rows = [defaultdict(Counter) for _ in range(low, n + 1)]
+    if low == 0:
+        rows[0][0][0] = 1                # the prefix alone
+    if n:
+        prefix = [[j] for j in range(1, r + 1)]
+        for depth, stat, key, children in insertion_tree(n, only_k, slots,
+                                                         prefix):
+            if depth < low - 1:
+                continue
+            counts = rows[depth + 1 - low]
+            folds = counts[key], counts[key + 1]
+            for _i, _pos, _label, inc, opens in children:
+                folds[opens][stat + inc] += 1
+    return [{kk: value(c) for kk, c in counts.items() if c} for counts in rows]

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qcomb import classical, structures
-from qcomb.oracles import oracle_table
+from qcomb.oracles import ZERO, oracle, oracle_rows, oracle_table
 from qcomb.structures import (CellCapError, CyclePerm, ExtLahDist, LahDist,
                               SetPartition, StructureError, effective_cap,
                               enum_cycle_perms, enum_extended_lah, enum_lah,
                               enum_partitions, set_default_cap,
                               special_elements)
-from reference import opens_counted_group, r_distinct, true_block_count
+import reference
+from reference import (on_groups, opens_counted_group, r_distinct,
+                       true_block_count)
 
 
 class TestValidators:
@@ -344,12 +346,12 @@ def test_every_slot_declares_whether_it_opens_a_counted_group(family):
     # on every structure of size up to 6
     for m in range(7):
         if family == "ext_lah":
-            slots = structures._ext_lah_slots(m + 2)
+            slots = on_groups(structures._ext_lah_slots(m + 2))
             shapes = [[[-e if e in lam.circled else e for e in b]
                        for b in lam.base.blocks]
                       for lam in enum_extended_lah(m, None)]
         else:
-            slots = structures._SLOTS[family]
+            slots = on_groups(structures._SLOTS[family])
             enum = {"partitions": enum_partitions, "perms": enum_cycle_perms,
                     "lah": enum_lah}[family]
             shapes = [list(map(list, s[1])) for s in enum(m, None)]
@@ -393,9 +395,20 @@ def _policy(family: str, n: int):
 
 
 def _node_stream(family: str, n: int, k: int | None, r: int) -> list[tuple]:
+    """The shape walk's nodes as (depth, stat, key, children), after
+    checking that each child's fold code packs its (inc, opens)."""
+    width, out = n + 2, []
+    for depth, base, _slot, children, codes in structures._walk(
+            n, k, _policy(family, n), r):
+        assert list(codes) == [s[3] * width + s[4] for s in children]
+        out.append((depth, *divmod(base, width), list(children)))
+    return out
+
+
+def _label_stream(family: str, n: int, k: int | None, r: int) -> list[tuple]:
     prefix = [[j] for j in range(1, r + 1)]
     return [(depth, stat, key, list(children))
-            for depth, stat, key, children in structures._insertion_tree(
+            for depth, stat, key, children in reference.insertion_tree(
                 n, k, _policy(family, n), prefix)]
 
 
@@ -413,14 +426,44 @@ def _walks(draw):
 @example(("ext_lah", 7, 0))
 @example(("lah", 4, 3))
 def test_memo_leaves_the_node_stream_unchanged(walk):
-    # the stream without the memo is the reference: every node, in order,
-    # with its statistic, its key and its children in slot order
+    # the label walk is the reference: every node, in order, with its
+    # statistic, its key and its children in slot order; the shape walk
+    # gives it with every shape interned, with none (a bound of 0) and with
+    # interning stopped partway
     family, n, r = walk
     for k in (None, *range(-1, n + 2)):
+        want = _label_stream(family, n, k, r)
+        for bound in (structures.MEMO_SLOTS, 0, 40):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(structures, "MEMO_SLOTS", bound)
+                assert _node_stream(family, n, k, r) == want, (family, n, k, r)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_walks())
+@example(("ext_lah", 6, 0))
+@example(("partitions", 4, 3))
+def test_the_shape_walk_folds_and_enumerates_as_the_label_walk(walk):
+    # oracle_rows, oracle_table and oracle against the fold of the label
+    # walk, with every shape interned, none and some, and each enumerator's
+    # leaves against the label walk's
+    family, n, r = walk
+    rows = reference.fold(family, n, r, None, 0)
+    ones = [reference.fold(family, n, r, k, n)[0].get(k, ZERO[family])
+            for k in range(n + 1)]
+    for bound in (structures.MEMO_SLOTS, 0, 40):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(structures, "MEMO_SLOTS", 0)
-            want = _node_stream(family, n, k, r)
-        assert _node_stream(family, n, k, r) == want, (family, n, k, r)
+            mp.setattr(structures, "MEMO_SLOTS", bound)
+            assert oracle_rows(family, n, r) == rows
+            assert oracle_table(family, n, r) == rows[n]
+            assert [oracle(family, n, k, r) for k in range(n + 1)] == ones
+    policy = _policy(family, n)
+    for k in (None, *range(-1, n + 2)):
+        want = ([(list(map(tuple, g)), stat)
+                 for g, stat in reference.leaves(n, k, r, policy)]
+                if k is None or 0 <= k <= n else [])
+        assert [(list(map(tuple, g)), stat) for g, stat in
+                structures._leaves(family, n, k, r, policy)] == want, (n, k, r)
 
 
 _LABELS = st.integers(-9, 9).filter(lambda e: e not in (0, -1))
@@ -443,51 +486,90 @@ def _same_shape(draw):
     return twins
 
 
+def _shape(groups: list[list[int]]) -> tuple:
+    return (bool(groups) and groups[0][0] == -1, *map(len, groups))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(["partitions", "perms", "lah", "ext_lah"]),
        _same_shape())
 @example("ext_lah", [[[-1, 2], [3, -5, 4]], [[-1, -4], [5, 2, -3]]])
 @example("ext_lah", [[[1, -2], [-3, 5, 4]], [[2, 3], [4, 5, 1]]])
 def test_groups_of_one_shape_get_equal_slot_lists(family, twins):
-    # the contract the walk's memo rests on: a policy reads the lengths and
-    # the circled 1 only, and t is one more than the number of labels
+    # the contract the shape walk rests on: the label walk's slots read the
+    # lengths and the circled 1 only, and t is one more than the number of
+    # labels; and each slot moves the shape as placing its label moves the
+    # groups (a circled 1 occurs in extended Lah distributions only)
     a, b = twins
     t = 1 + sum(map(len, a))
-    slots = _policy(family, t)
+    slots = on_groups(_policy(family, t))
     assert slots(t, a) == slots(t, b), (a, b)
+    for slot in slots(t, a) if family == "ext_lah" or not _shape(a)[0] else ():
+        i, pos, label = slot[:3]
+        placed = [list(g) for g in a]
+        if i == len(placed):
+            placed.append([label])
+        else:
+            placed[i].insert(pos, label)
+        assert structures._grow(_shape(a), slot) == _shape(placed), (a, slot)
 
 
-def _spy_on_memos(monkeypatch) -> list[dict]:
-    """Keep the memo of every walk."""
-    real = structures._shape_memo
-    memos = []
+def _spy_on_memos(monkeypatch) -> list:
+    """Keep the interned shapes (``structures._Shapes``) of every walk."""
+    tables = []
 
-    def spy(slots):
-        shape_slots, memo = real(slots)
-        memos.append(memo)
-        return shape_slots, memo
+    class Spy(structures._Shapes):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
 
-    monkeypatch.setattr(structures, "_shape_memo", spy)
-    return memos
+    monkeypatch.setattr(structures, "_Shapes", Spy)
+    return tables
 
 
 def test_a_large_r_walk_stores_no_more_than_the_bound(monkeypatch):
     # each of the 601 nodes of depth 1 has a shape of its own with about
-    # 600 slots, far more than the bound; an unbounded memo kept them all
+    # 600 slots and 600 cells, far more than the bound; an unbounded table
+    # kept them all
     policy = structures._SLOTS["partitions"]
     offered = []
 
-    def spy(t, groups):
-        out = policy(t, groups)
+    def spy(*args):
+        out = policy(*args)
         offered.append(len(out))
         return out
 
     monkeypatch.setitem(structures._SLOTS, "partitions", spy)
-    memos = _spy_on_memos(monkeypatch)
+    tables = _spy_on_memos(monkeypatch)
     oracle_table("partitions", 2, 600)
-    [memo] = memos
-    stored = sum(map(len, memo.values()))
+    [table] = tables
+    stored = (sum(len(s) for s in table.slots if s is not None)
+              + sum(map(len, table.shapes)))
     assert sum(offered) > structures.MEMO_SLOTS >= stored > 0
+
+
+def test_a_large_r_walk_builds_no_shape_for_a_leaf(monkeypatch):
+    # the leaves of the cell (2, 600) hold 602 elements: no policy call has
+    # t = 603, and no shape of 602 elements is built, in the fold's walk or
+    # in the enumerators'
+    policy, grow = structures._SLOTS["partitions"], structures._grow
+    ts, sizes = [], []
+
+    def spy(t, *args):
+        ts.append(t)
+        return policy(t, *args)
+
+    def spy_grow(*args):
+        out = grow(*args)
+        sizes.append(sum(out[1:]))
+        return out
+
+    monkeypatch.setitem(structures._SLOTS, "partitions", spy)
+    monkeypatch.setattr(structures, "_grow", spy_grow)
+    oracle_table("partitions", 2, 600)
+    nodes = sum(1 for _ in structures._walk(2, None, spy, 600))
+    assert nodes == 1 + 601
+    assert max(ts) == 602 and max(sizes) == 601
 
 
 @pytest.mark.parametrize("family", ["partitions", "perms", "lah", "ext_lah"])
@@ -496,14 +578,14 @@ def test_nothing_outlives_a_walk(monkeypatch, family):
     policy = _policy(family, 6)
     built = []
 
-    def spy(t, groups):
+    def spy(t, *args):
         built.append(t)
-        return policy(t, groups)
+        return policy(t, *args)
 
     def walk():
         built.clear()
-        nodes = sum(1 for _ in structures._insertion_tree(
-            6, None, spy, [[1]] if family != "ext_lah" else []))
+        nodes = sum(1 for _ in structures._walk(
+            6, None, spy, 0 if family == "ext_lah" else 1))
         return len(built), nodes
 
     (first, nodes), (second, _) = walk(), walk()
