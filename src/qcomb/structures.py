@@ -364,37 +364,27 @@ MEMO_SLOTS = 1 << 15
 def _grow(shape: tuple, slot: tuple) -> tuple:
     """The shape (flag, *lengths) after slot places its label."""
     i, _pos, label = slot[:3]
-    child = [shape[0] or label == -1, *shape[1:]]
-    if i + 1 < len(child):
-        child[i + 1] += 1
-    else:
-        child.append(1)
-    return tuple(child)
+    if i + 1 == len(shape):              # the label opens group i
+        return (shape[0] or label == -1, *shape[1:], 1)
+    return (*shape[:i + 1], shape[i + 1] + 1, *shape[i + 2:])
 
 
 class _Shapes:
-    """The shapes (flag, *lengths) of one walk's nodes, interned as ids 0,
-    1, ... as the walk reaches them, in parallel lists: the slots of the
-    next element (those that can still reach k, if the walk is pruned to
-    one), a fold code inc * (n + 2) + opens for each slot, and, from the
-    first node of the shape that the walk expands on, each slot's child
-    shape id (-1 if not interned).  Interning stops for good once a shape
-    would take the slots and shape cells held past MEMO_SLOTS; a later shape
-    is computed at each of its nodes and dropped with it.  A shape of
-    ``bare`` elements, whose nodes the walk folds from their codes alone,
-    keeps no slots (None).  Slots and code tuples are pooled, and the whole
-    table dies with its walk.
-    """
+    """The shapes (flag, *lengths) of one walk, each interned as an id 0,
+    1, ... when the walk first reaches it, in parallel lists: the slots of
+    the next element (those that can still reach k, if given), their fold
+    codes inc * (n + 2) + opens, and, once the walk expands a node of the
+    shape, each slot's child id (-1 if not interned).  A shape of ``bare``
+    elements, whose nodes the walk folds from their codes alone, keeps no
+    slots.  Slots and codes are pooled.  Interning stops for good once a
+    shape would take the slots and shape cells held past MEMO_SLOTS: each
+    later shape is computed at its node and dropped.  The table dies with
+    its walk."""
 
-    def __init__(self, slots, n: int, k: int | None, r: int, bare: int):
-        self.policy, self.n, self.k, self.r, self.bare = slots, n, k, r, bare
-        self.ids: dict[tuple, int] = {}
-        self.shapes: list[tuple] = []
-        self.slots: list[tuple | None] = []
-        self.codes: list[tuple] = []
-        self.kids: list[tuple | None] = []
-        self.pool: dict[tuple, tuple] = {}
-        self.room = MEMO_SLOTS
+    def __init__(self, policy, n: int, k: int | None, r: int, bare: int):
+        self.policy, self.n, self.k, self.r, self.bare = policy, n, k, r, bare
+        self.ids, self.pool, self.room = {}, {}, MEMO_SLOTS
+        self.shapes, self.slots, self.codes, self.kids = [], [], [], []
 
     def node(self, shape: tuple) -> tuple[int, tuple, tuple]:
         """(id, slots, codes) of a shape, with id -1 if it is not interned."""
@@ -406,24 +396,22 @@ class _Shapes:
         out = self.policy(t, flag, lengths)
         if self.k is not None:
             # t and each later element open at most one counted group
-            key = len(lengths) - self.r - flag
-            left = self.r + self.n - t
+            key, left = len(lengths) - self.r - flag, self.r + self.n - t
             out = [s for s in out if 0 <= self.k - key - s[4] <= left]
-        width = self.n + 2
-        codes = tuple(s[3] * width + s[4] for s in out)
+        codes = tuple([s[3] * (self.n + 2) + s[4] for s in out])
         self.room -= len(out) + len(shape)
         if self.room < 0:
             return -1, out, codes
+        pool = self.pool.setdefault
         self.ids[shape] = sid = len(self.shapes)
         self.shapes.append(shape)
-        self.slots.append(None if t - 1 == self.bare
-                          else tuple(map(self.pool.setdefault, out, out)))
-        self.codes.append(self.pool.setdefault(codes, codes))
+        self.slots.append(None if t - 1 == self.bare else tuple(map(pool, out, out)))
+        self.codes.append(pool(codes, codes))
         self.kids.append(None)
         return sid, self.slots[sid], self.codes[sid]
 
     def expand(self, sid: int, shape: tuple, slots: tuple, codes: tuple):
-        """(slot, code, child id) for the slots of a node of shape, id sid."""
+        """(slot, code, child id) for each slot of a node of shape, id sid."""
         if sid < 0:
             return zip(slots, codes, repeat(-1))
         kids = self.kids[sid]
@@ -454,16 +442,7 @@ def _walk(n: int, k: int | None, slots, r: int,
     each of their leaves instead.
     """
     shapes = _Shapes(slots, n, k, r, -1 if count is None else r + n - 1)
-    shape_of, slot_lists, code_lists = shapes.shapes, shapes.slots, shapes.codes
     top = n - 1 if count is None else n - 2      # the deepest node yielded
-
-    def fold(sid, shape, base, slots, codes):
-        # the leaves of the children of one node of depth n-2
-        count.update(chain.from_iterable(
-            map((base + code).__add__, code_lists[kid] if kid >= 0
-                else shapes.node(_grow(shape, slot))[2])
-            for slot, code, kid in shapes.expand(sid, shape, slots, codes)))
-
     # a frame: its node's (slot, code, child id) left to visit, base, shape;
     # the first places the root
     stack = [(iter([(None, 0, -1)]), 0, (False, *[1] * r))]
@@ -474,11 +453,10 @@ def _walk(n: int, k: int | None, slots, r: int,
         else:
             stack.pop()
             continue
-        depth = len(stack) - 1
-        base = frame[1] + code
+        depth, base = len(stack) - 1, frame[1] + code
         if kid >= 0:
-            shape = shape_of[kid]
-            children, codes = slot_lists[kid], code_lists[kid]
+            shape = shapes.shapes[kid]
+            children, codes = shapes.slots[kid], shapes.codes[kid]
         else:
             shape = frame[2] if slot is None else _grow(frame[2], slot)
             kid, children, codes = shapes.node(shape)
@@ -488,8 +466,11 @@ def _walk(n: int, k: int | None, slots, r: int,
         yield depth, base, slot, children, codes
         if depth < top:
             stack.append((shapes.expand(kid, shape, children, codes), base, shape))
-        elif count is not None:
-            fold(kid, shape, base, children, codes)
+        elif count is not None:          # the leaves of its children
+            count.update(chain.from_iterable(
+                map((base + code).__add__, shapes.codes[child] if child >= 0
+                    else shapes.node(_grow(shape, slot))[2])
+                for slot, code, child in shapes.expand(kid, shape, children, codes)))
 
 
 def _leaves(family: str, n: int, k: int | None, r: int,
