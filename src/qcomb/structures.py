@@ -14,9 +14,9 @@ that k counts.  The tree is prefix-closed: each node of depth d is a
 structure of the cell (d, r), so one walk of the cell (n, r) passes every
 smaller one.  A slot list depends only on the shape of the groups (their
 lengths, and whether group 0 starts with a circled 1), so the one walk moves
-over shapes, each interned once per walk as a small id with its slots, their
-fold codes and its child shapes, in a table bounded by ``MEMO_SLOTS`` slots
-and shape cells that dies with the walk; every node is still visited and
+over shapes, and a table that dies with the walk keeps each shape once, as
+an entry of its slots, their fold codes and its child entries, up to
+``MEMO_SLOTS`` slots and shape cells; every node is still visited and
 every leaf still counted one by one.  The oracles fold the codes and touch
 no label; the enumerators place the labels along the walk's path and build
 the leaves.  Each walk follows ``check_cell``, the one check of a cell's
@@ -357,7 +357,7 @@ def check_cell(family: str, n: int, k: int | None, r: int) -> list[list[int]] | 
     return [[j] for j in range(1, r + 1)]
 
 
-# the most slots and shape cells that one walk interns
+# the most slots and shape cells that one walk keeps
 MEMO_SLOTS = 1 << 15
 
 
@@ -369,28 +369,24 @@ def _grow(shape: tuple, slot: tuple) -> tuple:
     return (*shape[:i + 1], shape[i + 1] + 1, *shape[i + 2:])
 
 
-class _Shapes:
-    """The shapes (flag, *lengths) of one walk, each interned as an id 0,
-    1, ... when the walk first reaches it, in parallel lists: the slots of
+class _Shapes(dict):
+    """The shapes (flag, *lengths) of one walk, each mapped to its entry
+    [shape, slots, codes, kids] when the walk first reaches it: the slots of
     the next element (those that can still reach k, if given), their fold
     codes inc * (n + 2) + opens, and, once the walk expands a node of the
-    shape, each slot's child id (-1 if not interned).  A shape of ``bare``
+    shape, each slot's child entry (None if not kept).  A shape of ``bare``
     elements, whose nodes the walk folds from their codes alone, keeps no
-    slots.  Slots and codes are pooled.  Interning stops for good once a
-    shape would take the slots and shape cells held past MEMO_SLOTS: each
-    later shape is computed at its node and dropped.  The table dies with
-    its walk."""
+    slots.  Slots and codes are pooled.  The table stops keeping shapes for
+    good once one would take the slots and shape cells held past
+    MEMO_SLOTS: each later entry is built at its node and dropped.  The
+    table dies with its walk."""
 
     def __init__(self, policy, n: int, k: int | None, r: int, bare: int):
+        super().__init__()
         self.policy, self.n, self.k, self.r, self.bare = policy, n, k, r, bare
-        self.ids, self.pool, self.room = {}, {}, MEMO_SLOTS
-        self.shapes, self.slots, self.codes, self.kids = [], [], [], []
+        self.pool, self.room = {}, MEMO_SLOTS
 
-    def node(self, shape: tuple) -> tuple[int, tuple, tuple]:
-        """(id, slots, codes) of a shape, with id -1 if it is not interned."""
-        sid = self.ids.get(shape, -1)
-        if sid >= 0:
-            return sid, self.slots[sid], self.codes[sid]
+    def __missing__(self, shape: tuple) -> list:
         flag, lengths = shape[0], shape[1:]
         t = sum(lengths) + 1
         out = self.policy(t, flag, lengths)
@@ -401,24 +397,23 @@ class _Shapes:
         codes = tuple([s[3] * (self.n + 2) + s[4] for s in out])
         self.room -= len(out) + len(shape)
         if self.room < 0:
-            return -1, out, codes
+            return [shape, out, codes, None]
         pool = self.pool.setdefault
-        self.ids[shape] = sid = len(self.shapes)
-        self.shapes.append(shape)
-        self.slots.append(None if t - 1 == self.bare else tuple(map(pool, out, out)))
-        self.codes.append(pool(codes, codes))
-        self.kids.append(None)
-        return sid, self.slots[sid], self.codes[sid]
+        slots = None if t - 1 == self.bare else tuple(map(pool, out, out))
+        entry = self[shape] = [shape, slots, pool(codes, codes), None]
+        return entry
 
-    def expand(self, sid: int, shape: tuple, slots: tuple, codes: tuple):
-        """(slot, code, child id) for each slot of a node of shape, id sid."""
-        if sid < 0:
-            return zip(slots, codes, repeat(-1))
-        kids = self.kids[sid]
-        if kids is None:                 # once interning stops, only look up
-            kids = self.kids[sid] = tuple([
-                self.ids.get(c, -1) if self.room < 0 else self.node(c)[0]
-                for c in map(_grow, repeat(shape), slots)])
+    def expand(self, entry: list):
+        """(slot, code, child entry) for each slot of a node of the entry's
+        shape; the child entries are built while the table has room."""
+        shape, slots, codes, kids = entry
+        if kids is None:
+            if self.room < 0:            # full: the walk grows each child once
+                return zip(slots, codes, repeat(None))
+            kids = entry[3] = []
+            for slot in slots:
+                kid = self[_grow(shape, slot)] if self.room >= 0 else None
+                kids.append(kid if self.room >= 0 else None)
         return zip(slots, codes, kids)
 
 
@@ -443,34 +438,30 @@ def _walk(n: int, k: int | None, slots, r: int,
     """
     shapes = _Shapes(slots, n, k, r, -1 if count is None else r + n - 1)
     top = n - 1 if count is None else n - 2      # the deepest node yielded
-    # a frame: its node's (slot, code, child id) left to visit, base, shape;
-    # the first places the root
-    stack = [(iter([(None, 0, -1)]), 0, (False, *[1] * r))]
+    # a frame: its node's (slot, code, child entry) left to visit, base,
+    # entry; the first places the root
+    stack = [(iter([(None, 0, shapes[(False, *[1] * r)])]), 0, None)]
     while stack:
         frame = stack[-1]
-        for slot, code, kid in frame[0]:
+        for slot, code, entry in frame[0]:
             break
         else:
             stack.pop()
             continue
         depth, base = len(stack) - 1, frame[1] + code
-        if kid >= 0:
-            shape = shapes.shapes[kid]
-            children, codes = shapes.slots[kid], shapes.codes[kid]
-        else:
-            shape = frame[2] if slot is None else _grow(frame[2], slot)
-            kid, children, codes = shapes.node(shape)
+        if entry is None:
+            entry = shapes[_grow(frame[2][0], slot)]
         if depth > top:                  # n = 1, counted: the root's leaves
-            count.update(codes)
+            count.update(entry[2])
             continue
-        yield depth, base, slot, children, codes
+        yield depth, base, slot, entry[1], entry[2]
         if depth < top:
-            stack.append((shapes.expand(kid, shape, children, codes), base, shape))
+            stack.append((shapes.expand(entry), base, entry))
         elif count is not None:          # the leaves of its children
             count.update(chain.from_iterable(
-                map((base + code).__add__, shapes.codes[child] if child >= 0
-                    else shapes.node(_grow(shape, slot))[2])
-                for slot, code, child in shapes.expand(kid, shape, children, codes)))
+                map((base + code).__add__,
+                    (kid or shapes[_grow(entry[0], slot)])[2])
+                for slot, code, kid in shapes.expand(entry)))
 
 
 def _leaves(family: str, n: int, k: int | None, r: int,

@@ -6,8 +6,9 @@ every factor as a schoolbook ``QPoly.__mul__``.  From ``gen_bell`` on,
 they are the bodies that the package's faster paths replaced, kept as they
 were; the dense QPoly operations work on the coefficient tuples from q^0
 that QPoly stored before it kept a valuation.  The insertion tree at the
-end is the walk over labelled groups that the walk over interned shapes
-replaced, with its memo of slot lists, its fold and its leaves.
+end is the walk over labelled groups that the walk over group shapes
+replaced, with its fold and its leaves; it asks its slot policy at every
+node.
 """
 
 import math
@@ -15,7 +16,7 @@ from collections import Counter, defaultdict
 from itertools import product
 from operator import add
 
-from qcomb import families, oracles, structures
+from qcomb import families, oracles
 from qcomb.polyring import (ExactDivisionError, M_ZERO, MPoly, Q_ONE, QPoly,
                             X, _signed_sum, q_integer)
 from qcomb.stats import ext_stats
@@ -247,35 +248,6 @@ def on_groups(slots):
                                    tuple(map(len, groups)))
 
 
-def shape_memo(slots) -> tuple:
-    """The slot policy ``slots`` behind a memo for one walk, and the memo.
-
-    The memo maps a shape key, the group lengths after a flag for a circled
-    1 at the front of group 0, to the policy's slot list as a tuple, whose
-    slots are interned for the walk.  Once a new list would take it past
-    structures.MEMO_SLOTS slots, it is full, and each later call goes to the
-    policy.
-    """
-    memo: dict[tuple, tuple] = {}
-    pool: dict[tuple, tuple] = {}
-    room = structures.MEMO_SLOTS
-
-    def shape_slots(t: int, groups: list[list[int]]):
-        nonlocal room
-        if room < 0:
-            return slots(t, groups)
-        key = (groups[0][0] == -1 if groups else False, *map(len, groups))
-        out = memo.get(key)
-        if out is None:
-            out = slots(t, groups)
-            room -= len(out)
-            if room >= 0:
-                out = memo[key] = tuple(map(pool.setdefault, out, out))
-        return out
-
-    return shape_slots, memo
-
-
 def insertion_tree(n: int, k, slots, groups: list[list[int]]):
     """Walk the insertion tree of one cell of n >= 1 free elements on the
     labelled groups, which start as the prefix [[1], ..., [r]], with the
@@ -286,7 +258,7 @@ def insertion_tree(n: int, k, slots, groups: list[list[int]]):
     r = len(groups)
     size = r + n
     last = n - 1
-    slots, _memo = shape_memo(on_groups(slots))
+    slots = on_groups(slots)
 
     def fits(children: list[tuple], t: int, key: int) -> list[tuple]:
         # t and each later element open at most one counted group

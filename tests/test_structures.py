@@ -515,7 +515,7 @@ def test_groups_of_one_shape_get_equal_slot_lists(family, twins):
 
 
 def _spy_on_memos(monkeypatch) -> list:
-    """Keep the interned shapes (``structures._Shapes``) of every walk."""
+    """Keep the shape table (``structures._Shapes``) of every walk."""
     tables = []
 
     class Spy(structures._Shapes):
@@ -543,15 +543,16 @@ def test_a_large_r_walk_stores_no_more_than_the_bound(monkeypatch):
     tables = _spy_on_memos(monkeypatch)
     oracle_table("partitions", 2, 600)
     [table] = tables
-    stored = (sum(len(s) for s in table.slots if s is not None)
-              + sum(map(len, table.shapes)))
+    stored = sum(len(shape) + len(slots or ())
+                 for shape, slots, _codes, _kids in table.values())
     assert sum(offered) > structures.MEMO_SLOTS >= stored > 0
 
 
 def test_a_large_r_walk_builds_no_shape_for_a_leaf(monkeypatch):
     # the leaves of the cell (2, 600) hold 602 elements: no policy call has
     # t = 603, and no shape of 602 elements is built, in the fold's walk or
-    # in the enumerators'
+    # in the enumerators'; and neither walk grows a shape more often than it
+    # has nodes (a table that stopped keeping shapes grew each child twice)
     policy, grow = structures._SLOTS["partitions"], structures._grow
     ts, sizes = [], []
 
@@ -567,9 +568,11 @@ def test_a_large_r_walk_builds_no_shape_for_a_leaf(monkeypatch):
     monkeypatch.setitem(structures._SLOTS, "partitions", spy)
     monkeypatch.setattr(structures, "_grow", spy_grow)
     oracle_table("partitions", 2, 600)
+    folded = len(sizes)
     nodes = sum(1 for _ in structures._walk(2, None, spy, 600))
     assert nodes == 1 + 601
     assert max(ts) == 602 and max(sizes) == 601
+    assert folded <= nodes and len(sizes) - folded <= nodes, (folded, len(sizes))
 
 
 @pytest.mark.parametrize("family", ["partitions", "perms", "lah", "ext_lah"])
