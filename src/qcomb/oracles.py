@@ -3,8 +3,8 @@
 Each oracle visits every structure of one family's insertion tree and sums
 q to the power of the statistic (the weight monomial, for extended Lah
 distributions), folded in as each element is inserted, and builds no
-structure: the walk moves over interned group shapes, and a leaf adds one
-at one int, its node's base stat * (n + 2) + key plus its slot's fold code
+structure: the walk moves over group shapes, and a leaf adds one at one
+int, its node's base stat * (n + 2) + key plus its slot's fold code
 inc * (n + 2) + opens, in a flat count per depth that is split into k and
 the statistic once, at the end (``_split``).  ``oracle_table`` folds
 the leaves of one cell, ``oracle`` those of one k, from the walk pruned to

@@ -411,7 +411,7 @@ class _Shapes(dict):
             if self.room < 0:            # full: the walk grows each child once
                 return zip(slots, codes, repeat(None))
             kids = entry[3] = []
-            for slot in slots:
+            for slot in slots:           # None for a child that is not kept
                 kid = self[_grow(shape, slot)] if self.room >= 0 else None
                 kids.append(kid if self.room >= 0 else None)
         return zip(slots, codes, kids)

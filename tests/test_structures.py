@@ -428,8 +428,8 @@ def _walks(draw):
 def test_memo_leaves_the_node_stream_unchanged(walk):
     # the label walk is the reference: every node, in order, with its
     # statistic, its key and its children in slot order; the shape walk
-    # gives it with every shape interned, with none (a bound of 0) and with
-    # interning stopped partway
+    # gives it with every shape kept, with none (a bound of 0) and with the
+    # table full partway
     family, n, r = walk
     for k in (None, *range(-1, n + 2)):
         want = _label_stream(family, n, k, r)
@@ -445,7 +445,7 @@ def test_memo_leaves_the_node_stream_unchanged(walk):
 @example(("partitions", 4, 3))
 def test_the_shape_walk_folds_and_enumerates_as_the_label_walk(walk):
     # oracle_rows, oracle_table and oracle against the fold of the label
-    # walk, with every shape interned, none and some, and each enumerator's
+    # walk, with every shape kept, none and some, and each enumerator's
     # leaves against the label walk's
     family, n, r = walk
     rows = reference.fold(family, n, r, None, 0)
